@@ -220,12 +220,31 @@ def cmd_figure(args) -> int:
     meta = _meta(args, f"figure {which}",
                  f"family={fam.label()} | grid=200x200 | "
                  f"r=[{r_lo:g},{r_hi:g}] t=[{t_lo:g},{t_hi:g}]")
-    json_obj = {"figure": which, "family": fam.label(), "version": __version__,
-                "rows": [{"t": a, "r": b, "value": c, "error_estimate": d,
-                          "flags": e} for a, b, c, d, e in rows]}
+    json_obj = None
+    if args.format == "json":   # 40 000 dicts, built only when written
+        json_obj = {"figure": which, "family": fam.label(), "version": __version__,
+                    "rows": [{"t": a, "r": b, "value": c, "error_estimate": d,
+                              "flags": e} for a, b, c, d, e in rows]}
     _emit(args, meta, ["t", "r", "value", "error_estimate", "flags"], rows,
           json_obj)
     return 0
+
+
+def _norm_spec(args, fam: SolutionFamily, p: float) -> N.NormSpec:
+    """The functional that `norms` and `decay` sweep for one exponent p,
+    after checking that it is defined for the family."""
+    kind = args.kind
+    if kind not in ("lp", "grad_lp", "hess_bound_lp", "linf", "distance"):
+        raise ConfigError(f"unknown norm kind {kind!r}")
+    if kind == "distance":
+        if fam.kind != "NonStationaryErf" or args.n != 3:
+            raise ConfigError(
+                "distance norms are defined for the NonStationaryErf family (n=3)")
+        ref = stationary(Params(n=3, mu=args.mu, C=0.0))
+        return N.NormSpec("lp_distance", p=p, n=args.n, reference=ref)
+    if kind == "hess_bound_lp" and (fam.kind != "MainExample" or fam.params.a <= 0.0):
+        raise ConfigError("hess_bound_lp is derived only for the main example, a > 0")
+    return N.NormSpec(kind, p=p, n=args.n)
 
 
 def cmd_norms(args) -> int:
@@ -233,19 +252,7 @@ def cmd_norms(args) -> int:
     ps = _parse_p_list(args.p)
     ts = _parse_t_grid(args.t_grid)
     kind = args.kind
-    if kind not in ("lp", "grad_lp", "hess_bound_lp", "linf", "distance"):
-        raise ConfigError(f"unknown norm kind {args.kind!r}")
-    reports = []
-    for p in ps:
-        if kind == "distance":
-            if fam.kind != "NonStationaryErf":
-                raise ConfigError(
-                    "distance norms are defined for the NonStationaryErf family")
-            ref = stationary(Params(n=3, mu=args.mu, C=0.0))
-            spec = N.NormSpec("lp_distance", p=p, n=args.n, reference=ref)
-        else:
-            spec = N.NormSpec(kind, p=p, n=args.n)
-        reports.append(N.norm_sweep(fam, spec, ts))
+    reports = [N.norm_sweep(fam, _norm_spec(args, fam, p), ts) for p in ps]
     header = ["t"]
     for p in ps:
         header += [f"value[p={p:g}]", f"error[p={p:g}]", f"flags[p={p:g}]"]
@@ -275,11 +282,7 @@ def cmd_decay(args) -> int:
     rows = []
     fits = []
     for p in ps:
-        if kind == "distance":
-            ref = stationary(Params(n=3, mu=args.mu, C=0.0))
-            spec = N.NormSpec("lp_distance", p=p, n=args.n, reference=ref)
-        else:
-            spec = N.NormSpec(kind, p=p, n=args.n)
+        spec = _norm_spec(args, fam, p)
         try:
             fit = N.decay_fit(N.norm_sweep(fam, spec, ts))
         except N.DegenerateFitError as exc:

@@ -26,8 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import log1pexp
-
 __all__ = [
     "Integrand",
     "QuadResult",
@@ -244,7 +242,7 @@ def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,
     """I(t) = t^q int_0^oo s^k / (1 + b t^(n/2) e^s)^l ds.
 
     Requires k > -1, b > 0, q > 0, l > 0, t > 0.  The denominator is kept
-    in log-domain: (1+A e^s)^-l = exp(-l*log1pexp(log A + s)), so A may
+    in log-domain: (1+A e^s)^-l = exp(-l*logaddexp(0, log A + s)), so A may
     underflow or overflow a double without harm.
     """
     if not (k > -1.0 and b > 0.0 and q > 0.0 and l > 0.0 and t > 0.0):
@@ -254,7 +252,7 @@ def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,
     def f(s):
         s = np.asarray(s, dtype=float)
         power = k * np.log(s) if k != 0.0 else 0.0
-        return np.exp(power - l * log1pexp(offset + s))
+        return np.exp(power - l * np.logaddexp(0.0, offset + s))
 
     s0 = max(-offset, 0.0)
     layer = 3.0 / l
@@ -284,7 +282,7 @@ def layer_power_integral(c: float, b: float, l: float, n: int, mu: float,
     def f(r):
         r = np.asarray(r, dtype=float)
         power = c * np.log(r) if c != 0.0 else 0.0
-        return np.exp(power - l * log1pexp(offset + r * r / four_mu_t))
+        return np.exp(power - l * np.logaddexp(0.0, offset + r * r / four_mu_t))
 
     s0 = max(-offset, 0.0)
     r0 = math.sqrt(four_mu_t * s0) if s0 > 0.0 else math.sqrt(four_mu_t)

@@ -11,8 +11,8 @@ derivatives.  The formulas are algebraically equivalent to the textbook
 displays but regrouped so that no intermediate overflows or cancels:
 
 * main_example writes the denominator 1 + a(4 pi mu t)^(n/2) e^(r^2/4mu t)
-  through log1pexp and works with the pair (iD, sigma) = (1/(1+e^L),
-  e^L/(1+e^L)), each in [0,1].
+  as e^(logaddexp(0, L)) and works with the pair (iD, sigma) =
+  (1/(1+e^L), e^L/(1+e^L)), each in [0,1].
 * self_similar works with the profile ratio F'/F, never with F' itself.
 * nonstationary_erf switches to a Taylor series in r below z = 0.35 where
   the subtraction 1/r - (gaussian)/(erf) loses digits.
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import DomainError, erf, log1pexp, upper_tail_integral
+from .specfun import DomainError, erf, upper_tail_integral
 
 __all__ = [
     "Params",
@@ -140,9 +140,9 @@ def main_example(p: Params) -> SolutionFamily:
     """Bounded positive solution with u(t,0) = 0 and Gaussian tails.
 
     Writing L = log a + (n/2) log(4 pi mu t) + r^2/4mu t, the denominator
-    bracket is e^(log1pexp(L)), so iD = exp(-log1pexp(L)) and
-    sigma = exp(L - log1pexp(L)) = 1 - iD are both stable for any L.  All
-    derivatives reduce to polynomials in (iD, sigma):
+    bracket is e^lse with lse = log(1 + e^L) = logaddexp(0, L), so
+    iD = exp(-lse) and sigma = exp(L - lse) = 1 - iD are both stable for
+    any L.  All derivatives reduce to polynomials in (iD, sigma):
 
         u    = (r/t) iD
         u_r  = (1/t) iD (1 - 2 xi sigma)
@@ -200,7 +200,7 @@ def main_example(p: Params) -> SolutionFamily:
         four_mu_t = 4.0 * mu * t
         xi = r * r / four_mu_t
         L = log_a + 0.5 * n * math.log(math.pi * four_mu_t) + xi
-        lse = log1pexp(L)
+        lse = np.logaddexp(0.0, L)
         iD = np.exp(-lse)
         sigma = np.exp(L - lse)
         return xi, iD, sigma
@@ -258,7 +258,7 @@ def main_example(p: Params) -> SolutionFamily:
     def g0(t):
         t = _check_t(t)
         L0 = log_a + 0.5 * n * math.log(4.0 * math.pi * mu * t)
-        return math.exp(-log1pexp(L0)) / t
+        return math.exp(-np.logaddexp(0.0, L0)) / t
 
     return SolutionFamily(
         kind="MainExample", params=p, origin_regular=True,

@@ -34,6 +34,23 @@ def test_figure_2_grid_and_t_floor(tmp_path):
     assert all(math.isfinite(float(row[2])) for row in rows)
 
 
+def test_figure_2_json_mirrors_csv(tmp_path):
+    out, csv_out = tmp_path / "fig2.json", tmp_path / "fig2.csv"
+    assert main(["figure", "--which", "2", "--format", "json", "--out", str(out)]) == 0
+    assert main(["figure", "--which", "2", "--out", str(csv_out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["figure"] == 2 and doc["family"].startswith("SelfSimilar")
+    rows = doc["rows"]
+    assert len(rows) == 200 * 200
+    assert all(set(row) == {"t", "r", "value", "error_estimate", "flags"} for row in rows)
+    flagged = [row for row in rows if row["flags"] == "t-floor"]
+    assert len(flagged) == 200 and all(row["t"] == 0.0 for row in flagged)
+    assert all(row["flags"] == "" for row in rows if row["t"] > 0.0)
+    _, _, csv_rows = _read_csv(csv_out)
+    assert [[repr(row["t"]), repr(row["r"]), repr(row["value"]),
+             repr(row["error_estimate"]), row["flags"]] for row in rows] == csv_rows
+
+
 def test_figure_1_peak_moves_out_and_decays(tmp_path):
     out = tmp_path / "fig1.csv"
     assert main(["figure", "--which", "1", "--out", str(out)]) == 0
@@ -160,6 +177,20 @@ def test_bad_values_exit_2(capsys):
     assert main(["norms", "--family", "MainExample", "--t-grid", "abc"]) == 2
     assert main(["norms", "--family", "Stationary", "--kind", "distance"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--family", "SelfSimilar", "--kind", "hess_bound_lp"],
+    ["norms", "--family", "Stationary", "--kind", "hess_bound_lp"],
+    ["decay", "--family", "NonStationaryErf", "--kind", "hess_bound_lp"],
+    ["norms", "--family", "MainExample", "--a", "0", "--kind", "hess_bound_lp"],
+    ["decay", "--family", "MainExample", "--kind", "distance", "--n", "2"],
+    ["decay", "--family", "SelfSimilar", "--kind", "distance"],
+    ["decay", "--family", "NonStationaryErf", "--kind", "distance", "--n", "4"],
+])
+def test_undefined_norm_for_family_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
