@@ -197,6 +197,13 @@ def _quad(f, alpha, decay, splits, name):
 # L^p norms and distances
 # ---------------------------------------------------------------------------
 
+def _norm_from_integral(n: int, p: float, val: float, err: float):
+    """(omega_{n-1} val)^(1/p) for the radial integral val = int |f|^p
+    r^(n-1) dr, with the integral's error err propagated to first order."""
+    norm = (sphere_measure(n) * val) ** (1.0 / p)
+    return norm, norm * (err / val) / p if val > 0.0 else err
+
+
 def _lp_core(s: SolutionFamily, p: float, t: float):
     n = s.params.n
     alpha = p * s.small_r_exponent + n - 1.0
@@ -207,10 +214,7 @@ def _lp_core(s: SolutionFamily, p: float, t: float):
         return np.abs(np.asarray(s.u(t, r))) ** p * r ** (n - 1.0)
 
     val, err = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.L{p:g}")
-    omega = sphere_measure(n)
-    norm = (omega * val) ** (1.0 / p)
-    norm_err = norm * (err / val) / p if val > 0.0 else err
-    return norm, norm_err
+    return _norm_from_integral(n, p, val, err)
 
 
 def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
@@ -248,9 +252,7 @@ def _erf_distance_core(mu: float, p: float, t: float):
     _check_origin(alpha, f"|u_nst - u_st| L^{p:g}")
     val, err = _quad(f, alpha, ("gaussian", root / math.sqrt(p)), (root,),
                      f"erf_distance.L{p:g}")
-    omega = sphere_measure(n)
-    norm = (omega * val) ** (1.0 / p)
-    return norm, norm * (err / val) / p if val > 0.0 else err
+    return _norm_from_integral(n, p, val, err)
 
 
 def _lp_distance_core(s: SolutionFamily, ref: SolutionFamily, p: float, t: float):
@@ -287,9 +289,7 @@ def _lp_distance_core(s: SolutionFamily, ref: SolutionFamily, p: float, t: float
 
     splits = tuple(sorted(set(_layer_splits(s, t) + _layer_splits(ref, t))))
     val, err = _quad(f, alpha, decay, splits, "lp_distance")
-    omega = sphere_measure(n)
-    norm = (omega * val) ** (1.0 / p)
-    return norm, norm * (err / val) / p if val > 0.0 else err
+    return _norm_from_integral(n, p, val, err)
 
 
 def lp_distance(s: SolutionFamily, ref: SolutionFamily, p: float, t: float) -> float:

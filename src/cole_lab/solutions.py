@@ -7,15 +7,24 @@ fields u(t,x) = u(t,r) x/r, which reduces to
 
 Every family supplies analytic u, u_r, u_rr, u_t plus the shape functions
 g = u/r, g_r, P = g_r/r and W = P_r/r needed to assemble Cartesian
-derivatives.  The formulas are algebraically equivalent to the textbook
-displays but regrouped so that no intermediate overflows or cancels:
+derivatives.  One builder, _family, makes all of them the same way: check
+t, coerce r (r > 0 for the families singular at the origin), run the
+family's core(t, r) once, and apply the requested quantity's formula to
+(t, r, *core).  A family declares only its core and one formula per
+quantity, so each evaluator does the work of its own formula and no more.
+The formulas are algebraically equivalent to the textbook displays but
+regrouped so that no intermediate overflows or cancels:
 
 * main_example writes the denominator 1 + a(4 pi mu t)^(n/2) e^(r^2/4mu t)
   as e^(logaddexp(0, L)) and works with the pair (iD, sigma) =
   (1/(1+e^L), e^L/(1+e^L)), each in [0,1].
 * self_similar works with the profile ratio F'/F, never with F' itself.
-* nonstationary_erf switches to a Taylor series in r below z = 0.35 where
-  the subtraction 1/r - (gaussian)/(erf) loses digits.
+* stationary and cole_hopf derive g, g_r, P and W from their own u, u_r
+  and u_rr formulas over one shared core.
+* nonstationary_erf describes each quantity by one row of a table
+  (amplitude, k, weight, combination) and below z = 0.35, where the
+  subtraction 1/r - (gaussian)/(erf) loses digits, sums the row's Taylor
+  series in r directly, without dividing by r.
 
 All evaluators take a scalar t > 0 and a scalar or array r; they are pure
 and safe to share across threads.
@@ -119,17 +128,57 @@ def _check_t(t) -> float:
 
 
 def _asarray_r(r, positive: bool):
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    arr = np.asarray(r, dtype=float)
+    scalar = arr.ndim == 0
+    if scalar:
+        arr = arr.reshape(1)
     if positive:
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise SingularityError("family is singular at r = 0; require r > 0")
-    elif np.any(arr < 0.0):
+    elif (arr < 0.0).any():
         raise DomainError("r must be nonnegative")
-    return arr, np.ndim(r) == 0
+    return arr, scalar
 
 
-def _out(val, scalar):
-    return float(val[0]) if scalar else val
+def _evaluator(core, formula, positive: bool):
+    """(t, r) -> formula(t, r, *core(t, r)); a float for scalar r, else an
+    array of r's shape.  positive: reject r <= 0 (else only r < 0)."""
+    def evaluate(t, r):
+        t = _check_t(t)
+        r, scalar = _asarray_r(r, positive)
+        val = formula(t, r, *core(t, r))
+        return float(val[0]) if scalar else val
+    return evaluate
+
+
+def _family(kind, params, core, formulas, positive, **meta) -> SolutionFamily:
+    """A SolutionFamily whose evaluators all come from one core and the
+    formulas dict (quantity name -> formula); meta fills the other fields."""
+    evaluators = {q: _evaluator(core, f, positive) for q, f in formulas.items()}
+    return SolutionFamily(kind=kind, params=params, **evaluators, **meta)
+
+
+def _with_shape(formulas):
+    """formulas plus g, g_r, P, W built from its u, u_r, u_rr over the same
+    core; fine away from r = 0.
+
+    No catastrophic cancellation for ~1/r profiles: u_r and u/r have the
+    same sign pattern in every combination below.
+    """
+    u, u_r, u_rr = formulas["u"], formulas["u_r"], formulas["u_rr"]
+
+    def g_r(t, r, *c):
+        return (u_r(t, r, *c) - u(t, r, *c) / r) / r
+
+    def P(t, r, *c):
+        return (u_r(t, r, *c) - u(t, r, *c) / r) / r ** 2
+
+    def W(t, r, *c):
+        d = u_r(t, r, *c) - u(t, r, *c) / r
+        return (u_rr(t, r, *c) - d / r) / r ** 3 - 2.0 * d / r ** 4
+
+    return {**formulas, "g": lambda t, r, *c: u(t, r, *c) / r,
+            "g_r": g_r, "P": P, "W": W}
 
 
 # ---------------------------------------------------------------------------
@@ -156,47 +205,24 @@ def main_example(p: Params) -> SolutionFamily:
     n, mu, a = p.n, p.mu, p.a
 
     if a == 0.0:
-        def u(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(r / t, s)
-
-        def u_r(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(np.full_like(r, 1.0 / t), s)
-
-        def u_rr(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(np.zeros_like(r), s)
-
-        def u_t(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(-r / (t * t), s)
-
-        def g(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(np.full_like(r, 1.0 / t), s)
-
         def zero(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            return _out(np.zeros_like(r), s)
+            return np.zeros_like(r)
 
-        return SolutionFamily(
-            kind="MainExample", params=p, origin_regular=True,
-            u=u, u_r=u_r, u_rr=u_rr, u_t=u_t,
-            g=g, g_r=zero, P=zero, W=zero,
+        def inv_t(t, r):
+            return np.full_like(r, 1.0 / t)
+
+        return _family(
+            "MainExample", p, lambda t, r: (),
+            {"u": lambda t, r: r / t, "u_r": inv_t, "u_rr": zero,
+             "u_t": lambda t, r: -r / (t * t),
+             "g": inv_t, "g_r": zero, "P": zero, "W": zero},
+            positive=False, origin_regular=True,
             small_r_exponent=1.0, tail=lambda t: ("power", 1.0),
             g0=lambda t: 1.0 / _check_t(t))
 
     log_a = math.log(a)
 
-    def _core(t, r):
-        # returns (xi, iD, sigma)
+    def core(t, r):
         four_mu_t = 4.0 * mu * t
         xi = r * r / four_mu_t
         L = log_a + 0.5 * n * math.log(math.pi * four_mu_t) + xi
@@ -205,65 +231,26 @@ def main_example(p: Params) -> SolutionFamily:
         sigma = np.exp(L - lse)
         return xi, iD, sigma
 
-    def u(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, _ = _core(t, r)
-        return _out(r / t * iD, s)
-
-    def u_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        xi, iD, sigma = _core(t, r)
-        return _out(iD / t * (1.0 - 2.0 * xi * sigma), s)
-
-    def u_rr(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, sigma = _core(t, r)
-        tt = t * t
-        return _out(-sigma * iD * (1.5 * r / (mu * tt)
-                                   + r ** 3 / (4.0 * mu * mu * tt * t) * (iD - sigma)), s)
-
-    def u_t(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        xi, iD, sigma = _core(t, r)
-        return _out(-r / (t * t) * iD * (1.0 + (0.5 * n - xi) * sigma), s)
-
-    def g(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, _ = _core(t, r)
-        return _out(iD / t, s)
-
-    def g_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, sigma = _core(t, r)
-        return _out(-r / (2.0 * mu * t * t) * sigma * iD, s)
-
-    def P(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, sigma = _core(t, r)
-        return _out(-sigma * iD / (2.0 * mu * t * t), s)
-
-    def W(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        _, iD, sigma = _core(t, r)
-        return _out(sigma * iD * (sigma - iD) / (4.0 * mu * mu * t ** 3), s)
-
     def g0(t):
         t = _check_t(t)
         L0 = log_a + 0.5 * n * math.log(4.0 * math.pi * mu * t)
         return math.exp(-np.logaddexp(0.0, L0)) / t
 
-    return SolutionFamily(
-        kind="MainExample", params=p, origin_regular=True,
-        u=u, u_r=u_r, u_rr=u_rr, u_t=u_t, g=g, g_r=g_r, P=P, W=W,
-        small_r_exponent=1.0,
+    return _family(
+        "MainExample", p, core,
+        {"u": lambda t, r, xi, iD, sigma: r / t * iD,
+         "u_r": lambda t, r, xi, iD, sigma: iD / t * (1.0 - 2.0 * xi * sigma),
+         "u_rr": lambda t, r, xi, iD, sigma: -sigma * iD * (
+             1.5 * r / (mu * (t * t))
+             + r ** 3 / (4.0 * mu * mu * (t * t) * t) * (iD - sigma)),
+         "u_t": lambda t, r, xi, iD, sigma:
+             -r / (t * t) * iD * (1.0 + (0.5 * n - xi) * sigma),
+         "g": lambda t, r, xi, iD, sigma: iD / t,
+         "g_r": lambda t, r, xi, iD, sigma: -r / (2.0 * mu * t * t) * sigma * iD,
+         "P": lambda t, r, xi, iD, sigma: -sigma * iD / (2.0 * mu * t * t),
+         "W": lambda t, r, xi, iD, sigma:
+             sigma * iD * (sigma - iD) / (4.0 * mu * mu * t ** 3)},
+        positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=g0)
 
@@ -288,7 +275,7 @@ def self_similar(p: Params) -> SolutionFamily:
         raise DomainError("self_similar requires a > 0")
     n, mu, a = p.n, p.mu, p.a
 
-    def _core(t, r):
+    def core(t, r):
         xi = r * r / (4.0 * mu * t)
         lxi = np.log(xi)
         psi = a + upper_tail_integral(n, xi)
@@ -301,56 +288,10 @@ def self_similar(p: Params) -> SolutionFamily:
         ratio2 = ratio1 * ratio1 + dratio1                 # F''/F
         return xi, F, ratio1, ratio2
 
-    def u(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        _, F, _, _ = _core(t, r)
-        return _out(math.sqrt(4.0 * mu / t) * F, s)
+    def amp(t):
+        return math.sqrt(4.0 * mu / t)
 
-    def u_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, _ = _core(t, r)
-        return _out(math.sqrt(4.0 * mu / t) * F * ratio1 * 2.0 * xi / r, s)
-
-    def u_rr(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, ratio2 = _core(t, r)
-        amp = math.sqrt(4.0 * mu / t) * F * 2.0 * xi / (r * r)
-        return _out(amp * (2.0 * xi * ratio2 + ratio1), s)
-
-    def u_t(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, _ = _core(t, r)
-        return _out(-math.sqrt(4.0 * mu / t) / t * F * (0.5 + xi * ratio1), s)
-
-    def g(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        _, F, _, _ = _core(t, r)
-        return _out(math.sqrt(4.0 * mu / t) * F / r, s)
-
-    def g_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, _ = _core(t, r)
-        c = math.sqrt(4.0 * mu / t) * F
-        return _out(c / r * (ratio1 * 2.0 * xi / r - 1.0 / r), s)
-
-    def P(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, _ = _core(t, r)
-        c = math.sqrt(4.0 * mu / t) * F
-        return _out(c / (r * r) * (ratio1 * 2.0 * xi / r - 1.0 / r), s)
-
-    def W(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        xi, F, ratio1, ratio2 = _core(t, r)
-        c = math.sqrt(4.0 * mu / t) * F
+    def W(t, r, xi, F, ratio1, ratio2):
         tx = 2.0 * xi / r
         ur_over = ratio1 * tx            # u_r / u
         urr_over = tx / r * (2.0 * xi * ratio2 + ratio1)   # u_rr / u
@@ -359,12 +300,23 @@ def self_similar(p: Params) -> SolutionFamily:
         gr_over = (ur_over - g_over) / r
         p_over = gr_over / r
         w_over = (urr_over - gr_over) / (r ** 3) - 2.0 * p_over / (r * r)
-        return _out(c * w_over, s)
+        return amp(t) * F * w_over
 
-    return SolutionFamily(
-        kind="SelfSimilar", params=p, origin_regular=False,
-        u=u, u_r=u_r, u_rr=u_rr, u_t=u_t, g=g, g_r=g_r, P=P, W=W,
-        small_r_exponent=-1.0,
+    return _family(
+        "SelfSimilar", p, core,
+        {"u": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F,
+         "u_r": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F * ratio1 * 2.0 * xi / r,
+         "u_rr": lambda t, r, xi, F, ratio1, ratio2:
+             amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1),
+         "u_t": lambda t, r, xi, F, ratio1, ratio2:
+             -amp(t) / t * F * (0.5 + xi * ratio1),
+         "g": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F / r,
+         "g_r": lambda t, r, xi, F, ratio1, ratio2:
+             amp(t) * F / r * (ratio1 * 2.0 * xi / r - 1.0 / r),
+         "P": lambda t, r, xi, F, ratio1, ratio2:
+             amp(t) * F / (r * r) * (ratio1 * 2.0 * xi / r - 1.0 / r),
+         "W": W},
+        positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None)
 
@@ -381,7 +333,7 @@ def stationary(p: Params) -> SolutionFamily:
     if n >= 3:
         K = 2.0 * (n - 2.0) * mu
 
-        def _core(t, r):
+        def core(t, r):
             B = C * r ** (n - 2)
             Q = 1.0 + B
             if np.any(Q <= 0.0):
@@ -389,87 +341,33 @@ def stationary(p: Params) -> SolutionFamily:
                     "stationary denominator 1 + C r^(n-2) vanishes on the grid")
             return B, Q
 
-        def u(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            _, Q = _core(t, r)
-            return _out(K / (r * Q), s)
-
-        def u_r(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            B, Q = _core(t, r)
-            return _out(-K * (1.0 + (n - 1.0) * B) / (r * Q) ** 2, s)
-
-        def u_rr(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            B, Q = _core(t, r)
-            poly = 2.0 + (n - 1.0) * (6.0 - n) * B + n * (n - 1.0) * B * B
-            return _out(K * poly / (r * Q) ** 3, s)
-
+        formulas = {
+            "u": lambda t, r, B, Q: K / (r * Q),
+            "u_r": lambda t, r, B, Q: -K * (1.0 + (n - 1.0) * B) / (r * Q) ** 2,
+            "u_rr": lambda t, r, B, Q: K * (2.0 + (n - 1.0) * (6.0 - n) * B
+                                            + n * (n - 1.0) * B * B) / (r * Q) ** 3,
+        }
         tail_beta = -(n - 1.0) if C > 0.0 else -1.0
     else:
-        def _core(t, r):
+        def core(t, r):
             lam = np.log(r) + C
             if np.any(lam == 0.0):
                 raise EvaluationError("stationary n=2 family singular at r = e^-C")
-            return lam
+            return (lam,)
 
-        def u(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            lam = _core(t, r)
-            return _out(-2.0 * mu / (r * lam), s)
-
-        def u_r(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            lam = _core(t, r)
-            return _out(2.0 * mu * (lam + 1.0) / (r * lam) ** 2, s)
-
-        def u_rr(t, r):
-            _check_t(t)
-            r, s = _asarray_r(r, positive=True)
-            lam = _core(t, r)
-            return _out(2.0 * mu * (lam - 2.0 * (lam + 1.0) ** 2) / (r * lam) ** 3, s)
-
+        formulas = {
+            "u": lambda t, r, lam: -2.0 * mu / (r * lam),
+            "u_r": lambda t, r, lam: 2.0 * mu * (lam + 1.0) / (r * lam) ** 2,
+            "u_rr": lambda t, r, lam:
+                2.0 * mu * (lam - 2.0 * (lam + 1.0) ** 2) / (r * lam) ** 3,
+        }
         tail_beta = -1.0
 
-    def u_t(t, r):
-        _check_t(t)
-        r, s = _asarray_r(r, positive=True)
-        return _out(np.zeros_like(r), s)
-
-    g, g_r, P, W = _generic_shape(u, u_r, u_rr)
-    return SolutionFamily(
-        kind="Stationary", params=p, origin_regular=False,
-        u=u, u_r=u_r, u_rr=u_rr, u_t=u_t, g=g, g_r=g_r, P=P, W=W,
-        small_r_exponent=-1.0, tail=lambda t: ("power", tail_beta), g0=None)
-
-
-def _generic_shape(u, u_r, u_rr):
-    """Shape functions from u and its r-derivatives; fine away from r = 0.
-
-    No catastrophic cancellation for ~1/r profiles: u_r and u/r have the
-    same sign pattern in every combination below.
-    """
-
-    def _wrap(expr):
-        def f(t, r):
-            rr = np.asarray(r, dtype=float)
-            out = expr(t, rr)
-            return float(out) if np.ndim(r) == 0 else out
-        return f
-
-    g = _wrap(lambda t, rr: np.asarray(u(t, rr)) / rr)
-    g_r = _wrap(lambda t, rr: (np.asarray(u_r(t, rr)) - np.asarray(u(t, rr)) / rr) / rr)
-    P = _wrap(lambda t, rr: (np.asarray(u_r(t, rr)) - np.asarray(u(t, rr)) / rr) / rr ** 2)
-    W = _wrap(lambda t, rr: (np.asarray(u_rr(t, rr))
-                             - (np.asarray(u_r(t, rr)) - np.asarray(u(t, rr)) / rr) / rr)
-              / rr ** 3
-              - 2.0 * (np.asarray(u_r(t, rr)) - np.asarray(u(t, rr)) / rr) / rr ** 4)
-    return g, g_r, P, W
+    formulas["u_t"] = lambda t, r, *c: np.zeros_like(r)
+    return _family(
+        "Stationary", p, core, _with_shape(formulas),
+        positive=True, origin_regular=False, small_r_exponent=-1.0,
+        tail=lambda t: ("power", tail_beta), g0=None)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +375,7 @@ def _generic_shape(u, u_r, u_rr):
 # u(t,r) = 2mu (1/r - e^(-r^2/4mu t) / (sqrt(pi mu t) erf(r/sqrt(4mu t))))
 # ---------------------------------------------------------------------------
 
-# Taylor coefficients of v(z) = 1 - z w(z) = sum c_m z^(2m),
+# Taylor coefficients c_1..c_10 of v(z) = 1 - z w(z) = sum c_m z^(2m),
 # w(z) = (2/sqrt(pi)) e^(-z^2)/erf(z); exact rationals, converted once.
 _V_COEFFS = tuple(float(c) for c in (
     Fraction(2, 3),
@@ -495,192 +393,88 @@ _V_SWITCH = 0.35  # both branches good to ~1e-15 relative at the seam
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
+def _two_mu(mu, t):
+    return 2.0 * mu
+
+
+# quantity -> (amplitude(mu, t), k, weight(m), combination(z, v, v', v''))
+_ERF_TABLE = {
+    "u": (_two_mu, 1, lambda m: 1, lambda z, v, vp, vpp: v),
+    "u_r": (_two_mu, 2, lambda m: 2 * m - 1, lambda z, v, vp, vpp: z * vp - v),
+    "u_rr": (_two_mu, 3, lambda m: 2 * (2 * m - 1) * (m - 1),
+             lambda z, v, vp, vpp: z * z * vpp - 2.0 * z * vp + 2.0 * v),
+    "u_t": (lambda mu, t: -mu / t, 1, lambda m: 2 * m,
+            lambda z, v, vp, vpp: z * vp),
+    "g": (_two_mu, 2, lambda m: 1, lambda z, v, vp, vpp: v),
+    "g_r": (_two_mu, 3, lambda m: 2 * m - 2, lambda z, v, vp, vpp: z * vp - 2.0 * v),
+    "P": (_two_mu, 4, lambda m: 2 * m - 2, lambda z, v, vp, vpp: z * vp - 2.0 * v),
+    "W": (_two_mu, 6, lambda m: 4 * (m - 1) * (m - 2),
+          lambda z, v, vp, vpp: z * z * vpp - 5.0 * z * vp + 8.0 * v),
+}
+
+
+def _direct_v(z):
+    # v, v', v'' for z >= switch; all ingredients order-1
+    w = _TWO_OVER_SQRT_PI * np.exp(-z * z) / erf(z)
+    v = 1.0 - z * w
+    vp = w * (2.0 * z * z - v)
+    vpp = -w * (2.0 * z + w) * (2.0 * z * z - v) + w * (4.0 * z - vp)
+    return v, vp, vpp
+
+
+def _erf_formula(mu, amplitude, k, weight, combination):
+    """One table row as a formula over the core (z, series mask)."""
+    terms = [weight(m) * c for m, c in enumerate(_V_COEFFS, start=1)]
+    m0 = 1 + next(i for i, wc in enumerate(terms) if wc != 0.0)
+    terms = terms[m0 - 1:]
+
+    def formula(t, r, z, series):
+        out = np.empty_like(r)
+        amp = amplitude(mu, t)
+        if np.any(series):
+            # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
+            # nonzero term has 2 m0 - k in {0, 1}, so no power of r divides
+            rs = r[series]
+            four_mu_t = 4.0 * mu * t
+            pw = (1.0 / four_mu_t) ** m0 * rs ** (2 * m0 - k)
+            acc = np.zeros_like(rs)
+            for wc in terms:
+                acc = acc + wc * pw
+                pw = pw * rs * rs / four_mu_t
+            out[series] = amp * acc
+        direct = ~series
+        if np.any(direct):
+            zd = z[direct]
+            out[direct] = amp / r[direct] ** k * combination(zd, *_direct_v(zd))
+        return out
+    return formula
+
+
 def nonstationary_erf(mu: float) -> SolutionFamily:
     """Origin-regular n=3 solution converging to the stationary 2mu/r as t->0.
 
-    Near the origin the closed form subtracts two ~1/r terms; below
-    z = r/sqrt(4mu t) = 0.35 the code switches to the Taylor series of
-    v(z) = 1 - z w(z) through z^20, where u = (2mu/r) v(z).  Each
-    derivative combination has its own series multiplier:
-
-        z v' - v             -> (2m-1) c_m
-        z^2 v'' - 2z v' + 2v -> 2(2m-1)(m-1) c_m
-        z v'                 -> 2m c_m
-        z v' - 2v            -> (2m-2) c_m
-        z^2 v'' - 5z v' + 8v -> 4(m-1)(m-2) c_m
-
-    In the direct branch w underflows past z ~ 27 and the family smoothly
-    becomes 2mu/r.
+    With z = r/sqrt(4mu t) and v(z) = 1 - z w(z), u = (2mu/r) v(z).  Each
+    quantity is a row (amplitude, k, weight, combination) of _ERF_TABLE and
+    equals amplitude / r^k * combination(z, v, v', v''), which is how it is
+    evaluated for z >= 0.35; e.g. u_rr = (2mu/r^3)(z^2 v'' - 2z v' + 2v).
+    Below z = 0.35, where that form subtracts two ~1/r terms, the code sums
+    amplitude * sum weight(m) c_m r^(2m-k) / (4mu t)^m over the Taylor
+    coefficients c_m of v through z^20, from the first nonzero term: no
+    power of r divides, so r = 0 and subnormal r are ordinary points.  In
+    the direct branch w underflows past z ~ 27 and u becomes 2mu/r.
     """
     if not mu > 0.0:
         raise DomainError("nonstationary_erf requires mu > 0")
-    p = Params(n=3, mu=mu, a=0.0, C=0.0)
 
-    def _split(t, r):
+    def core(t, r):
         z = r / math.sqrt(4.0 * mu * t)
-        series = z < _V_SWITCH
-        return z, series
+        return z, z < _V_SWITCH
 
-    def _direct_v(z):
-        # v, v', v'' for z >= switch; all ingredients order-1
-        w = _TWO_OVER_SQRT_PI * np.exp(-z * z) / erf(z)
-        v = 1.0 - z * w
-        vp = w * (2.0 * z * z - v)
-        vpp = -w * (2.0 * z + w) * (2.0 * z * z - v) + w * (4.0 * z - vp)
-        return v, vp, vpp
-
-    def u(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            # u = 2mu/r * sum c_m z^(2m) = 2mu sum c_m r^(2m-1)/(4mu t)^m
-            acc = np.zeros_like(rs)
-            pw = 1.0 / (4.0 * mu * t) * rs  # r/(4mu t), then grows by r^2/(4mu t)
-            for cm in _V_COEFFS:
-                acc = acc + cm * pw
-                pw = pw * rs * rs / (4.0 * mu * t)
-            out[ser] = 2.0 * mu * acc
-        if np.any(~ser):
-            zd = z[~ser]
-            v, _, _ = _direct_v(zd)
-            out[~ser] = 2.0 * mu / r[~ser] * v
-        return _out(out, s)
-
-    def _series_combo(t, rs, weight):
-        # (2mu / r^shift) sum weight_m c_m z^(2m), expressed in powers of r
-        # so that r = 0 is regular; shift handled by caller through r powers
-        q = np.zeros_like(rs)
-        pw = np.ones_like(rs)
-        inv = 1.0 / (4.0 * mu * t)
-        for m, cm in enumerate(_V_COEFFS, start=1):
-            pw = pw * rs * rs * inv
-            q = q + weight(m) * cm * pw
-        return q
-
-    def u_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            # u_r = (2mu/r^2)(z v' - v): weight (2m-1), power r^(2m-2)
-            q = _series_combo(t, rs, lambda m: 2 * m - 1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = 2.0 * mu * q / (rs * rs)
-            val = np.where(rs == 0.0, 2.0 * mu * _V_COEFFS[0] / (4.0 * mu * t), val)
-            out[ser] = val
-        if np.any(~ser):
-            zd = z[~ser]
-            v, vp, _ = _direct_v(zd)
-            out[~ser] = 2.0 * mu / r[~ser] ** 2 * (zd * vp - v)
-        return _out(out, s)
-
-    def u_rr(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            q = _series_combo(t, rs, lambda m: 2 * (2 * m - 1) * (m - 1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = 2.0 * mu * q / rs ** 3
-            val = np.where(rs == 0.0, 0.0, val)
-            out[ser] = val
-        if np.any(~ser):
-            zd = z[~ser]
-            v, vp, vpp = _direct_v(zd)
-            out[~ser] = 2.0 * mu / r[~ser] ** 3 * (zd * zd * vpp - 2.0 * zd * vp + 2.0 * v)
-        return _out(out, s)
-
-    def u_t(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            q = _series_combo(t, rs, lambda m: 2 * m)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = -mu / t * q / rs
-            val = np.where(rs == 0.0, 0.0, val)
-            out[ser] = val
-        if np.any(~ser):
-            zd = z[~ser]
-            _, vp, _ = _direct_v(zd)
-            out[~ser] = -mu / (t * r[~ser]) * zd * vp
-        return _out(out, s)
-
-    def g(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            q = _series_combo(t, rs, lambda m: 1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = 2.0 * mu * q / (rs * rs)
-            val = np.where(rs == 0.0, 2.0 * mu * _V_COEFFS[0] / (4.0 * mu * t), val)
-            out[ser] = val
-        if np.any(~ser):
-            out[~ser] = 2.0 * mu / r[~ser] ** 2 * _direct_v(z[~ser])[0]
-        return _out(out, s)
-
-    def g_r(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        return _out(np.asarray(P(t, r)) * r, s)
-
-    def P(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            q = _series_combo(t, rs, lambda m: 2 * m - 2)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = 2.0 * mu * q / rs ** 4
-            lim = 2.0 * mu * 2.0 * _V_COEFFS[1] / (4.0 * mu * t) ** 2
-            val = np.where(rs == 0.0, lim, val)
-            out[ser] = val
-        if np.any(~ser):
-            zd = z[~ser]
-            v, vp, _ = _direct_v(zd)
-            out[~ser] = 2.0 * mu / r[~ser] ** 4 * (zd * vp - 2.0 * v)
-        return _out(out, s)
-
-    def W(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        z, ser = _split(t, r)
-        out = np.empty_like(r)
-        if np.any(ser):
-            rs = r[ser]
-            q = _series_combo(t, rs, lambda m: 4 * (m - 1) * (m - 2))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                val = 2.0 * mu * q / rs ** 6
-            lim = 2.0 * mu * 8.0 * _V_COEFFS[2] / (4.0 * mu * t) ** 3
-            val = np.where(rs == 0.0, lim, val)
-            out[ser] = val
-        if np.any(~ser):
-            zd = z[~ser]
-            v, vp, vpp = _direct_v(zd)
-            out[~ser] = 2.0 * mu / r[~ser] ** 6 * (zd * zd * vpp - 5.0 * zd * vp + 8.0 * v)
-        return _out(out, s)
-
-    def g0(t):
-        return 1.0 / (3.0 * _check_t(t))
-
-    return SolutionFamily(
-        kind="NonStationaryErf", params=p, origin_regular=True,
-        u=u, u_r=u_r, u_rr=u_rr, u_t=u_t, g=g, g_r=g_r, P=P, W=W,
-        small_r_exponent=1.0, tail=lambda t: ("power", -1.0), g0=g0)
+    return _family(
+        "NonStationaryErf", Params(n=3, mu=mu, a=0.0, C=0.0), core,
+        {q: _erf_formula(mu, *row) for q, row in _ERF_TABLE.items()},
+        positive=False, origin_regular=True, small_r_exponent=1.0,
+        tail=lambda t: ("power", -1.0), g0=lambda t: 1.0 / (3.0 * _check_t(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -727,80 +521,61 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
     if params is None:
         params = Params(n=n, mu=mu, a=0.0, C=0.0)
 
-    def _theta_checked(t, r):
+    def core(t, r):
         th = np.asarray(theta.theta(t, r), dtype=float)
         if np.any(th <= 0.0) or not np.all(np.isfinite(th)):
             raise EvaluationError("cole_hopf: theta <= 0 (or non-finite) at a query point")
-        return th
+        return (th,)
 
-    def u(t, r):
-        t = _check_t(t)
-        r, s = _asarray_r(r, positive=False)
-        th = _theta_checked(t, r)
-        return _out(-2.0 * mu * np.asarray(theta.theta_r(t, r), dtype=float) / th, s)
+    def over(f, t, r, th):
+        return np.asarray(f(t, r), dtype=float) / th
 
-    def _step(t, r):
-        return theta.fd_step * max(float(np.max(np.abs(r), initial=0.0)),
-                                   math.sqrt(4.0 * mu * t))
+    def u(t, r, th):
+        return -2.0 * mu * np.asarray(theta.theta_r(t, r), dtype=float) / th
 
-    if theta.theta_rr is not None:
-        def u_r(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            th = _theta_checked(t, r)
-            q1 = np.asarray(theta.theta_r(t, r), dtype=float) / th
-            q2 = np.asarray(theta.theta_rr(t, r), dtype=float) / th
-            return _out(-2.0 * mu * (q2 - q1 * q1), s)
-    else:
-        def u_r(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            h = _step(t, r)
-            val = np.vectorize(lambda ri: fd_derivative(lambda x: u(t, x), ri, h, 1))(r)
-            return _out(val, s)
+    def u_r(t, r, th):
+        q1 = over(theta.theta_r, t, r, th)
+        return -2.0 * mu * (over(theta.theta_rr, t, r, th) - q1 * q1)
 
-    if theta.theta_rr is not None and theta.theta_rrr is not None:
-        def u_rr(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            th = _theta_checked(t, r)
-            q1 = np.asarray(theta.theta_r(t, r), dtype=float) / th
-            q2 = np.asarray(theta.theta_rr(t, r), dtype=float) / th
-            q3 = np.asarray(theta.theta_rrr(t, r), dtype=float) / th
-            return _out(-2.0 * mu * (q3 - 3.0 * q1 * q2 + 2.0 * q1 ** 3), s)
-    else:
-        def u_rr(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            h = _step(t, r)
-            val = np.vectorize(lambda ri: fd_derivative(lambda x: u(t, x), ri, h, 2))(r)
-            return _out(val, s)
+    def u_rr(t, r, th):
+        q1 = over(theta.theta_r, t, r, th)
+        q2 = over(theta.theta_rr, t, r, th)
+        q3 = over(theta.theta_rrr, t, r, th)
+        return -2.0 * mu * (q3 - 3.0 * q1 * q2 + 2.0 * q1 ** 3)
 
-    if theta.theta_t is not None and theta.theta_rt is not None:
-        def u_t(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            th = _theta_checked(t, r)
-            q1 = np.asarray(theta.theta_r(t, r), dtype=float) / th
-            qt = np.asarray(theta.theta_t(t, r), dtype=float) / th
-            qrt = np.asarray(theta.theta_rt(t, r), dtype=float) / th
-            return _out(-2.0 * mu * (qrt - q1 * qt), s)
-    else:
-        def u_t(t, r):
-            t = _check_t(t)
-            r, s = _asarray_r(r, positive=False)
-            h = theta.fd_step * t
-            val = np.vectorize(
-                lambda ri: fd_derivative(lambda tau: u(tau, ri), t, h, 1))(r)
-            return _out(val, s)
+    def u_t(t, r, th):
+        q1 = over(theta.theta_r, t, r, th)
+        qt = over(theta.theta_t, t, r, th)
+        return -2.0 * mu * (over(theta.theta_rt, t, r, th) - q1 * qt)
 
-    g, g_r, P, W = _generic_shape(u, u_r, u_rr)
-    return SolutionFamily(
-        kind="ColeHopfOf", params=params, origin_regular=False,
-        u=u, u_r=u_r, u_rr=u_rr, u_t=u_t, g=g, g_r=g_r, P=P, W=W,
-        small_r_exponent=0.0,
+    # the finite-difference fallbacks difference the finished family's u, fam
+    def fd_r(order):
+        def formula(t, r, th):
+            h = theta.fd_step * max(float(np.max(np.abs(r), initial=0.0)),
+                                    math.sqrt(4.0 * mu * t))
+            return np.vectorize(
+                lambda ri: fd_derivative(lambda x: fam.u(t, x), ri, h, order))(r)
+        return formula
+
+    def fd_t(t, r, th):
+        h = theta.fd_step * t
+        return np.vectorize(
+            lambda ri: fd_derivative(lambda tau: fam.u(tau, ri), t, h, 1))(r)
+
+    if theta.theta_rr is None:
+        u_r = fd_r(1)
+    if theta.theta_rr is None or theta.theta_rrr is None:
+        u_rr = fd_r(2)
+    if theta.theta_t is None or theta.theta_rt is None:
+        u_t = fd_t
+
+    fam = _family(
+        "ColeHopfOf", params, core,
+        _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t}),
+        positive=False, origin_regular=False, small_r_exponent=0.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None)
+    return fam
 
 
 def gaussian_heat_function(p: Params) -> HeatFunction:
@@ -815,45 +590,22 @@ def gaussian_heat_function(p: Params) -> HeatFunction:
         raise DomainError("gaussian_heat_function requires a >= 0")
 
     def kernel(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
         four_mu_t = 4.0 * mu * t
-        return (math.pi * four_mu_t) ** (-0.5 * n) * np.exp(-r * r / four_mu_t)
+        return ((math.pi * four_mu_t) ** (-0.5 * n) * np.exp(-r * r / four_mu_t),)
 
-    def theta(t, r):
-        return a + kernel(t, r)
-
-    def theta_r(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
-        return -r / (2.0 * mu * t) * kernel(t, r)
-
-    def theta_rr(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
-        mt = mu * t
-        return kernel(t, r) * (r * r / (4.0 * mt * mt) - 1.0 / (2.0 * mt))
-
-    def theta_rrr(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
-        mt = mu * t
-        return kernel(t, r) * (0.75 * r / (mt * mt) - r ** 3 / (8.0 * mt ** 3))
-
-    def theta_t(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
-        xi = r * r / (4.0 * mu * t)
-        return kernel(t, r) * (xi - 0.5 * n) / t
-
-    def theta_rt(t, r):
-        t = _check_t(t)
-        r = np.asarray(r, dtype=float)
-        xi = r * r / (4.0 * mu * t)
-        return r * kernel(t, r) / (2.0 * mu * t * t) * (1.0 - xi + 0.5 * n)
-
-    return HeatFunction(theta=theta, theta_r=theta_r, theta_rr=theta_rr,
-                        theta_rrr=theta_rrr, theta_t=theta_t, theta_rt=theta_rt)
+    formulas = {
+        "theta": lambda t, r, G: a + G,
+        "theta_r": lambda t, r, G: -r / (2.0 * mu * t) * G,
+        "theta_rr": lambda t, r, G:
+            G * (r * r / (4.0 * (mu * t) * (mu * t)) - 1.0 / (2.0 * (mu * t))),
+        "theta_rrr": lambda t, r, G:
+            G * (0.75 * r / ((mu * t) * (mu * t)) - r ** 3 / (8.0 * (mu * t) ** 3)),
+        "theta_t": lambda t, r, G: G * (r * r / (4.0 * mu * t) - 0.5 * n) / t,
+        "theta_rt": lambda t, r, G:
+            r * G / (2.0 * mu * t * t) * (1.0 - r * r / (4.0 * mu * t) + 0.5 * n),
+    }
+    return HeatFunction(**{q: _evaluator(kernel, f, positive=False)
+                           for q, f in formulas.items()})
 
 
 # ---------------------------------------------------------------------------

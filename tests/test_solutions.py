@@ -35,6 +35,14 @@ FAMILIES = [
     ("st2", ST2),
     ("nst", NST),
 ]
+SINGULAR = ("ss", "ss-n4", "st3", "st3-C0", "st2")
+EVALUATORS = ("u", "u_r", "u_rr", "u_t", "g", "g_r", "P", "W")
+# the evaluator contract also covers the Cole-Hopf transform, which accepts
+# r = 0 without being origin-regular
+CONTRACT = FAMILIES + [
+    ("cole-hopf", cole_hopf(gaussian_heat_function(Params(3, 0.1, a=1.0)),
+                            mu=0.1, n=3)),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +341,34 @@ def test_cartesian_shape_validation():
 # ---------------------------------------------------------------------------
 
 def test_time_domain_errors():
-    for t in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(DomainError):
-            MAIN.u(t, 0.1)
+    for _, fam in CONTRACT:
+        for q in EVALUATORS:
+            for t in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    getattr(fam, q)(t, 0.1)
 
 
 def test_negative_radius_rejected():
-    with pytest.raises(DomainError):
-        MAIN.u(0.1, -0.5)
+    # families that accept the origin reject r < 0 as a domain error; the
+    # singular ones reject every r <= 0 as a singularity
+    for name, fam in CONTRACT:
+        want = SingularityError if name in SINGULAR else DomainError
+        for q in EVALUATORS:
+            with pytest.raises(want):
+                getattr(fam, q)(0.1, -0.5)
+            with pytest.raises(want):
+                getattr(fam, q)(0.1, np.array([0.2, -0.5]))
 
 
 def test_singular_families_reject_origin():
-    for fam in (SS, ST3, ST2):
-        with pytest.raises(SingularityError):
-            fam.u(0.37, 0.0)
+    for name, fam in FAMILIES:
+        if name not in SINGULAR:
+            continue
+        for q in EVALUATORS:
+            with pytest.raises(SingularityError):
+                getattr(fam, q)(0.37, 0.0)
+            with pytest.raises(SingularityError):
+                getattr(fam, q)(0.37, np.array([0.1, 0.0]))
 
 
 def test_stationary_pole_detection():
@@ -394,7 +416,44 @@ def test_metadata_fields():
 
 
 def test_scalar_and_array_evaluation():
-    assert isinstance(MAIN.u(0.37, 0.5), float)
-    out = MAIN.u(0.37, np.array([0.1, 0.2, 0.4]))
-    assert isinstance(out, np.ndarray) and out.shape == (3,)
-    assert out[1] == approx(MAIN.u(0.37, 0.2), rel=1e-15)
+    # a scalar r gives a float; an array r gives an array of its shape whose
+    # elements are bit-equal to the scalar calls (both erf branches at t)
+    t = 0.37
+    r = np.array([[0.01, 0.1], [0.4, 0.7]])
+    for name, fam in CONTRACT:
+        for q in EVALUATORS:
+            f = getattr(fam, q)
+            assert type(f(t, 0.5)) is float, (name, q)
+            out = f(t, r)
+            assert isinstance(out, np.ndarray) and out.shape == r.shape, (name, q)
+            want = np.array([[f(t, x) for x in row] for row in r])
+            assert np.array_equal(out, want), (name, q)
+
+
+# ---------------------------------------------------------------------------
+# the erf family at tiny and zero r: the series never divides by r
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("r", [1e-54, 1e-81, 1e-108, 1e-162, 1e-300, 5e-324])
+def test_nst_finite_at_tiny_radius(r):
+    for q in EVALUATORS:
+        assert math.isfinite(getattr(NST, q)(1e-3, r)), q
+
+
+def test_nst_tiny_radius_matches_origin_limit():
+    t = 1e-3
+    assert NST.P(t, 1e-80) == approx(NST.P(t, 0.0), rel=1e-14)
+    _, jac, second = cartesian_components(NST, t, np.array([1e-120, 0.0, 0.0]))
+    assert np.all(np.isfinite(jac)) and np.all(np.isfinite(second))
+    assert jac == approx(NST.g0(t) * np.eye(3), rel=1e-14)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mu=st.floats(1e-8, 10.0), t=st.floats(1e-8, 1.0),
+       r=st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(0.0, 1e3)))
+def test_nst_evaluators_finite_everywhere(mu, t, r):
+    fam = nonstationary_erf(mu)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for q in EVALUATORS:
+            val = getattr(fam, q)(t, r)
+            assert type(val) is float and math.isfinite(val), q
