@@ -14,6 +14,12 @@ dt ~ cfl h^2 / mu, so with cn-central the temporal error O(dt^2) = O(h^4)
 stays below the O(h^2) spatial error and h-halving shows clean ratio-4
 behavior.
 
+Linear algebra: the Crank-Nicolson matrix is constant, so it is LU-factored
+once per configuration (no pivoting) and each step runs the two triangular
+sweeps as first-order linear recurrences by recursive doubling (Stone 1973),
+ceil(log2 N) vector passes each with multipliers precomputed at factor time.
+numpy is the only dependency.
+
 Origin handling: for origin-regular data the r=0 node carries u = 0 exactly
 (the radial component of a continuous vector field vanishes at 0), so the
 singular (n-1)(u_r/r - u/r^2) terms are never evaluated there; their
@@ -28,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .solutions import SolutionFamily
 
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 _SCHEMES = ("cn-upwind", "cn-central", "rk2")
+_TINY = np.finfo(float).tiny
 
 
 class StabilityError(RuntimeError):
@@ -150,6 +156,70 @@ class ConvergenceReport:
     observed_orders: tuple     # log2 of the ratios
 
 
+def _doubling_passes(a: np.ndarray) -> list:
+    """Recursive-doubling passes for x_i = c_i + a_i x_{i-1}, x_0 = c_0.
+
+    Pass k (stride s = 2^k) does c[s:] += m_k * c[:-s]; after it, c_i holds
+    x_i for i < 2s.  m_0 = a[1:], and m_{k+1} is the product of the
+    multipliers of two adjacent blocks.  Multipliers below the smallest
+    normal double are flushed to 0 (their terms are far below rounding of
+    c_i), and the passes stop once every multiplier is 0.
+    """
+    passes = []
+    prod = np.concatenate(([0.0], a[1:]))
+    s = 1
+    while s < prod.size:
+        m = prod[s:].copy()
+        if not np.all(np.isfinite(m)):
+            raise StabilityError(f"non-finite doubling multiplier at stride {s}")
+        m[np.abs(m) < _TINY] = 0.0
+        if not m.any():
+            break
+        passes.append((s, m))
+        with np.errstate(over="ignore", invalid="ignore"):   # checked next pass
+            prod[s:] = m * prod[:-s]
+        s *= 2
+    return passes
+
+
+class _Tridiagonal:
+    """Solver for one constant tridiagonal matrix, factored once.
+
+    Row i is sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] (sub[0] and sup[-1]
+    unused).  LU without pivoting gives pivots d and multipliers l; solve
+    runs the forward sweep y_i = b_i - l_i y_{i-1} and the backward sweep
+    x_i = y_i/d_i - (sup_i/d_i) x_{i+1}, each by recursive doubling.
+    Raises StabilityError when a pivot is zero or a pivot or multiplier is
+    not finite, where a solve would return garbage.
+    """
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        sub_, diag_, sup_ = sub.tolist(), diag.tolist(), sup.tolist()
+        d, ell = [], [0.0]
+        for i, pivot in enumerate(diag_):
+            if i:
+                ell.append(sub_[i] / d[-1])
+                pivot -= ell[-1] * sup_[i - 1]
+            if pivot == 0.0 or not math.isfinite(pivot):
+                raise StabilityError(f"pivot {pivot} in row {i} of the tridiagonal factor")
+            d.append(pivot)
+        self.d = np.array(d)
+        self.forward = _doubling_passes(-np.array(ell))
+        back = np.concatenate((-sup[:-1] / self.d[:-1], [0.0]))
+        # the backward sweep is a forward one on reversed indices
+        self.backward = [(s, m[::-1].copy())
+                         for s, m in _doubling_passes(back[::-1])]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b; b is overwritten."""
+        for s, m in self.forward:
+            b[s:] += m * b[:-s]
+        b /= self.d
+        for s, m in self.backward:
+            b[:-s] += m * b[s:]
+        return b
+
+
 class _Stepper:
     """One configured time step; shared by march and the replay in
     min_principle_experiment so both advance with identical arithmetic."""
@@ -167,11 +237,10 @@ class _Stepper:
         self.up = mu * (1.0 / self.h**2 + (n - 1) / (2.0 * self.h * ri))
         self.dt, self.n_steps = cfg.step_size()
         if cfg.scheme != "rk2":
-            ab = np.zeros((3, cfg.nr - 1))
-            ab[0, 1:] = -0.5 * self.dt * self.up[:-1]
-            ab[1, :] = 1.0 - 0.5 * self.dt * self.di
-            ab[2, :-1] = -0.5 * self.dt * self.lo[1:]
-            self.ab = ab
+            # I - dt/2 L, the implicit half of Crank-Nicolson
+            self.matrix = _Tridiagonal(-0.5 * self.dt * self.lo,
+                                       1.0 - 0.5 * self.dt * self.di,
+                                       -0.5 * self.dt * self.up)
 
     def apply_operator(self, u: np.ndarray) -> np.ndarray:
         return self.lo * u[:-2] + self.di * u[1:-1] + self.up * u[2:]
@@ -186,19 +255,19 @@ class _Stepper:
         return u[1:-1] * ur
 
     def step(self, u: np.ndarray, t_new: float) -> np.ndarray:
+        left, right = self.bl(t_new), self.br(t_new)
         if self.cfg.scheme == "rk2":
             k1 = self.apply_operator(u) - self.advection(u)
-            mid = np.concatenate(([self.bl(t_new)], u[1:-1] + self.dt * k1,
-                                  [self.br(t_new)]))
+            mid = np.concatenate(([left], u[1:-1] + self.dt * k1, [right]))
             k2 = self.apply_operator(mid) - self.advection(mid)
             interior = u[1:-1] + 0.5 * self.dt * (k1 + k2)
         else:
             rhs = (u[1:-1] + 0.5 * self.dt * self.apply_operator(u)
                    - self.dt * self.advection(u))
-            rhs[0] += 0.5 * self.dt * self.lo[0] * self.bl(t_new)
-            rhs[-1] += 0.5 * self.dt * self.up[-1] * self.br(t_new)
-            interior = solve_banded((1, 1), self.ab, rhs)
-        return np.concatenate(([self.bl(t_new)], interior, [self.br(t_new)]))
+            rhs[0] += 0.5 * self.dt * self.lo[0] * left
+            rhs[-1] += 0.5 * self.dt * self.up[-1] * right
+            interior = self.matrix.solve(rhs)
+        return np.concatenate(([left], interior, [right]))
 
 
 def _initial_and_boundaries(cfg: SolverConfig, initial, r: np.ndarray):
@@ -239,16 +308,19 @@ def march(cfg: SolverConfig, initial: Union[SolutionFamily, np.ndarray]) -> Solv
     u = u0.copy()
     max_hist = np.empty(n_steps)
     min_hist = np.empty(n_steps)
+    hi, lo = float(u.max()), float(u.min())
     for m in range(n_steps):
-        amp = float(np.max(np.abs(u)))
+        amp = max(hi, -lo)
         if dt * amp / stepper.h > 1.0:
             raise StabilityError(
                 f"advective CFL {dt * amp / stepper.h:.3g} > 1 at step {m}")
         u = stepper.step(u, cfg.t0 + (m + 1) * dt)
-        if not np.all(np.isfinite(u)):
+        # max and min propagate NaN, so they also detect non-finite values
+        hi, lo = float(u.max()), float(u.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise StabilityError(f"non-finite value at step {m + 1}")
-        max_hist[m] = u.max()
-        min_hist[m] = u.min()
+        max_hist[m] = hi
+        min_hist[m] = lo
     return SolverRun(config=cfg, radii=r, final=u, n_steps=n_steps, dt=dt,
                      max_history=max_hist, min_history=min_hist)
 

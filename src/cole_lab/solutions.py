@@ -499,24 +499,36 @@ class HeatFunction:
     fd_step: float = 1e-5
 
 
-def fd_derivative(f: Callable, x: float, h: float, order: int = 1) -> float:
-    """5-point central difference, O(h^4), for order in {1, 2}."""
+def fd_derivative(f: Callable, x: float, h: float, order: int = 1,
+                  forward: bool = False) -> float:
+    """5-point central difference, O(h^4), for order in {1, 2}; forward=True
+    takes the one-sided O(h^4) stencil on x, x + h, ..., x + (order + 3) h
+    instead, for points closer than 2h to the lower end of f's domain."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if forward:
+        f0, f1, f2, f3, f4 = (f(x + k * h) for k in range(5))
+        if order == 1:
+            return (-25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * h)
+        f5 = f(x + 5 * h)
+        return (45.0 * f0 - 154.0 * f1 + 214.0 * f2 - 156.0 * f3 + 61.0 * f4
+                - 10.0 * f5) / (12.0 * h * h)
     fm2, fm1, fp1, fp2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
     if order == 1:
         return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    if order == 2:
-        f0 = f(x)
-        return (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
-    raise ValueError("order must be 1 or 2")
+    f0 = f(x)
+    return (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
 
 
 def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
               params: Optional[Params] = None) -> SolutionFamily:
     """u = -2 mu theta_r / theta, with derivatives by quotient rule when the
-    theta-derivatives are supplied and by 5-point finite differences of u
-    otherwise (step = fd_step * max(|r|, sqrt(4 mu t))).
+    theta-derivatives are supplied and by O(h^4) finite differences of u
+    otherwise (step = fd_step * max(|r|, sqrt(4 mu t)); one-sided stencils
+    within two steps of r = 0).
 
-    Raises EvaluationError if theta <= 0 is encountered at a query point.
+    Raises EvaluationError if theta <= 0 is encountered at a query point,
+    and SingularityError for g, g_r, P and W at r = 0.
     """
     if params is None:
         params = Params(n=n, mu=mu, a=0.0, C=0.0)
@@ -553,8 +565,10 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
         def formula(t, r, th):
             h = theta.fd_step * max(float(np.max(np.abs(r), initial=0.0)),
                                     math.sqrt(4.0 * mu * t))
+            # within 2h of the origin the central stencil would leave r >= 0
             return np.vectorize(
-                lambda ri: fd_derivative(lambda x: fam.u(t, x), ri, h, order))(r)
+                lambda ri: fd_derivative(lambda x: fam.u(t, x), ri, h, order,
+                                         forward=ri < 2.0 * h))(r)
         return formula
 
     def fd_t(t, r, th):
@@ -569,9 +583,21 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
     if theta.theta_t is None or theta.theta_rt is None:
         u_t = fd_t
 
+    # u/r has no origin limit this code could evaluate for a generic heat
+    # function, so the shape functions treat r = 0 as a singularity
+    def off_origin(formula):
+        def evaluate(t, r, th):
+            if not r.all():
+                raise SingularityError(
+                    "ColeHopfOf shape functions are singular at r = 0; require r > 0")
+            return formula(t, r, th)
+        return evaluate
+
+    formulas = _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t})
+    for q in ("g", "g_r", "P", "W"):
+        formulas[q] = off_origin(formulas[q])
     fam = _family(
-        "ColeHopfOf", params, core,
-        _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t}),
+        "ColeHopfOf", params, core, formulas,
         positive=False, origin_regular=False, small_r_exponent=0.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None)

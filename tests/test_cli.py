@@ -4,10 +4,14 @@ content, exit codes, config-file merging, and byte-level determinism."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cole_lab
 from cole_lab import acceptance
 from cole_lab.cli import main
 
@@ -236,3 +240,15 @@ def test_verify_all_exit_matches_report(tmp_path, capsys):
     assert len(doc["criteria"]) == 10
     statuses = {c["index"]: c["passed"] for c in doc["criteria"]}
     assert statuses == {r.index: r.passed for r in report.results}
+
+
+def test_cli_import_does_not_load_scipy():
+    # the runtime depends on numpy alone; scipy.linalg would add ~0.3 s to
+    # every invocation's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cole_lab.__file__))
+    code = ("import cole_lab.cli, sys\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

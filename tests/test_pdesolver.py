@@ -2,6 +2,8 @@
 convergence against the closed forms, scheme agreement, stability and
 minimum-principle experiments."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from pytest import approx
 
 from cole_lab.pdesolver import (BumpProfile, SolverConfig, StabilityError,
-                                convergence_study, march,
-                                min_principle_experiment)
+                                _Stepper, _Tridiagonal, convergence_study,
+                                march, min_principle_experiment)
 from cole_lab.solutions import (Params, main_example, nonstationary_erf,
                                 self_similar, stationary)
 
@@ -154,3 +156,52 @@ def test_min_principle_stronger_diffusion_relaxes_faster():
         SolverConfig(n=3, mu=1.0, r_max=2.0, nr=256, t0=1e-3, t1=5e-3))
     assert lo.passed and hi.passed
     assert hi.min_history[-1] > lo.min_history[-1]
+
+
+# ---------------------------------------------------------------------------
+# the factored Crank-Nicolson solve and the per-step boundary work
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 12, 100, 1000])
+def test_tridiagonal_solve_matches_dense(n):
+    # large n makes the rows near the origin far from diagonally dominant
+    rng = np.random.default_rng(n)
+    for cfl, nr, r_min in itertools.product((0.25, 1.0), (16, 512), (0.0, 0.05)):
+        cfg = _cfg(n=n, nr=nr, cfl=cfl, scheme="cn-central", r_min=r_min,
+                   left_boundary="dirichlet-exact" if r_min else "dirichlet-zero")
+        st = _Stepper(cfg, None, None)
+        half = 0.5 * st.dt
+        dense = (np.diag(1.0 - half * st.di) + np.diag(-half * st.up[:-1], 1)
+                 + np.diag(-half * st.lo[1:], -1))
+        b = rng.standard_normal(nr - 1)
+        want = np.linalg.solve(dense, b)
+        got = st.matrix.solve(b.copy())
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert rel <= 1e-14, (cfl, nr, r_min, rel)
+
+
+def test_tridiagonal_factor_rejects_breakdown():
+    one, zero = np.ones(3), np.zeros(3)
+    with pytest.raises(StabilityError):          # zero pivot: rows 0 and 1 equal
+        _Tridiagonal(one, one, one)
+    with pytest.raises(StabilityError):          # non-finite pivot
+        _Tridiagonal(zero, np.array([1.0, math.nan, 1.0]), zero)
+    with pytest.raises(StabilityError):          # doubling multiplier overflows
+        _Tridiagonal(np.full(3, 1e200), one, zero)
+
+
+@pytest.mark.parametrize("scheme", ["cn-central", "rk2"])
+@pytest.mark.parametrize("r_min", [0.0, 0.05])
+def test_one_boundary_evaluation_per_step(scheme, r_min):
+    radii = []
+
+    def u(t, r):
+        radii.append(np.ndim(r))
+        return MAIN.u(t, r)
+
+    cfg = _cfg(scheme=scheme, r_min=r_min,
+               left_boundary="dirichlet-exact" if r_min else "dirichlet-zero")
+    run = march(cfg, dataclasses.replace(MAIN, u=u))
+    assert radii.count(1) == 1                   # the initial profile u(t0, r)
+    # the right end each step, and the left end too unless it is held at 0
+    assert radii.count(0) == (2 if r_min else 1) * run.n_steps

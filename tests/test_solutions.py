@@ -259,6 +259,50 @@ def test_cole_hopf_finite_difference_fallback():
         assert ch.u_t(t, r) == approx(MAIN.u_t(t, r), rel=1e-6)
 
 
+def test_cole_hopf_finite_difference_fallback_at_origin():
+    # within two steps of r = 0 the fallback switches to one-sided stencils;
+    # u_rr vanishes at the origin, so it is compared on its natural scale
+    # u_r(t, 0) / sqrt(4 mu t)
+    full = gaussian_heat_function(Params(3, 0.1, a=1.0))
+    bare = cole_hopf(HeatFunction(theta=full.theta, theta_r=full.theta_r), mu=0.1, n=3)
+    exact = cole_hopf(full, mu=0.1, n=3)
+    t = 0.37
+    width = math.sqrt(4.0 * 0.1 * t)
+    h = HeatFunction.fd_step * width
+    scale = exact.u_r(t, 0.0) / width
+    with np.errstate(all="raise"):
+        for r in (0.0, h):
+            assert bare.u_r(t, r) == approx(exact.u_r(t, r), rel=1e-7)
+            assert bare.u_rr(t, r) == approx(exact.u_rr(t, r), abs=1e-4 * scale)
+        got = bare.u_r(t, np.array([0.0, h, 0.5]))
+        assert got == approx(exact.u_r(t, np.array([0.0, h, 0.5])), rel=1e-7)
+
+
+def test_cole_hopf_shape_functions_singular_at_origin():
+    ch = cole_hopf(gaussian_heat_function(Params(3, 0.1)), 0.1)
+    with np.errstate(all="raise"):
+        assert ch.u(0.37, 0.0) == 0.0
+        for q in ("g", "g_r", "P", "W"):
+            with pytest.raises(SingularityError):
+                getattr(ch, q)(0.37, 0.0)
+            with pytest.raises(SingularityError):
+                getattr(ch, q)(0.37, np.array([0.1, 0.0]))
+            assert math.isfinite(getattr(ch, q)(0.37, 0.1))
+
+
+def test_fd_derivative_forward_stencil_order():
+    # one-sided stencils are exact on quartics (first derivative) and
+    # quintics (second derivative), like the central ones
+    f = lambda x: x ** 5 - 2.0 * x ** 4 + x
+    x, h = 0.3, 0.01
+    assert fd_derivative(lambda y: f(y) - y ** 5, x, h, 1, forward=True) == approx(
+        -8.0 * x ** 3 + 1.0, rel=1e-10)
+    assert fd_derivative(f, x, h, 2, forward=True) == approx(
+        20.0 * x ** 3 - 24.0 * x ** 2, rel=1e-8)
+    with pytest.raises(ValueError):
+        fd_derivative(f, x, h, 3, forward=True)
+
+
 def test_cole_hopf_of_erf_monopole_matches_nst():
     # theta = erf(z)/r with z = r/sqrt(4 mu t) is a radial heat solution in
     # n=3; its transform must coincide with the erf family
