@@ -65,8 +65,8 @@ def _parse_p_list(spec: str):
         ps = tuple(float(x) for x in spec.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad p list {spec!r}") from exc
-    if not ps or any(p < 1.0 for p in ps):
-        raise ConfigError("p values must be >= 1")
+    if not ps or not all(1.0 <= p < math.inf for p in ps):
+        raise ConfigError("p values must be finite and >= 1")
     return ps
 
 
@@ -157,9 +157,15 @@ def _fmt(x) -> str:
 
 
 def _emit(args, meta: str, header, rows, json_obj):
-    """Write CSV (metadata comment + header + rows) or a JSON mirror."""
+    """Write CSV (metadata comment + header + rows) or a JSON mirror.
+
+    rows is a list of cell lists for csv.writer, or a function returning the
+    finished data lines of a table whose fields never need CSV quoting.
+    """
     if args.format == "json":
         text = json.dumps(_json_safe(json_obj), sort_keys=True, indent=2) + "\n"
+    elif callable(rows):
+        text = "# " + meta + "\n" + ",".join(header) + "\n" + "".join(rows())
     else:
         buf = io.StringIO()
         buf.write("# " + meta + "\n")
@@ -191,12 +197,13 @@ def _meta(args, subcommand: str, extra: str) -> str:
 # ---------------------------------------------------------------------------
 
 _FIGURES = {
-    # family-builder, (r_lo, r_hi), (t_lo, t_hi), t floor flag for t=0 rows
+    # family-builder, (r_lo, r_hi), (t_lo, t_hi); a t = 0 row is evaluated
+    # at t = 1e-9 and flagged "t-floor"
     1: (lambda: main_example(Params(n=3, mu=0.1, a=1.0)), (1e-4, 0.1),
-        (2e-5, 1e-3), False),
+        (2e-5, 1e-3)),
     2: (lambda: self_similar(Params(n=3, mu=0.005, a=1.0)), (5e-5, 7e-4),
-        (0.0, 5e-5), True),
-    3: (lambda: nonstationary_erf(0.01), (1e-3, 0.3), (1e-3, 0.2), False),
+        (0.0, 5e-5)),
+    3: (lambda: nonstationary_erf(0.01), (1e-3, 0.3), (1e-3, 0.2)),
 }
 
 
@@ -204,28 +211,35 @@ def cmd_figure(args) -> int:
     which = int(args.which)
     if which not in _FIGURES:
         raise ConfigError("figure number must be 1, 2, or 3")
-    build, (r_lo, r_hi), (t_lo, t_hi), has_floor = _FIGURES[which]
+    build, (r_lo, r_hi), (t_lo, t_hi) = _FIGURES[which]
     fam = build()
     rs = np.linspace(r_lo, r_hi, 200)
-    ts = np.linspace(t_lo, t_hi, 200)
-    rows = []
-    for t in ts:
-        flag = ""
-        t_eval = float(t)
-        if t_eval == 0.0:
-            t_eval, flag = 1e-9, "t-floor"   # family undefined at t = 0
-        u = np.asarray(fam.u(t_eval, rs))
-        rows.extend([float(t), float(r), float(v), 0.0, flag]
-                    for r, v in zip(rs, u))
+    r_list = rs.tolist()
+    # (t, flag, values at rs) per t row; the family is undefined at t = 0
+    slices = [(t, "t-floor" if t == 0.0 else "",
+               fam.u(t if t > 0.0 else 1e-9, rs).tolist())
+              for t in np.linspace(t_lo, t_hi, 200).tolist()]
+
+    def lines():
+        # column by column: each t and r is formatted once, each value by
+        # repr, and no field needs quoting
+        r_text = [repr(r) + "," for r in r_list]
+        out = []
+        for t, flag, us in slices:
+            head, tail = repr(t) + ",", ",0.0," + flag + "\n"
+            out += [head + r + v + tail for r, v in zip(r_text, map(repr, us))]
+        return out
+
     meta = _meta(args, f"figure {which}",
                  f"family={fam.label()} | grid=200x200 | "
                  f"r=[{r_lo:g},{r_hi:g}] t=[{t_lo:g},{t_hi:g}]")
     json_obj = None
     if args.format == "json":   # 40 000 dicts, built only when written
         json_obj = {"figure": which, "family": fam.label(), "version": __version__,
-                    "rows": [{"t": a, "r": b, "value": c, "error_estimate": d,
-                              "flags": e} for a, b, c, d, e in rows]}
-    _emit(args, meta, ["t", "r", "value", "error_estimate", "flags"], rows,
+                    "rows": [{"t": t, "r": r, "value": v, "error_estimate": 0.0,
+                              "flags": flag}
+                             for t, flag, us in slices for r, v in zip(r_list, us)]}
+    _emit(args, meta, ["t", "r", "value", "error_estimate", "flags"], lines,
           json_obj)
     return 0
 
@@ -244,7 +258,10 @@ def _norm_spec(args, fam: SolutionFamily, p: float) -> N.NormSpec:
         return N.NormSpec("lp_distance", p=p, n=args.n, reference=ref)
     if kind == "hess_bound_lp" and (fam.kind != "MainExample" or fam.params.a <= 0.0):
         raise ConfigError("hess_bound_lp is derived only for the main example, a > 0")
-    return N.NormSpec(kind, p=p, n=args.n)
+    try:
+        return N.NormSpec(kind, p=p, n=args.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_norms(args) -> int:

@@ -63,8 +63,13 @@ class BracketingError(RuntimeError):
     """sup search could not bracket a maximum (profile not unimodal?)."""
 
 
+# Gamma(n/2) overflows a double past n = 343
+_MAX_N = 343
+
+
 def sphere_measure(n: int) -> float:
-    """Surface measure of the unit sphere in R^n: 2 pi^(n/2)/Gamma(n/2)."""
+    """Surface measure of the unit sphere in R^n: 2 pi^(n/2)/Gamma(n/2),
+    for 1 <= n <= 343."""
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
 
 
@@ -92,6 +97,8 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind != "linf" and not self.p >= 1.0:
             raise ValueError("p must be >= 1")
+        if self.kind != "linf" and not 1 <= self.n <= _MAX_N:
+            raise ValueError(f"n must lie in 1..{_MAX_N} for an integral norm")
         if self.kind == "lp_distance" and self.reference is None:
             raise ValueError("lp_distance needs a reference family")
 

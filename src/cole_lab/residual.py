@@ -110,9 +110,9 @@ def residual_pointwise(s: SolutionFamily, t: float, r, form: str = "radial",
         if h_r is None or h_t is None:
             raise ValueError("finite-difference residual needs h_r and h_t")
         u = s.u(t, r)
-        ur = np.array([fd_derivative(lambda x: s.u(t, x), ri, h_r, 1) for ri in r])
-        urr = np.array([fd_derivative(lambda x: s.u(t, x), ri, h_r, 2) for ri in r])
-        ut = np.array([fd_derivative(lambda tau: s.u(tau, ri), t, h_t, 1) for ri in r])
+        ur = fd_derivative(lambda x: s.u(t, x), r, h_r, 1)
+        urr = fd_derivative(lambda x: s.u(t, x), r, h_r, 2)
+        ut = fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1)
     else:
         raise ValueError(f"unknown derivative source {derivative_source!r}")
     return _scaled(s, t, r, form, u, ur, urr, ut)

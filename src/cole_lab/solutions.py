@@ -499,11 +499,15 @@ class HeatFunction:
     fd_step: float = 1e-5
 
 
-def fd_derivative(f: Callable, x: float, h: float, order: int = 1,
-                  forward: bool = False) -> float:
+def fd_derivative(f: Callable, x, h, order: int = 1, forward: bool = False):
     """5-point central difference, O(h^4), for order in {1, 2}; forward=True
     takes the one-sided O(h^4) stencil on x, x + h, ..., x + (order + 3) h
-    instead, for points closer than 2h to the lower end of f's domain."""
+    instead, for points closer than 2h to the lower end of f's domain.
+
+    x and h may be numpy arrays (broadcast together): the stencil only forms
+    x + k h, so f is called once per stencil offset on the whole array, and
+    each element gets the same arithmetic as a scalar call.
+    """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if forward:
@@ -560,21 +564,23 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
         qt = over(theta.theta_t, t, r, th)
         return -2.0 * mu * (over(theta.theta_rt, t, r, th) - q1 * qt)
 
-    # the finite-difference fallbacks difference the finished family's u, fam
+    # the finite-difference fallbacks difference the finished family's u,
+    # fam; each radius takes its own step, so arrays match scalar calls
     def fd_r(order):
         def formula(t, r, th):
-            h = theta.fd_step * max(float(np.max(np.abs(r), initial=0.0)),
-                                    math.sqrt(4.0 * mu * t))
+            h = theta.fd_step * np.maximum(r, math.sqrt(4.0 * mu * t))
             # within 2h of the origin the central stencil would leave r >= 0
-            return np.vectorize(
-                lambda ri: fd_derivative(lambda x: fam.u(t, x), ri, h, order,
-                                         forward=ri < 2.0 * h))(r)
+            near = r < 2.0 * h
+            out = np.empty_like(r)
+            for side, forward in ((near, True), (~near, False)):
+                if side.any():
+                    out[side] = fd_derivative(lambda x: fam.u(t, x), r[side],
+                                              h[side], order, forward=forward)
+            return out
         return formula
 
     def fd_t(t, r, th):
-        h = theta.fd_step * t
-        return np.vectorize(
-            lambda ri: fd_derivative(lambda tau: fam.u(tau, ri), t, h, 1))(r)
+        return fd_derivative(lambda tau: fam.u(tau, r), t, theta.fd_step * t, 1)
 
     if theta.theta_rr is None:
         u_r = fd_r(1)

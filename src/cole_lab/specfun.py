@@ -89,10 +89,17 @@ def _upper_gamma_cf(a, z):
     # Gamma(a, z) = z^a e^(-z) / (z+1-a - 1(1-a)/(z+3-a - 2(2-a)/(z+5-a - ...))).
     # The depth that brings the truncation error under an ulp falls like
     # 1/z (measured: 98 at z = 1, 21 at z = 7, 9 at z = 26 for a in [-2.5, 0]).
-    depth = 10 + int(100.0 / z.min())
+    # Each element gets its own depth, so an array gives the same bits as
+    # element-wise scalar calls; elements whose fraction has not started yet
+    # keep their seed until j reaches their depth.  The depth is a float
+    # array: an int64 one would load numpy's integer loops, +0.3 MB of peak
+    # RSS on the verify-all and norm-sweep benchmark workloads.
+    depth = np.floor(100.0 / z) + 10.0
+    shallowest = int(depth.min())
     f = z + 2.0 * depth + 1.0 - a
-    for j in range(depth, 0, -1):
-        f = (z + (2.0 * j - 1.0 - a)) - j * (j - a) / f
+    for j in range(int(depth.max()), 0, -1):
+        step = (z + (2.0 * j - 1.0 - a)) - j * (j - a) / f
+        f = np.where(j <= depth, step, f) if j > shallowest else step
     return z ** a * np.exp(-z) / f
 
 

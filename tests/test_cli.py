@@ -2,6 +2,7 @@
 content, exit codes, config-file merging, and byte-level determinism."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import cole_lab
 from cole_lab import acceptance
-from cole_lab.cli import main
+from cole_lab.cli import _FIGURES, main
 
 
 def _read_csv(path):
@@ -53,6 +54,28 @@ def test_figure_2_json_mirrors_csv(tmp_path):
     _, _, csv_rows = _read_csv(csv_out)
     assert [[repr(row["t"]), repr(row["r"]), repr(row["value"]),
              repr(row["error_estimate"]), row["flags"]] for row in rows] == csv_rows
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_figure_csv_equals_csv_writer_reference(which, tmp_path):
+    # the column-wise CSV writer against csv.writer over one row list of
+    # repr-formatted cells
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
+    build, (r_lo, r_hi), (t_lo, t_hi) = _FIGURES[which]
+    fam = build()
+    rs = np.linspace(r_lo, r_hi, 200)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "r", "value", "error_estimate", "flags"])
+    for t in np.linspace(t_lo, t_hi, 200):
+        t_eval, flag = (1e-9, "t-floor") if t == 0.0 else (float(t), "")
+        for r, v in zip(rs, fam.u(t_eval, rs)):
+            writer.writerow([repr(float(t)), repr(float(r)), repr(float(v)),
+                             repr(0.0), flag])
+    meta, body = out.read_text().split("\n", 1)
+    assert meta.startswith(f"# cole-lab {cole_lab.__version__} | figure {which} |")
+    assert body == buf.getvalue()
 
 
 def test_figure_1_peak_moves_out_and_decays(tmp_path):
@@ -191,6 +214,9 @@ def test_bad_values_exit_2(capsys):
     ["decay", "--family", "MainExample", "--kind", "distance", "--n", "2"],
     ["decay", "--family", "SelfSimilar", "--kind", "distance"],
     ["decay", "--family", "NonStationaryErf", "--kind", "distance", "--n", "4"],
+    ["norms", "--family", "MainExample", "--kind", "lp", "--p", "nan"],
+    ["norms", "--family", "MainExample", "--kind", "lp", "--n", "400"],
+    ["norms", "--family", "MainExample", "--kind", "lp", "--p", "inf"],
 ])
 def test_undefined_norm_for_family_exits_2(argv, capsys):
     assert main(argv) == 2

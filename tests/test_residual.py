@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from cole_lab.residual import (Grid1D, divergence_form_residual,
+from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                cartesian_residual, origin_limit_check,
                                radial_residual, residual_pointwise)
-from cole_lab.solutions import (HeatFunction, Params, cole_hopf, main_example,
-                                nonstationary_erf, self_similar, stationary)
+from cole_lab.solutions import (HeatFunction, Params, cole_hopf, fd_derivative,
+                                main_example, nonstationary_erf, self_similar,
+                                stationary)
 
 MAIN = main_example(Params(3, 0.1, a=1.0))
 NST = nonstationary_erf(0.1)
@@ -63,6 +64,38 @@ def test_finite_difference_residual_converges(fam, grid_args, t):
     orders = [math.log2(a / b) for a, b in zip(maxima[:-1], maxima[1:])]
     assert all(o >= 2.0 for o in orders)
     assert maxima[-1] < 1e-4
+
+
+# the canonical grids of acceptance criterion 1 at 64 intervals, with the
+# parameters the `residual` subcommand uses for each family
+CANONICAL = [
+    ("main", MAIN, (1e-4, 0.1), (2e-5, 1e-3, 3)),
+    ("ss", SS, (5e-5, 7e-4), (1e-5, 5e-5, 2)),
+    ("st", ST, (0.1, 2.0), (0.5, 1.0, 2)),
+    ("nst", NST, (1e-3, 0.3), (1e-3, 0.2, 3)),
+]
+
+
+@pytest.mark.parametrize("form", ["radial", "divergence"])
+@pytest.mark.parametrize("name,fam,r_range,t_range", CANONICAL,
+                         ids=[c[0] for c in CANONICAL])
+def test_finite_difference_residual_equals_per_radius_loop(name, fam, r_range,
+                                                           t_range, form):
+    # one array call per stencil offset gives the bits of one stencil per
+    # radius, because every evaluator returns the scalar calls' bits
+    radii = np.linspace(*r_range, 65)
+    h = float(np.min(np.diff(radii)))
+    r = radii[radii - 2.0 * h > 0.0]
+    for t in np.geomspace(*t_range).tolist():
+        h_t = t * h / r_range[1]
+        got = residual_pointwise(fam, t, r, form, "finite-difference",
+                                 h_r=h, h_t=h_t)
+        ur = [fd_derivative(lambda x: fam.u(t, x), ri, h, 1) for ri in r]
+        urr = [fd_derivative(lambda x: fam.u(t, x), ri, h, 2) for ri in r]
+        ut = [fd_derivative(lambda tau: fam.u(tau, ri), t, h_t, 1) for ri in r]
+        want = _scaled(fam, t, r, form, fam.u(t, r), np.array(ur),
+                       np.array(urr), np.array(ut))
+        assert np.array_equal(got, want), t
 
 
 def test_finite_difference_shrinks_stencil_at_left_edge():

@@ -276,6 +276,12 @@ def test_cole_hopf_finite_difference_fallback_at_origin():
             assert bare.u_rr(t, r) == approx(exact.u_rr(t, r), abs=1e-4 * scale)
         got = bare.u_r(t, np.array([0.0, h, 0.5]))
         assert got == approx(exact.u_r(t, np.array([0.0, h, 0.5])), rel=1e-7)
+    # arrays mixing one-sided and central stencils give the scalar calls'
+    # bits: each radius takes its own step
+    r = np.array([0.0, h, 0.1, 2.0])
+    for q in ("u_r", "u_rr", "u_t"):
+        f = getattr(bare, q)
+        assert np.array_equal(f(t, r), [f(t, x) for x in r.tolist()]), q
 
 
 def test_cole_hopf_shape_functions_singular_at_origin():

@@ -227,6 +227,15 @@ def test_domain_errors():
         upper_tail_integral(3, -2.0)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_upper_tail_array_equals_scalar_calls(n):
+    # each element of an array takes its own continued-fraction depth, so
+    # an array mixing small and large z gives the scalar calls' bits
+    z = np.geomspace(1e-2, 600.0, 401)
+    assert np.array_equal(upper_tail_integral(n, z),
+                          [upper_tail_integral(n, x) for x in z.tolist()])
+
+
 def test_array_scalar_passthrough():
     x = np.array([0.1, 1.0, 3.0])
     out = erf(x)
