@@ -10,7 +10,9 @@ Divergent integrals are detected by endpoint power counting from the
 family's declared exponents, before any quadrature runs; the quadrature is
 never asked to discover a divergence.  Non-integrable cases raise
 DivergenceError, and norm_sweep converts errors into per-point flags so a
-report never silently drops a grid point.
+report never silently drops a grid point.  Every integrand here is
+positive, so an integral below the smallest normal double raises
+UnderflowError (flag "underflow") instead of passing for a norm of 0.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "DivergenceError",
     "DegenerateFitError",
     "BracketingError",
+    "UnderflowError",
     "NormSpec",
     "NormReport",
     "DecayFit",
@@ -49,6 +52,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 class DivergenceError(ValueError):
@@ -61,6 +65,11 @@ class DegenerateFitError(ValueError):
 
 class BracketingError(RuntimeError):
     """sup search could not bracket a maximum (profile not unimodal?)."""
+
+
+class UnderflowError(ArithmeticError):
+    """The integral of a positive integrand came back below the smallest
+    normal double, so the norm built from it has lost its precision."""
 
 
 # Gamma(n/2) overflows a double past n = 343
@@ -110,7 +119,8 @@ class NormReport:
     t_grid: tuple
     values: tuple
     quad_errors: tuple
-    flags: tuple  # per point: "ok" | "divergent" | "unbounded" | "non-converged"
+    # per point: "ok" | "divergent" | "unbounded" | "non-converged" | "underflow"
+    flags: tuple
 
 
 @dataclass(frozen=True)
@@ -142,11 +152,13 @@ class GradNormResult:
 @dataclass(frozen=True)
 class HessBoundResult:
     """The three Hessian bound integrals t^-p int r^(n-p-1) f^-p,
-    t^-2p int r^(p+n-1) f^-p, t^-3p int r^(3p+n-1) f^-p and their sum."""
+    t^-2p int r^(p+n-1) f^-p, t^-3p int r^(3p+n-1) f^-p and their sum;
+    error is the sum of t^-kp times each integral's error estimate."""
 
     term_1: float
     term_2: float
     term_3: float
+    error: float = 0.0
 
     @property
     def total(self) -> float:
@@ -192,12 +204,21 @@ def _layer_splits(s: SolutionFamily, t: float) -> tuple:
     return tuple(splits)
 
 
+def _positive(res: quad.QuadResult, name: str):
+    """(value, error) of the integral of a positive integrand, which must
+    come back as a normal double."""
+    if not res.value >= _TINY:
+        raise UnderflowError(
+            f"{name}: integral {res.value!r} is below the smallest normal double")
+    return res.value, res.abs_error_estimate
+
+
 def _quad(f, alpha, decay, splits, name):
     res = quad.integrate_semi_infinite(
         Integrand(f, small_r_exponent=alpha, decay=decay, splits=splits,
                   name=name),
         rel_tol=_REL_TOL)
-    return res.value, res.abs_error_estimate
+    return _positive(res, name)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +334,12 @@ def lp_distance(s: SolutionFamily, ref: SolutionFamily, p: float, t: float) -> f
 # ---------------------------------------------------------------------------
 
 def _layer_power_integral(c: float, b: float, ell: float, n: int, mu: float,
-                          t: float) -> float:
-    return quad.layer_power_integral(c, b, ell, n, mu, t, rel_tol=_REL_TOL).value
+                          t: float):
+    return _positive(quad.layer_power_integral(c, b, ell, n, mu, t, rel_tol=_REL_TOL),
+                     "layer_power_integral")
 
 
-def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> GradNormResult:
-    """Exact Frobenius gradient L^p norm, i.e. the R^n norm of |Du|_F =
-    sqrt(u_r^2 + (n-1)(u/r)^2), plus (for the main example) the two
-    pointwise-bound integrals B1 = t^-p int r^(n-1) f^-p dr and
-    B2 = t^-2p int r^(2p+n-1) f^-p dr.
-
-    The bounds come from |u_r| <= t^-1 f^-1 + (2 mu)^-1 r^2 t^-2 f^-1 and
-    u/r = t^-1 f^-1; they vanish as t -> 0 iff p < n/2 and are evaluated
-    regardless so the supercritical failure is observable."""
+def _grad_core(s: SolutionFamily, p: float, t: float):
     n = s.params.n
     alpha = (p * (s.small_r_exponent - 1.0) + n - 1.0
              if s.small_r_exponent < 1.0 else n - 1.0)
@@ -337,15 +351,26 @@ def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> GradNormResult:
         g = np.asarray(s.g(t, r))
         return (ur * ur + (n - 1.0) * g * g) ** (0.5 * p) * r ** (n - 1.0)
 
-    val, _ = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.gradL{p:g}")
-    value = (sphere_measure(n) * val) ** (1.0 / p)
+    val, err = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.gradL{p:g}")
+    return _norm_from_integral(n, p, val, err)
 
+
+def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> GradNormResult:
+    """Exact Frobenius gradient L^p norm, i.e. the R^n norm of |Du|_F =
+    sqrt(u_r^2 + (n-1)(u/r)^2), plus (for the main example) the two
+    pointwise-bound integrals B1 = t^-p int r^(n-1) f^-p dr and
+    B2 = t^-2p int r^(2p+n-1) f^-p dr.
+
+    The bounds come from |u_r| <= t^-1 f^-1 + (2 mu)^-1 r^2 t^-2 f^-1 and
+    u/r = t^-1 f^-1; they vanish as t -> 0 iff p < n/2 and are evaluated
+    regardless so the supercritical failure is observable."""
+    value = _grad_core(s, p, t)[0]
     b1 = b2 = None
     if s.kind == "MainExample" and s.params.a > 0.0:
-        mu, a = s.params.mu, s.params.a
+        n, mu, a = s.params.n, s.params.mu, s.params.a
         b = a * (4.0 * math.pi * mu) ** (0.5 * n)
-        b1 = t ** (-p) * _layer_power_integral(n - 1.0, b, p, n, mu, t)
-        b2 = t ** (-2.0 * p) * _layer_power_integral(2.0 * p + n - 1.0, b, p, n, mu, t)
+        b1 = t ** (-p) * _layer_power_integral(n - 1.0, b, p, n, mu, t)[0]
+        b2 = t ** (-2.0 * p) * _layer_power_integral(2.0 * p + n - 1.0, b, p, n, mu, t)[0]
     return GradNormResult(value=value, bound_1=b1, bound_2=b2)
 
 
@@ -360,10 +385,12 @@ def hess_bound_lp(s: SolutionFamily, p: float, t: float) -> HessBoundResult:
         raise DivergenceError(
             f"hess bound first term exponent {n - p - 1.0:g} not integrable at 0")
     b = a * (4.0 * math.pi * mu) ** (0.5 * n)
-    t1 = t ** (-p) * _layer_power_integral(n - p - 1.0, b, p, n, mu, t)
-    t2 = t ** (-2.0 * p) * _layer_power_integral(p + n - 1.0, b, p, n, mu, t)
-    t3 = t ** (-3.0 * p) * _layer_power_integral(3.0 * p + n - 1.0, b, p, n, mu, t)
-    return HessBoundResult(term_1=t1, term_2=t2, term_3=t3)
+    terms, error = [], 0.0
+    for k, c in ((1, n - p - 1.0), (2, p + n - 1.0), (3, 3.0 * p + n - 1.0)):
+        val, err = _layer_power_integral(c, b, p, n, mu, t)
+        terms.append(t ** (-k * p) * val)
+        error += t ** (-k * p) * err
+    return HessBoundResult(*terms, error=error)
 
 
 def hessian_frobenius_sq(s: SolutionFamily, t: float, r):
@@ -398,11 +425,19 @@ def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
 # L^infinity
 # ---------------------------------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points per bracket-refinement pass of linf_norm: each pass keeps 2 of the
+# 16 intervals, so the bracket shrinks eightfold per call of u
+_LINF_NODES = 17
 
 
 def linf_norm(s: SolutionFamily, t: float):
-    """(sup_r |u(t,r)|, argmax r) by bracketed golden-section search.
+    """(sup_r |u(t,r)|, argmax r) by bracket refinement.
+
+    An 81-point geometric grid around sqrt(4 mu t) (widened up to three
+    times) brackets an interior maximum; u_r must change sign across the
+    bracket.  Each refinement pass then evaluates u on 17 equispaced nodes
+    of [lo, hi] in one array call and keeps the argmax's two neighbours,
+    until hi - lo <= 1e-12 hi; about 13 passes from the grid's bracket.
 
     Families certified unbounded by their endpoint data return (inf, 0) for
     an origin singularity and (inf, inf) for non-decaying tails, without
@@ -429,20 +464,11 @@ def linf_norm(s: SolutionFamily, t: float):
     if not (s.u_r(t, lo) > 0.0 and s.u_r(t, hi) < 0.0):
         raise BracketingError(
             f"u_r does not change sign over [{lo:g}, {hi:g}]; profile not unimodal?")
-    # golden section maximization
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = abs(float(s.u(t, c)))
-    fd = abs(float(s.u(t, d)))
+    last = _LINF_NODES - 1
     while hi - lo > 1e-12 * hi:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = abs(float(s.u(t, c)))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = abs(float(s.u(t, d)))
+        nodes = np.linspace(lo, hi, _LINF_NODES)
+        i = int(np.argmax(np.abs(np.asarray(s.u(t, nodes)))))
+        lo, hi = float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, last)])
     r_star = 0.5 * (lo + hi)
     return abs(float(s.u(t, r_star))), float(r_star)
 
@@ -454,7 +480,8 @@ def linf_norm(s: SolutionFamily, t: float):
 def norm_sweep(s: SolutionFamily, spec: NormSpec,
                t_grid: Optional[Sequence[float]] = None) -> NormReport:
     """Evaluate one norm functional over a t-grid, converting divergences,
-    unbounded sups, and quadrature failures into per-point flags."""
+    unbounded sups, quadrature failures and integrals that underflow into
+    per-point flags."""
     ts = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
     values, errors, flags = [], [], []
     for t in ts:
@@ -464,9 +491,10 @@ def norm_sweep(s: SolutionFamily, spec: NormSpec,
             elif spec.kind == "lp_distance":
                 v, e = _lp_distance_core(s, spec.reference, spec.p, float(t))
             elif spec.kind == "grad_lp":
-                v, e = grad_lp_norm(s, spec.p, float(t)).value, 0.0
+                v, e = _grad_core(s, spec.p, float(t))
             elif spec.kind == "hess_bound_lp":
-                v, e = hess_bound_lp(s, spec.p, float(t)).total, 0.0
+                hess = hess_bound_lp(s, spec.p, float(t))
+                v, e = hess.total, hess.error
             else:
                 v, e = linf_norm(s, float(t))[0], 0.0
             flag = "unbounded" if math.isinf(v) else "ok"
@@ -474,6 +502,8 @@ def norm_sweep(s: SolutionFamily, spec: NormSpec,
             v, e, flag = math.nan, 0.0, "divergent"
         except (NonConvergenceError, BracketingError):
             v, e, flag = math.nan, 0.0, "non-converged"
+        except UnderflowError:
+            v, e, flag = math.nan, 0.0, "underflow"
         values.append(float(v))
         errors.append(float(e))
         flags.append(flag)

@@ -6,9 +6,12 @@ The integrals behind the norm computations all look like
 
 or their s = r^2/4mu t reductions: smooth, positive, one interior layer
 where the denominator switches from 1 to huge, then Gaussian or exponential
-decay.  A 15-point Gauss-Kronrod rule with worst-first bisection handles
-this well provided the layer is split on and the upper truncation follows
-the decay certificate instead of a fixed cutoff.
+decay.  A 15-point Gauss-Kronrod rule with bisection of the worst panels
+handles this well provided the layer is split on and the upper truncation
+follows the decay certificate instead of a fixed cutoff.  Refinement runs
+by generation: all panels bisected in one pass are evaluated with one call
+of the integrand on a panels x 15 node array, so integrands are written
+for numpy arrays of any length.
 
 Callers describe an integrand with its endpoint behavior (power exponent at
 0+, decay class at infinity, optional split hints near the layer); see
@@ -19,9 +22,10 @@ ranging over hundreds of orders of magnitude costs no accuracy.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -57,6 +61,12 @@ _WG = np.array([
 ])
 # node layout used below: [-x0..-x6, 0, +x6..+x0]
 _OFFSETS = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
+# the K15 and G7 weights over that layout (G7 uses every other node), and
+# the two as the columns of one matrix
+_WK15 = np.concatenate([_WGK, _WGK[6::-1]])
+_WG15 = np.zeros(15)
+_WG15[1::2] = np.concatenate([_WG, _WG[2::-1]])
+_RULES = np.stack([_WK15, _WG15], axis=1)
 
 
 class NonConvergenceError(RuntimeError):
@@ -89,40 +99,57 @@ class Integrand:
     name: str = ""
 
 
-def kronrod_15(f, lo: float, hi: float):
-    """One Gauss-Kronrod 15(7) panel; returns (value, error_estimate).
+def _gauss_kronrod(fn, los: list, his: list, probes: list = ()):
+    """Gauss-Kronrod 15(7) on the panels [los_i, his_i] from one call of fn
+    on all their nodes, plus |fn| at the probe points in the same call.
 
-    The estimate is QUADPACK's: |K15 - G7| sharpened through the scaled
-    total variation resasc, with a rounding floor of 50 eps |f|-integral.
+    Returns the panels as tuples (error_estimate, lo, hi, value, fn) and
+    the list of |fn(probe)|.  The estimate is QUADPACK's: |K15 - G7|
+    sharpened through the scaled total variation resasc, with a rounding
+    floor of 50 eps |f|-integral.
     """
-    center = 0.5 * (lo + hi)
+    lo, hi = np.array(los), np.array(his)
     half = 0.5 * (hi - lo)
-    fx = np.asarray(f(center + half * _OFFSETS), dtype=float)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _OFFSETS
+    k = len(probes)
+    fx = np.asarray(fn(np.concatenate([probes, nodes.ravel()])), dtype=float)
+    absf, fx = np.abs(fx[:k]), fx[k:].reshape(nodes.shape)
+    # weighted row sums rather than `@`: matmul would load BLAS kernels for
+    # these few-panel products, +0.3 MB of peak RSS on the benchmark
+    resk, resg = (fx[:, :, None] * _RULES).sum(axis=1).T
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _WK15).sum(axis=1)
+    resabs = (np.abs(fx) * _WK15).sum(axis=1)
+    ahalf = np.abs(half)
+    err = np.abs((resk - resg) * half)
+    resasc *= ahalf
+    resabs *= ahalf
+    nonflat = resasc != 0.0
+    ratio = 200.0 * err / np.where(nonflat, resasc, 1.0)
+    err = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    err = np.maximum(err, floor)
+    panels = list(zip(err.tolist(), los, his, (resk * half).tolist(), repeat(fn)))
+    return panels, absf.tolist()
 
-    resk = _WGK[7] * fx[7]
-    resabs = _WGK[7] * abs(fx[7])
-    for i in range(7):
-        resk += _WGK[i] * (fx[i] + fx[14 - i])
-        resabs += _WGK[i] * (abs(fx[i]) + abs(fx[14 - i]))
-    resg = _WG[3] * fx[7]
-    for j in range(3):
-        i = 2 * j + 1
-        resg += _WG[j] * (fx[i] + fx[14 - i])
 
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fx[7] - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fx[i] - reskh) + abs(fx[14 - i] - reskh))
+def kronrod_15(f, lo: float, hi: float):
+    """One Gauss-Kronrod 15(7) panel; returns (value, error_estimate) with
+    the estimate of `_gauss_kronrod`."""
+    err, _, _, val, _ = _gauss_kronrod(f, [lo], [hi])[0][0]
+    return val, err
 
-    value = resk * half
-    resabs *= abs(half)
-    resasc *= abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
-    return value, err
+
+def _evaluate(jobs):
+    """Panels for the jobs (fn, lo, hi), with one call of each distinct fn."""
+    by_fn = {}
+    for fn, lo, hi in jobs:
+        los, his = by_fn.setdefault(fn, ([], []))
+        los.append(lo)
+        his.append(hi)
+    panels = []
+    for fn, (los, his) in by_fn.items():
+        panels += _gauss_kronrod(fn, los, his)[0]
+    return panels
 
 
 def _substituted(f, m: float):
@@ -145,16 +172,65 @@ def _tail_estimate(absf: float, decay: tuple, r: float) -> float:
     raise ValueError(f"unknown decay class {kind!r}")
 
 
+# the upper limit grows by this factor per step, for at most this many steps
+_TAIL_GROWTH = 1.6
+_TAIL_STEPS = 400
+
+
+def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
+              abs_tol: float):
+    """Extend the upper limit from radius by factors of 1.6 until the decay
+    certificate puts the tail beyond it below a tenth of the tolerance.
+
+    The step-by-step rule probes |f| at the current radius, stops if the
+    certificate passes, and otherwise adds the panel [radius, 1.6 radius]
+    to the running total.  Here the steps run in chunks of doubling length,
+    with one call of f for a chunk's probes and panels together; the
+    panels kept are exactly the prefix the step-by-step rule keeps.
+    Returns (tail panels, tail bound)."""
+    kept = []
+    chunk = 2
+    done = 0
+    while done < _TAIL_STEPS:
+        chunk = min(chunk, _TAIL_STEPS - done)
+        radii = [radius]
+        for _ in range(chunk):
+            radii.append(radii[-1] * _TAIL_GROWTH)
+        panels, absf = _gauss_kronrod(f.f, radii[:-1], radii[1:], radii[:-1])
+        for k, panel in enumerate(panels):
+            tail_bound = _tail_estimate(absf[k], f.decay, radii[k])
+            if tail_bound <= 0.1 * max(abs_tol, rel_tol * abs(total)):
+                return kept + panels[:k], tail_bound
+            total += panel[3]
+        kept += panels
+        radius = radii[-1]
+        done += chunk
+        chunk *= 2
+    raise NonConvergenceError(
+        f"tail truncation stalled at r = {radius:.3g} for {f.name or 'integrand'}")
+
+
 def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-300,
                             max_subdivisions: int = 10_000) -> QuadResult:
     """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol).
 
-    Stages: substitute away an integrable endpoint singularity if declared,
-    lay out panels over the split hints, extend the upper limit until the
-    decay certificate puts the remaining tail below a tenth of the
-    tolerance, then refine worst-first until the summed Kronrod error
-    estimates pass.  Raises NonConvergenceError once the subdivision cap is
-    hit or no panel can be split further.
+    Stages:
+
+    1. Lay out panels over the split hints, substituting r = y^m on the
+       left-most one when the declared endpoint exponent is singular.
+    2. Extend the upper limit until the decay certificate puts the
+       remaining tail below a tenth of the tolerance (`_truncate`); the
+       final certificate is charged to the error estimate.
+    3. Refine by generation: sort the live panels by error and bisect the
+       worst ones until the panels left unsplit fit inside the tolerance.
+       A panel narrower than 100 eps max(|lo|, |hi|, 1) is frozen instead.
+
+    Every stage evaluates all its new panels with one call of the integrand
+    (two when the substituted left piece is among them) and applies the
+    K15/G7 weights to the panels x 15 array of values at once.  The value
+    and error are summed in position order, so they do not depend on the
+    order of refinement.  Raises NonConvergenceError once the subdivision
+    cap is hit or no panel can be split further.
     """
     if rel_tol <= 0.0 or abs_tol <= 0.0:
         raise ValueError("tolerances must be positive")
@@ -165,73 +241,52 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-30
         raise ValueError(f"power tail r^{f.decay[1]} is not integrable")
 
     splits = sorted({float(s) for s in f.splits if s > 0.0}) or [1.0]
-    entries = []  # (neg_err, seq, lo, hi, value, err, fn)
-    seq = 0
-
-    def push(fn, lo, hi):
-        nonlocal seq
-        val, err = kronrod_15(fn, lo, hi)
-        heapq.heappush(entries, (-err, seq, lo, hi, val, err, fn))
-        seq += 1
-        return val, err
-
-    # left-most piece, with substitution if the endpoint is singular
     b1 = splits[0]
     if alpha < -0.05:
         m = min(2.0 / (1.0 + alpha), 50.0)
-        g = _substituted(f.f, m)
-        push(g, 0.0, b1 ** (1.0 / m))
+        left = (_substituted(f.f, m), 0.0, b1 ** (1.0 / m))
     else:
-        push(f.f, 0.0, b1)
-    for lo, hi in zip(splits[:-1], splits[1:]):
-        push(f.f, lo, hi)
-
-    # upper truncation driven by the decay certificate; the final certificate
-    # is charged to the error estimate so truncation stays inside it
-    total = sum(e[4] for e in entries)
-    radius = splits[-1]
-    for _ in range(400):
-        absf = float(abs(np.asarray(f.f(np.array([radius])), dtype=float)[0]))
-        tol_now = max(abs_tol, rel_tol * abs(total))
-        tail_bound = _tail_estimate(absf, f.decay, radius)
-        if tail_bound <= 0.1 * tol_now:
-            break
-        nxt = radius * 1.6
-        val, _ = push(f.f, radius, nxt)
-        total += val
-        radius = nxt
-    else:
-        raise NonConvergenceError(
-            f"tail truncation stalled at r = {radius:.3g} for {f.name or 'integrand'}")
+        left = (f.f, 0.0, b1)
+    live = _evaluate([left] + [(f.f, lo, hi) for lo, hi in zip(splits[:-1], splits[1:])])
+    tail, tail_bound = _truncate(f, splits[-1], sum(p[3] for p in live),
+                                 rel_tol, abs_tol)
+    live += tail
 
     frozen = []  # panels too narrow to split further
-    total_val = sum(e[4] for e in entries)
-    total_err = sum(e[5] for e in entries)
-    n_panels = len(entries)
-
-    while total_err + tail_bound > max(abs_tol, rel_tol * abs(total_val)):
-        if n_panels >= max_subdivisions or not entries:
+    n_panels = len(live)
+    while True:
+        total_val = sum(p[3] for p in live) + sum(p[3] for p in frozen)
+        total_err = sum(p[0] for p in live) + sum(p[0] for p in frozen)
+        excess = total_err + tail_bound - max(abs_tol, rel_tol * abs(total_val))
+        if not excess > 0.0:  # a NaN estimate ends refinement unconverged
+            break
+        if n_panels >= max_subdivisions or not live:
             raise NonConvergenceError(
                 f"{f.name or 'integrand'}: error estimate {total_err:.3g} above "
                 f"tolerance after {n_panels} panels")
-        _, _, lo, hi, val, err, fn = heapq.heappop(entries)
-        width = hi - lo
-        if width < 100.0 * _EPS * max(abs(lo), abs(hi), 1.0):
-            frozen.append((lo, hi, val, err, fn))
-            continue
-        mid = 0.5 * (lo + hi)
-        v1, e1 = push(fn, lo, mid)
-        v2, e2 = push(fn, mid, hi)
-        total_val += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        n_panels += 1
+        live.sort(key=itemgetter(0), reverse=True)
+        k = 0
+        while excess > 0.0 and k < len(live):
+            excess -= live[k][0]
+            k += 1
+        worst, live = live[:k], live[k:]
+        jobs = []
+        for panel in worst:
+            _, lo, hi, _, fn = panel
+            if hi - lo < 100.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+                frozen.append(panel)
+            elif n_panels < max_subdivisions:
+                mid = 0.5 * (lo + hi)
+                jobs += [(fn, lo, mid), (fn, mid, hi)]
+                n_panels += 1
+            else:
+                live.append(panel)
+        live += _evaluate(jobs)
 
     # deterministic final reduction: sum in position order
-    all_panels = [(lo, hi, val, err) for (_, _, lo, hi, val, err, _) in entries]
-    all_panels.extend((lo, hi, val, err) for (lo, hi, val, err, _) in frozen)
-    all_panels.sort(key=lambda p: (p[0], p[1]))
-    value = math.fsum(p[2] for p in all_panels)
-    err_total = math.fsum(p[3] for p in all_panels) + tail_bound
+    panels = sorted(live + frozen, key=itemgetter(1, 2))
+    value = math.fsum(p[3] for p in panels)
+    err_total = math.fsum(p[0] for p in panels) + tail_bound
     converged = err_total <= max(abs_tol, rel_tol * abs(value))
     return QuadResult(value=value, abs_error_estimate=err_total,
                       subdivisions=n_panels, converged=converged)

@@ -114,6 +114,18 @@ def test_norms_wide_csv(tmp_path):
     assert v4[0] < v4[-1]
 
 
+def test_norms_flags_underflow(tmp_path):
+    # per-point flag, exit code 0 as for the other flags; these rows printed
+    # 0.0,0.0,ok
+    out = tmp_path / "norms.csv"
+    rc = main(["norms", "--family", "MainExample", "--kind", "lp", "--n", "300",
+               "--t-grid", "1e-2:1e-8:3", "--out", str(out)])
+    assert rc == 0
+    _, _, rows = _read_csv(out)
+    assert [row[3] for row in rows] == ["ok", "underflow", "underflow"]
+    assert [row[1:3] for row in rows[1:]] == [["nan", "0.0"]] * 2
+
+
 def test_decay_self_similar_slope_json(tmp_path):
     out = tmp_path / "decay.json"
     rc = main(["decay", "--family", "SelfSimilar", "--mu", "0.005", "--kind", "lp",

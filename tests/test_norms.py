@@ -1,16 +1,19 @@
 """Norm functionals: dual-route values against the layer integral, scaling
 identities, divergence power counting, sup-norm search, and decay fits."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from pytest import approx
 
+from cole_lab import quadrature
 from cole_lab.norms import (BracketingError, DegenerateFitError,
                             DivergenceError, NormReport, NormSpec,
-                            decay_fit, default_t_grid, grad_lp_norm,
-                            hess_bound_lp, hessian_frobenius_lp,
+                            UnderflowError, decay_fit, default_t_grid,
+                            grad_lp_norm, hess_bound_lp, hessian_frobenius_lp,
                             hessian_frobenius_sq, linf_norm, lp_distance,
                             lp_norm, norm_sweep, sphere_measure)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
@@ -235,6 +238,46 @@ def test_linf_finds_interior_maximum():
     assert val >= np.max(np.abs(MAIN.u(t, grid)))
 
 
+def _mp_main_u(t):
+    # MAIN: r / (t (1 + (4 pi mu t)^(3/2) e^(r^2/4 mu t))), mu = 0.1, a = 1
+    t, mu = mpmath.mpf(t), mpmath.mpf("0.1")
+    return lambda r: r / (t * (1 + (4 * mpmath.pi * mu * t) ** 1.5
+                               * mpmath.exp(r * r / (4 * mu * t))))
+
+
+def _mp_nst_u(t):
+    # NST: 2 mu (1/r - e^(-z^2) / (sqrt(pi mu t) erf z)), z = r/sqrt(4 mu t)
+    t, mu = mpmath.mpf(t), mpmath.mpf("0.1")
+    return lambda r: 2 * mu * (1 / r - mpmath.exp(-r * r / (4 * mu * t))
+                               / (mpmath.sqrt(mpmath.pi * mu * t)
+                                  * mpmath.erf(r / mpmath.sqrt(4 * mu * t))))
+
+
+@pytest.mark.parametrize("fam,mp_u,t", [
+    (MAIN, _mp_main_u, 1e-1), (MAIN, _mp_main_u, 1e-4), (MAIN, _mp_main_u, 1e-8),
+    (MAIN, _mp_main_u, 1e-12), (NST, _mp_nst_u, 0.37), (NST, _mp_nst_u, 1e-3),
+    (NST, _mp_nst_u, 1e-6),
+])
+def test_linf_matches_mpmath_maximum_in_few_calls(fam, mp_u, t):
+    # bracket refinement: 17 nodes per array call of u, so the whole search
+    # takes a handful of calls (golden section made one per step, ~70)
+    calls = []
+
+    def u(tt, r):
+        calls.append(np.size(r))
+        return fam.u(tt, r)
+
+    val, r_star = linf_norm(dataclasses.replace(fam, u=u), t)
+    assert len(calls) <= 25
+    with mpmath.workdps(40):
+        f = mp_u(t)
+        r_max = mpmath.findroot(lambda r: mpmath.diff(f, r),
+                                (0.99 * r_star, 1.01 * r_star), solver="anderson")
+        want = float(f(r_max))
+    assert abs(val - want) <= 1e-14 * want
+    assert abs(r_star - float(r_max)) <= 1e-6 * r_star
+
+
 def test_linf_grows_as_t_shrinks():
     assert linf_norm(MAIN, 1e-6)[0] > 10.0 * linf_norm(MAIN, 1e-2)[0]
 
@@ -274,6 +317,64 @@ def test_norm_sweep_ok_flags_and_errors():
     assert all(v > 0.0 for v in rep.values)
     assert all(e <= 1e-8 * v for v, e in zip(rep.values, rep.quad_errors))
     assert rep.family == MAIN.label()
+
+
+def test_norm_sweep_grad_and_hess_error_columns():
+    # the error column carries the quadrature error (it printed 0.0)
+    ts, p = (1e-2, 1e-5), 1.5
+    grad = norm_sweep(MAIN, NormSpec("grad_lp", p=p, n=3), ts)
+    hess = norm_sweep(MAIN, NormSpec("hess_bound_lp", p=p, n=3), ts)
+    for rep in (grad, hess):
+        assert rep.flags == ("ok", "ok")
+        assert all(0.0 < e <= 1e-8 * v for v, e in zip(rep.values, rep.quad_errors))
+    b = (4.0 * math.pi * 0.1) ** 1.5
+    for t, v, e in zip(ts, hess.values, hess.quad_errors):
+        want = sum(t ** (-k * p) * layer_power_integral(
+            c, b, p, 3, 0.1, t, rel_tol=1e-10).abs_error_estimate
+            for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0)))
+        assert e == approx(want, rel=1e-12)
+        assert v == hess_bound_lp(MAIN, p, t).total
+    for t, v in zip(ts, grad.values):
+        assert v == grad_lp_norm(MAIN, p, t).value
+
+
+def test_norm_sweep_flags_underflow():
+    # the integrals fall below the smallest normal double; these points
+    # printed 0.0 with error 0.0 flagged ok
+    big = main_example(Params(300, 0.1, a=1.0))
+    rep = norm_sweep(big, NormSpec("lp", p=2.0, n=300), (1e-2, 1e-5, 1e-8))
+    assert rep.flags == ("ok", "underflow", "underflow")
+    assert rep.values[0] > 0.0 and all(math.isnan(v) for v in rep.values[1:])
+    tiny_mu = main_example(Params(3, 1e-300, a=1.0))
+    rep = norm_sweep(tiny_mu, NormSpec("lp", p=1.0, n=3), (1e-2, 1e-8))
+    assert rep.flags == ("underflow", "underflow")
+    with pytest.raises(UnderflowError):
+        lp_norm(tiny_mu, NormSpec("lp", p=1.0, n=3), 1e-2)
+    # the exact zero of an identical-family distance is a value, not a loss
+    same = norm_sweep(MAIN, NormSpec("lp_distance", p=2.0, n=3, reference=MAIN),
+                      (1e-3,))
+    assert same.flags == ("ok",) and same.values == (0.0,)
+
+
+def test_l2_sweep_work_count(monkeypatch):
+    # MainExample L^2 over the default 13-point grid: 126 panels from 70
+    # calls of the integrand (239 when every panel and tail probe was a call)
+    calls, panels = [0], [0]
+    real = quadrature.integrate_semi_infinite
+
+    def counting(integrand, *args, **kwargs):
+        def counted(r):
+            calls[0] += 1
+            return integrand.f(r)
+        res = real(dataclasses.replace(integrand, f=counted), *args, **kwargs)
+        panels[0] += res.subdivisions
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
+    rep = norm_sweep(MAIN, NormSpec("lp", p=2.0, n=3))
+    assert rep.flags == ("ok",) * 13
+    assert calls[0] <= 7 * 13
+    assert panels[0] <= 126
 
 
 def test_norm_sweep_divergent_flags():

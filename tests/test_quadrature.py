@@ -1,6 +1,7 @@
 """Quadrature engine: closed-form integrals, error-estimate honesty, and the
 integral-lemma parameterizations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cole_lab.quadrature import (Integrand, NonConvergenceError, QuadResult,
+                                 _tail_estimate, _truncate,
                                  integrate_semi_infinite, kronrod_15,
                                  layer_power_integral, lemma1_I, lemma2_J)
 
@@ -46,6 +48,60 @@ def test_semi_infinite_closed_forms(integrand, want):
     assert res.converged
     assert res.value == pytest.approx(want, rel=1e-11)
     assert abs(res.value - want) <= 10.0 * res.abs_error_estimate + 1e-14 * want
+
+
+@pytest.mark.parametrize("integrand,want", CLOSED_FORMS)
+def test_semi_infinite_call_pattern(integrand, want):
+    # every call of the integrand carries whole panels, and one integral
+    # takes a handful of calls (one per panel and probe made 12-66)
+    sizes = []
+
+    def counted(s):
+        sizes.append(np.size(s))
+        return integrand.f(s)
+
+    res = integrate_semi_infinite(dataclasses.replace(integrand, f=counted),
+                                  rel_tol=1e-11)
+    assert res.value == pytest.approx(want, rel=1e-11)
+    assert len(sizes) <= 10
+    assert min(sizes) >= 15
+
+
+def _truncate_step_by_step(f, radius, total, rel_tol, abs_tol):
+    # the rule _truncate batches: one probe, then at most one panel, per step
+    panels = []
+    for _ in range(400):
+        absf = float(abs(f.f(np.array([radius]))[0]))
+        bound = _tail_estimate(absf, f.decay, radius)
+        if bound <= 0.1 * max(abs_tol, rel_tol * abs(total)):
+            return panels, bound
+        nxt = radius * 1.6
+        total += kronrod_15(f.f, radius, nxt)[0]
+        panels.append((radius, nxt))
+        radius = nxt
+    raise NonConvergenceError("stalled")
+
+
+SLOW_TAIL = Integrand(lambda s: (1.0 + s) ** -1.5, decay=("power", -1.5))
+
+
+@pytest.mark.parametrize("integrand", [f for f, _ in CLOSED_FORMS] + [SLOW_TAIL])
+def test_truncation_keeps_the_step_by_step_prefix(integrand):
+    # the chunked tail keeps exactly the panels and the certificate of the
+    # step-by-step rule; SLOW_TAIL needs 100+ steps, i.e. several chunks
+    for rel_tol, radius, total in ((1e-11, 1.0, 0.3), (1e-6, 3.0, 1.0)):
+        want_panels, want_bound = _truncate_step_by_step(
+            integrand, radius, total, rel_tol, 1e-300)
+        panels, bound = _truncate(integrand, radius, total, rel_tol, 1e-300)
+        assert [(p[1], p[2]) for p in panels] == want_panels
+        assert bound == want_bound
+
+
+def test_truncation_stall_reported():
+    # r^-1.01 leaves a tail above 1e-11 after the 400-step budget
+    creeping = Integrand(lambda s: (1.0 + s) ** -1.01, decay=("power", -1.01))
+    with pytest.raises(NonConvergenceError, match="tail truncation stalled"):
+        integrate_semi_infinite(creeping, rel_tol=1e-11)
 
 
 def test_deterministic_repeats():
