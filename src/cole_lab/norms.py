@@ -43,6 +43,7 @@ __all__ = [
     "lp_norm",
     "lp_distance",
     "grad_lp_norm",
+    "grad_bound_integrals",
     "hess_bound_lp",
     "hessian_frobenius_sq",
     "hessian_frobenius_lp",
@@ -365,13 +366,20 @@ def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> GradNormResult:
     u/r = t^-1 f^-1; they vanish as t -> 0 iff p < n/2 and are evaluated
     regardless so the supercritical failure is observable."""
     value = _grad_core(s, p, t)[0]
-    b1 = b2 = None
-    if s.kind == "MainExample" and s.params.a > 0.0:
-        n, mu, a = s.params.n, s.params.mu, s.params.a
-        b = a * (4.0 * math.pi * mu) ** (0.5 * n)
-        b1 = t ** (-p) * _layer_power_integral(n - 1.0, b, p, n, mu, t)[0]
-        b2 = t ** (-2.0 * p) * _layer_power_integral(2.0 * p + n - 1.0, b, p, n, mu, t)[0]
+    b1, b2 = grad_bound_integrals(s, p, t)
     return GradNormResult(value=value, bound_1=b1, bound_2=b2)
+
+
+def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:
+    """(B1, B2) of grad_lp_norm without the exact gradient norm, for the
+    main example with a > 0; (None, None) for any other family."""
+    if s.kind != "MainExample" or s.params.a <= 0.0:
+        return None, None
+    n, mu, a = s.params.n, s.params.mu, s.params.a
+    b = a * (4.0 * math.pi * mu) ** (0.5 * n)
+    b1 = t ** (-p) * _layer_power_integral(n - 1.0, b, p, n, mu, t)[0]
+    b2 = t ** (-2.0 * p) * _layer_power_integral(2.0 * p + n - 1.0, b, p, n, mu, t)[0]
+    return b1, b2
 
 
 def hess_bound_lp(s: SolutionFamily, p: float, t: float) -> HessBoundResult:

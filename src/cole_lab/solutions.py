@@ -26,8 +26,12 @@ regrouped so that no intermediate overflows or cancels:
   subtraction 1/r - (gaussian)/(erf) loses digits, sums the row's Taylor
   series in r directly, without dividing by r.
 
-All evaluators take a scalar t > 0 and a scalar or array r; they are pure
-and safe to share across threads.
+All evaluators take t > 0 and r as scalars or arrays, broadcast together;
+they are pure and safe to share across threads.  An array element gets the
+bits of a scalar call at the same (t, r): numpy arithmetic rounds as Python
+float arithmetic does, and where a formula applies a math-module function
+to t (log, exp, pow, sqrt), an array t gets the same libm routine element by
+element (_libm), not numpy's own, which differs in the last place.
 """
 
 from __future__ import annotations
@@ -120,11 +124,36 @@ class SolutionFamily:
         return f"{self.kind}(n={p.n}, mu={p.mu:g}, a={p.a:g}, C={p.C:g})"
 
 
-def _check_t(t) -> float:
+def _check_t(t):
+    """t as a float, or as a float array if t is an array with ndim >= 1;
+    DomainError unless every t is positive and finite."""
+    if getattr(t, "ndim", 0):
+        t = np.asarray(t, dtype=float)
+        ok = (t > 0.0) & np.isfinite(t)
+        if not ok.all():
+            raise DomainError(f"t must be positive and finite, got {t[~ok][0]}")
+        return t
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"t must be positive and finite, got {t}")
     return t
+
+
+def _libm(fn):
+    """fn (from the math module) for a float first argument, else applied
+    element by element through np.vectorize, so an array t rounds exactly
+    as scalar-t calls do."""
+    on_array = np.vectorize(fn, otypes=[float])
+    return lambda *x: fn(*x) if isinstance(x[0], float) else on_array(*x)
+
+
+_log, _exp, _pow, _sqrt = (_libm(f) for f in
+                           (math.log, math.exp, math.pow, math.sqrt))
+
+
+def _at(x, mask):
+    """x[mask] for an array-t quantity, x itself for a scalar one."""
+    return x[mask] if isinstance(x, np.ndarray) else x
 
 
 def _asarray_r(r, positive: bool):
@@ -141,11 +170,16 @@ def _asarray_r(r, positive: bool):
 
 
 def _evaluator(core, formula, positive: bool):
-    """(t, r) -> formula(t, r, *core(t, r)); a float for scalar r, else an
-    array of r's shape.  positive: reject r <= 0 (else only r < 0)."""
+    """(t, r) -> formula(t, r, *core(t, r)); a float for scalar t and r,
+    else an array of their broadcast shape.  An array t is broadcast
+    against r first, so the core and formula see t and r of one shape.
+    positive: reject r <= 0 (else only r < 0)."""
     def evaluate(t, r):
         t = _check_t(t)
         r, scalar = _asarray_r(r, positive)
+        if isinstance(t, np.ndarray):
+            t, r = np.broadcast_arrays(t, r)
+            scalar = False
         val = formula(t, r, *core(t, r))
         return float(val[0]) if scalar else val
     return evaluate
@@ -225,7 +259,7 @@ def main_example(p: Params) -> SolutionFamily:
     def core(t, r):
         four_mu_t = 4.0 * mu * t
         xi = r * r / four_mu_t
-        L = log_a + 0.5 * n * math.log(math.pi * four_mu_t) + xi
+        L = log_a + 0.5 * n * _log(math.pi * four_mu_t) + xi
         lse = np.logaddexp(0.0, L)
         iD = np.exp(-lse)
         sigma = np.exp(L - lse)
@@ -233,8 +267,8 @@ def main_example(p: Params) -> SolutionFamily:
 
     def g0(t):
         t = _check_t(t)
-        L0 = log_a + 0.5 * n * math.log(4.0 * math.pi * mu * t)
-        return math.exp(-np.logaddexp(0.0, L0)) / t
+        L0 = log_a + 0.5 * n * _log(4.0 * math.pi * mu * t)
+        return _exp(-np.logaddexp(0.0, L0)) / t
 
     return _family(
         "MainExample", p, core,
@@ -249,7 +283,7 @@ def main_example(p: Params) -> SolutionFamily:
          "g_r": lambda t, r, xi, iD, sigma: -r / (2.0 * mu * t * t) * sigma * iD,
          "P": lambda t, r, xi, iD, sigma: -sigma * iD / (2.0 * mu * t * t),
          "W": lambda t, r, xi, iD, sigma:
-             sigma * iD * (sigma - iD) / (4.0 * mu * mu * t ** 3)},
+             sigma * iD * (sigma - iD) / (4.0 * mu * mu * _pow(t, 3))},
         positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=g0)
@@ -289,7 +323,7 @@ def self_similar(p: Params) -> SolutionFamily:
         return xi, F, ratio1, ratio2
 
     def amp(t):
-        return math.sqrt(4.0 * mu / t)
+        return _sqrt(4.0 * mu / t)
 
     def W(t, r, xi, F, ratio1, ratio2):
         tx = 2.0 * xi / r
@@ -435,17 +469,18 @@ def _erf_formula(mu, amplitude, k, weight, combination):
             # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
             # nonzero term has 2 m0 - k in {0, 1}, so no power of r divides
             rs = r[series]
-            four_mu_t = 4.0 * mu * t
-            pw = (1.0 / four_mu_t) ** m0 * rs ** (2 * m0 - k)
+            four_mu_t = 4.0 * mu * _at(t, series)
+            pw = _pow(1.0 / four_mu_t, m0) * rs ** (2 * m0 - k)
             acc = np.zeros_like(rs)
             for wc in terms:
                 acc = acc + wc * pw
                 pw = pw * rs * rs / four_mu_t
-            out[series] = amp * acc
+            out[series] = _at(amp, series) * acc
         direct = ~series
         if np.any(direct):
             zd = z[direct]
-            out[direct] = amp / r[direct] ** k * combination(zd, *_direct_v(zd))
+            out[direct] = (_at(amp, direct) / r[direct] ** k
+                           * combination(zd, *_direct_v(zd)))
         return out
     return formula
 
@@ -467,7 +502,7 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
         raise DomainError("nonstationary_erf requires mu > 0")
 
     def core(t, r):
-        z = r / math.sqrt(4.0 * mu * t)
+        z = r / _sqrt(4.0 * mu * t)
         return z, z < _V_SWITCH
 
     return _family(
@@ -568,13 +603,14 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
     # fam; each radius takes its own step, so arrays match scalar calls
     def fd_r(order):
         def formula(t, r, th):
-            h = theta.fd_step * np.maximum(r, math.sqrt(4.0 * mu * t))
+            h = theta.fd_step * np.maximum(r, _sqrt(4.0 * mu * t))
             # within 2h of the origin the central stencil would leave r >= 0
             near = r < 2.0 * h
             out = np.empty_like(r)
             for side, forward in ((near, True), (~near, False)):
                 if side.any():
-                    out[side] = fd_derivative(lambda x: fam.u(t, x), r[side],
+                    ts = _at(t, side)
+                    out[side] = fd_derivative(lambda x: fam.u(ts, x), r[side],
                                               h[side], order, forward=forward)
             return out
         return formula
@@ -623,7 +659,7 @@ def gaussian_heat_function(p: Params) -> HeatFunction:
 
     def kernel(t, r):
         four_mu_t = 4.0 * mu * t
-        return ((math.pi * four_mu_t) ** (-0.5 * n) * np.exp(-r * r / four_mu_t),)
+        return (_pow(math.pi * four_mu_t, -0.5 * n) * np.exp(-r * r / four_mu_t),)
 
     formulas = {
         "theta": lambda t, r, G: a + G,
@@ -631,7 +667,7 @@ def gaussian_heat_function(p: Params) -> HeatFunction:
         "theta_rr": lambda t, r, G:
             G * (r * r / (4.0 * (mu * t) * (mu * t)) - 1.0 / (2.0 * (mu * t))),
         "theta_rrr": lambda t, r, G:
-            G * (0.75 * r / ((mu * t) * (mu * t)) - r ** 3 / (8.0 * (mu * t) ** 3)),
+            G * (0.75 * r / ((mu * t) * (mu * t)) - r ** 3 / (8.0 * _pow(mu * t, 3))),
         "theta_t": lambda t, r, G: G * (r * r / (4.0 * mu * t) - 0.5 * n) / t,
         "theta_rt": lambda t, r, G:
             r * G / (2.0 * mu * t * t) * (1.0 - r * r / (4.0 * mu * t) + 0.5 * n),

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from cole_lab import pdesolver
 from cole_lab.pdesolver import (BumpProfile, SolverConfig, StabilityError,
-                                _Stepper, _Tridiagonal, convergence_study,
-                                march, min_principle_experiment)
+                                _initial_and_boundaries, _Stepper,
+                                _Tridiagonal, convergence_study, march,
+                                min_principle_experiment)
 from cole_lab.solutions import (Params, main_example, nonstationary_erf,
                                 self_similar, stationary)
 
@@ -193,15 +195,67 @@ def test_tridiagonal_factor_rejects_breakdown():
 @pytest.mark.parametrize("scheme", ["cn-central", "rk2"])
 @pytest.mark.parametrize("r_min", [0.0, 0.05])
 def test_one_boundary_evaluation_per_step(scheme, r_min):
-    radii = []
+    # each step time's boundary value is evaluated once, all of them in one
+    # array-t call per Dirichlet end
+    calls = []
 
     def u(t, r):
-        radii.append(np.ndim(r))
+        calls.append((np.shape(t), np.ndim(r)))
         return MAIN.u(t, r)
 
     cfg = _cfg(scheme=scheme, r_min=r_min,
                left_boundary="dirichlet-exact" if r_min else "dirichlet-zero")
     run = march(cfg, dataclasses.replace(MAIN, u=u))
-    assert radii.count(1) == 1                   # the initial profile u(t0, r)
-    # the right end each step, and the left end too unless it is held at 0
-    assert radii.count(0) == (2 if r_min else 1) * run.n_steps
+    # the initial profile u(t0, r), then one call over all step times for
+    # the right end, and for the left end too unless it is held at 0
+    ends = [((run.n_steps,), 0)] * (2 if r_min else 1)
+    assert calls == [((), 1)] + ends
+
+
+def test_boundary_traces_match_scalar_calls():
+    cfg = _cfg(scheme="cn-central", r_min=0.05, left_boundary="dirichlet-exact")
+    for fam in (MAIN, NST):
+        _, left, right = _initial_and_boundaries(cfg, fam, cfg.radii())
+        dt, n_steps = cfg.step_size()
+        times = [cfg.t0 + (m + 1) * dt for m in range(n_steps)]
+        assert left == [fam.u(t, cfg.r_min) for t in times]
+        assert right == [fam.u(t, cfg.r_max) for t in times]
+
+
+def _c9_config(nr):
+    # the criterion-9 convergence configuration
+    return _cfg(nr=nr, scheme="cn-central")
+
+
+def test_doubling_pass_count_at_nr512():
+    # multipliers below eps^2 are flushed: 5 + 6 passes, not 9 + 9
+    matrix = _Stepper(_c9_config(512), None, None).matrix
+    assert len(matrix.forward) <= 6 and len(matrix.backward) <= 6
+
+
+def _doubling_passes_smallest_normal(a):
+    """The recursive-doubling passes with the flush at the smallest normal
+    double, the reference for the eps^2 flush."""
+    passes = []
+    prod = np.concatenate(([0.0], a[1:]))
+    s = 1
+    while s < prod.size:
+        m = prod[s:].copy()
+        m[np.abs(m) < np.finfo(float).tiny] = 0.0
+        if not m.any():
+            break
+        passes.append((s, m))
+        prod[s:] = m * prod[:-s]
+        s *= 2
+    return passes
+
+
+@pytest.mark.parametrize("nr", [64, 512])
+def test_eps2_flush_matches_smallest_normal_flush(nr, monkeypatch):
+    cfg = _c9_config(nr)
+    runs = [march(cfg, fam) for fam in (MAIN, NST)]
+    monkeypatch.setattr(pdesolver, "_doubling_passes",
+                        _doubling_passes_smallest_normal)
+    for run, fam in zip(runs, (MAIN, NST)):
+        ref = march(cfg, fam).final
+        assert np.max(np.abs(run.final - ref)) <= 1e-28 * np.max(np.abs(ref))

@@ -480,6 +480,77 @@ def test_scalar_and_array_evaluation():
             assert np.array_equal(out, want), (name, q)
 
 
+# an array t: one evaluator call gives a whole time trace (the marcher's
+# boundary data), bit-equal to scalar-t calls.  The last five t are points
+# where the main example's u, u_r, g or P (mu = 0.1) moves when an array t
+# takes numpy's log in place of libm's (numpy 2.4, x86-64); numpy's pow
+# differs from libm's at about a fifth of the random ones.
+_RNG = np.random.default_rng(20261018)
+ARRAY_T = np.concatenate([np.geomspace(1e-8, 1.0, 30),
+                          10.0 ** _RNG.uniform(-8.0, 0.0, 46),
+                          [0.7378056554545331, 0.9822179875488986,
+                           0.9736618413824724, 0.9255293604448043,
+                           0.7727630591594365]])
+_FULL_HEAT = gaussian_heat_function(Params(3, 0.1, a=1.0))
+ARRAY_T_CASES = CONTRACT + [
+    ("cole-hopf-fd", cole_hopf(HeatFunction(theta=_FULL_HEAT.theta,
+                                            theta_r=_FULL_HEAT.theta_r),
+                               mu=0.1, n=3)),
+]
+HEAT_EVALUATORS = ("theta", "theta_r", "theta_rr", "theta_rrr", "theta_t",
+                   "theta_rt")
+# (label, mu, {evaluator name: evaluator})
+_ARRAY_T_EVALUATORS = [
+    (name, fam.params.mu, {q: getattr(fam, q) for q in EVALUATORS})
+    for name, fam in ARRAY_T_CASES
+] + [("gaussian-heat", 0.1, {q: getattr(_FULL_HEAT, q) for q in HEAT_EVALUATORS})]
+
+
+@pytest.mark.parametrize("label,mu,evaluators", _ARRAY_T_EVALUATORS,
+                         ids=[c[0] for c in _ARRAY_T_EVALUATORS])
+def test_array_t_matches_scalar_calls(label, mu, evaluators):
+    t = ARRAY_T
+    # r spanning both erf branches (z from 0.03 to 30), and a fixed radius
+    # clear of the n = 2 stationary pole at e^-5
+    r = np.sqrt(4.0 * mu * t) * 10.0 ** _RNG.uniform(-1.5, 1.5, t.size)
+    for q, f in evaluators.items():
+        for rr in (0.05, r):
+            out = f(t, rr)
+            assert isinstance(out, np.ndarray) and out.shape == t.shape, q
+            want = np.array([f(float(ti), float(ri))
+                             for ti, ri in zip(t, np.broadcast_to(rr, t.shape))])
+            assert np.array_equal(out, want), (q, int(np.sum(out != want)))
+        assert type(f(np.float64(0.37), 0.05)) is float, q
+
+
+def test_array_t_g0_matches_scalar_calls():
+    for name, fam in ARRAY_T_CASES:
+        if fam.g0 is not None:
+            want = np.array([fam.g0(float(ti)) for ti in ARRAY_T])
+            assert np.array_equal(fam.g0(ARRAY_T), want), name
+
+
+def test_array_t_broadcasts_against_r():
+    t = np.array([[1e-3], [0.37]])
+    r = np.array([0.01, 0.1, 0.4])
+    for name, fam in CONTRACT:
+        out = fam.u(t, r)
+        assert out.shape == (2, 3), name
+        want = np.array([[fam.u(float(ti), float(ri)) for ri in r] for ti in t[:, 0]])
+        assert np.array_equal(out, want), name
+
+
+def test_array_t_domain_errors():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        t = np.array([1e-3, bad, 0.37])
+        for label, _, evaluators in _ARRAY_T_EVALUATORS:
+            for q, f in evaluators.items():
+                with pytest.raises(DomainError):
+                    f(t, 0.1)
+                with pytest.raises(DomainError):
+                    f(t, np.array([0.1, 0.2, 0.3]))
+
+
 # ---------------------------------------------------------------------------
 # the erf family at tiny and zero r: the series never divides by r
 # ---------------------------------------------------------------------------
