@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     worst = 0.0
     for n, p in [(3, 1.0), (3, 2.0), (4, 2.0), (5, 2.0), (5, 1.0)]:
         fam = self_similar(Params(n=n, mu=args.mu, a=1.0))
-        fit = _fit(fam, N.NormSpec("lp", p=p, n=n), t_grid)
+        fit = _fit(fam, N.NormSpec("lp", p=p), t_grid)
         expected = (n - p) / (2.0 * p)
         worst = max(worst, abs(fit.slope - expected))
         print(f"{'self-similar L^p n=' + str(n):<34} {p:>4g} "
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     ref = stationary(Params(n=3, mu=args.mu, C=0.0))
     fam = nonstationary_erf(args.mu)
     for p in (1.0, 2.0):
-        spec = N.NormSpec("lp_distance", p=p, n=3, reference=ref)
+        spec = N.NormSpec("lp_distance", p=p, reference=ref)
         fit = _fit(fam, spec, t_grid)
         expected = (3.0 - p) / (2.0 * p)
         worst = max(worst, abs(fit.slope - expected))

@@ -111,14 +111,14 @@ def criterion_2() -> CriterionResult:
     checks = []
     for n, p in ((2, 1.0), (3, 1.0), (3, 2.0), (5, 4.0)):
         fam = main_example(Params(n=n, mu=0.1, a=1.0))
-        rep = N.norm_sweep(fam, N.NormSpec("lp", p=p, n=n), _T7)
+        rep = N.norm_sweep(fam, N.NormSpec("lp", p=p), _T7)
         mono, ratio = _vanishes(rep.values)
         ok = mono and ratio < 1e-3
         checks.append(_line(ok, f"(n,p)=({n},{p:g}) vanishing: monotone={mono} "
                                 f"final/first={ratio:.3e} (< 1e-3 required)"))
     for n, p in ((3, 4.0), (2, 3.0)):
         fam = main_example(Params(n=n, mu=0.1, a=1.0))
-        rep = N.norm_sweep(fam, N.NormSpec("lp", p=p, n=n), _T7)
+        rep = N.norm_sweep(fam, N.NormSpec("lp", p=p), _T7)
         grow = all(a < b for a, b in zip(rep.values[:-1], rep.values[1:]))
         checks.append(_line(grow, f"(n,p)=({n},{p:g}) sharpness: increasing={grow}"))
     passed = all(ok for ok, _ in checks)
@@ -128,7 +128,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     fam = main_example(Params(n=3, mu=0.1, a=1.0))
-    rep = N.norm_sweep(fam, N.NormSpec("linf", n=3), _T7)
+    rep = N.norm_sweep(fam, N.NormSpec("linf"), _T7)
     mono = all(a < b for a, b in zip(rep.values[:-1], rep.values[1:]))
     ratio = rep.values[-1] / rep.values[0]
     checks = [_line(mono, f"sup_r u monotone increasing as t -> 0: {mono}"),
@@ -142,7 +142,7 @@ def criterion_4() -> CriterionResult:
     checks = []
     for n, p in ((3, 1.0), (3, 2.0), (4, 2.0)):
         fam = self_similar(Params(n=n, mu=0.005, a=1.0))
-        fit = N.decay_fit(N.norm_sweep(fam, N.NormSpec("lp", p=p, n=n)))
+        fit = N.decay_fit(N.norm_sweep(fam, N.NormSpec("lp", p=p)))
         want = (n - p) / (2.0 * p)
         ok = abs(fit.slope - want) <= 1e-6 and fit.max_log_residual <= 1e-6
         checks.append(_line(ok, f"(n,p)=({n},{p:g}): slope {fit.slope:.9f} "
@@ -158,13 +158,13 @@ def criterion_5() -> CriterionResult:
     st = stationary(Params(n=3, mu=mu, C=0.0))
     checks = []
     for p in (1.0, 2.0):
-        spec = N.NormSpec("lp_distance", p=p, n=3, reference=st)
+        spec = N.NormSpec("lp_distance", p=p, reference=st)
         fit = N.decay_fit(N.norm_sweep(nst, spec))
         want = (3.0 - p) / (2.0 * p)
         ok = abs(fit.slope - want) <= 1e-6 and fit.max_log_residual <= 1e-6
         checks.append(_line(ok, f"p={p:g}: slope {fit.slope:.9f} (want {want:g}), "
                                 f"residual {fit.max_log_residual:.2e}"))
-    rep3 = N.norm_sweep(nst, N.NormSpec("lp_distance", p=3.0, n=3, reference=st),
+    rep3 = N.norm_sweep(nst, N.NormSpec("lp_distance", p=3.0, reference=st),
                         (1e-2, 1e-4))
     ok3 = set(rep3.flags) == {"divergent"}
     checks.append(_line(ok3, f"p=3 flagged divergent: {rep3.flags}"))

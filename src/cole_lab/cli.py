@@ -27,6 +27,7 @@ from . import residual as R
 from .quadrature import NonConvergenceError
 from .solutions import (EvaluationError, Params, SolutionFamily, main_example,
                         nonstationary_erf, self_similar, stationary)
+from .specfun import DomainError
 
 __all__ = ["main", "build_parser"]
 
@@ -72,8 +73,8 @@ def _parse_p_list(spec: str):
 
 def _build_family(args) -> SolutionFamily:
     kind = args.family
-    if kind not in _FAMILIES:
-        raise ConfigError(f"unknown family {kind!r}, choose from {_FAMILIES}")
+    if kind is None:
+        raise ConfigError(f"no family given, choose one of {_FAMILIES}")
     try:
         if kind == "NonStationaryErf":
             if args.n != 3:
@@ -91,9 +92,10 @@ def _build_family(args) -> SolutionFamily:
         raise ConfigError(str(exc)) from exc
 
 
-def _apply_config_file(args, parser_dests):
-    if not args.config:
-        return
+def _splice_config(argv: list, args) -> list:
+    """argv with each entry of the --config file spliced in as a --key=value
+    flag right after the subcommand, so argparse checks config values like
+    flags, and the command line's own flags, which come later, win."""
     try:
         with open(args.config) as fh:
             data = json.load(fh)
@@ -101,30 +103,16 @@ def _apply_config_file(args, parser_dests):
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if dest not in parser_dests:
+        # fn and subcommand are set by the parser, not by flags
+        if dest not in vars(args) or dest in ("fn", "subcommand"):
             raise ConfigError(f"unknown config key {key!r}")
-        # flags win: only fill slots the command line left at None
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-
-
-def _fill_defaults(args):
-    defaults = {"n": 3, "mu": 0.1, "a": 1.0, "C": 0.0, "format": "csv",
-                "p": "2", "kind": "lp", "t_grid": "1e-2:1e-8:13",
-                "scheme": "cn-upwind", "source": "analytic", "form": "radial",
-                "nr": 256, "r_max": 0.3, "t0": 1e-3, "t1": 2e-3, "cfl": 0.25,
-                "r_min": 0.0, "grid": "1e-4:0.1:200"}
-    for key, value in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    for key in ("n", "nr"):
-        if hasattr(args, key):
-            setattr(args, key, int(getattr(args, key)))
-    for key in ("mu", "a", "C", "r_max", "t0", "t1", "cfl", "r_min"):
-        if hasattr(args, key):
-            setattr(args, key, float(getattr(args, key)))
+        text = value if isinstance(value, str) else json.dumps(value)
+        flags.append(f"--{dest.replace('_', '-')}={text}")
+    i = argv.index(args.subcommand) + 1
+    return argv[:i] + flags + argv[i:]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +163,11 @@ def _emit(args, meta: str, header, rows, json_obj):
             writer.writerow([_fmt(x) for x in row])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         try:
             sys.stdout.write(text)
@@ -208,9 +199,7 @@ _FIGURES = {
 
 
 def cmd_figure(args) -> int:
-    which = int(args.which)
-    if which not in _FIGURES:
-        raise ConfigError("figure number must be 1, 2, or 3")
+    which = args.which
     build, (r_lo, r_hi), (t_lo, t_hi) = _FIGURES[which]
     fam = build()
     rs = np.linspace(r_lo, r_hi, 200)
@@ -248,20 +237,16 @@ def _norm_spec(args, fam: SolutionFamily, p: float) -> N.NormSpec:
     """The functional that `norms` and `decay` sweep for one exponent p,
     after checking that it is defined for the family."""
     kind = args.kind
-    if kind not in ("lp", "grad_lp", "hess_bound_lp", "linf", "distance"):
-        raise ConfigError(f"unknown norm kind {kind!r}")
     if kind == "distance":
-        if fam.kind != "NonStationaryErf" or args.n != 3:
+        # the erf family exists only for n = 3
+        if fam.kind != "NonStationaryErf":
             raise ConfigError(
                 "distance norms are defined for the NonStationaryErf family (n=3)")
         ref = stationary(Params(n=3, mu=args.mu, C=0.0))
-        return N.NormSpec("lp_distance", p=p, n=args.n, reference=ref)
+        return N.NormSpec("lp_distance", p=p, reference=ref)
     if kind == "hess_bound_lp" and (fam.kind != "MainExample" or fam.params.a <= 0.0):
         raise ConfigError("hess_bound_lp is derived only for the main example, a > 0")
-    try:
-        return N.NormSpec(kind, p=p, n=args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return N.NormSpec(kind, p=p)
 
 
 def cmd_norms(args) -> int:
@@ -328,8 +313,6 @@ def cmd_residual(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     form = args.form
-    if form not in ("radial", "divergence"):
-        raise ConfigError("form must be radial or divergence")
     rows = []
     reps = []
     for source in ("analytic", "finite-difference"):
@@ -358,13 +341,7 @@ def cmd_solve(args) -> int:
     try:
         cfg = P.SolverConfig(n=args.n, mu=args.mu, r_max=args.r_max,
                              nr=args.nr, t0=args.t0, t1=args.t1, cfl=args.cfl,
-                             scheme=args.scheme,
-                             left_boundary=("dirichlet-zero" if args.r_min == 0.0
-                                            else "dirichlet-exact"),
-                             r_min=args.r_min)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
+                             scheme=args.scheme, r_min=args.r_min)
         run = P.march(cfg, fam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -423,55 +400,50 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"cole-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, family=True):
+    def common(p, family=True, t_grid=False):
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
         if family:
-            p.add_argument("--family", default=None, choices=_FAMILIES)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--mu", type=float, default=None)
-            p.add_argument("--a", type=float, default=None)
-            p.add_argument("--C", type=float, default=None)
+            p.add_argument("--family", choices=_FAMILIES)
+            p.add_argument("--n", type=int, default=3)
+            p.add_argument("--mu", type=float, default=0.1)
+            p.add_argument("--a", type=float, default=1.0)
+            p.add_argument("--C", type=float, default=0.0)
+        if t_grid:
+            p.add_argument("--t-grid", dest="t_grid", default="1e-2:1e-8:13",
+                           help="lo:hi:k")
 
     p = sub.add_parser("figure", help="emit figure surface data (200x200 grid)")
     common(p, family=False)
     p.add_argument("--which", type=int, required=True, choices=[1, 2, 3])
     p.set_defaults(fn=cmd_figure)
 
-    p = sub.add_parser("norms", help="norm sweep over a t-grid")
-    common(p)
-    p.add_argument("--kind", default=None,
-                   choices=["lp", "grad_lp", "hess_bound_lp", "linf", "distance"])
-    p.add_argument("--p", default=None, help="comma-separated exponents")
-    p.add_argument("--t-grid", dest="t_grid", default=None, help="lo:hi:k")
-    p.set_defaults(fn=cmd_norms)
-
-    p = sub.add_parser("decay", help="log-log decay fit of a norm sweep")
-    common(p)
-    p.add_argument("--kind", default=None,
-                   choices=["lp", "grad_lp", "hess_bound_lp", "linf", "distance"])
-    p.add_argument("--p", default=None)
-    p.add_argument("--t-grid", dest="t_grid", default=None)
-    p.set_defaults(fn=cmd_decay)
+    for name, fn, text in (("norms", cmd_norms, "norm sweep over a t-grid"),
+                           ("decay", cmd_decay, "log-log decay fit of a norm sweep")):
+        p = sub.add_parser(name, help=text)
+        common(p, t_grid=True)
+        p.add_argument("--kind", default="lp",
+                       choices=["lp", "grad_lp", "hess_bound_lp", "linf", "distance"])
+        p.add_argument("--p", default="2", help="comma-separated exponents")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("residual", help="PDE residual report on a grid")
-    common(p)
-    p.add_argument("--grid", default=None, help="rmin:rmax:nr")
-    p.add_argument("--t-grid", dest="t_grid", default=None)
-    p.add_argument("--form", default=None, choices=["radial", "divergence"])
+    common(p, t_grid=True)
+    p.add_argument("--grid", default="1e-4:0.1:200", help="rmin:rmax:nr")
+    p.add_argument("--form", default="radial", choices=["radial", "divergence"])
     p.set_defaults(fn=cmd_residual)
 
     p = sub.add_parser("solve", help="finite-difference oracle march")
     common(p)
-    p.add_argument("--scheme", default=None,
+    p.add_argument("--scheme", default="cn-upwind",
                    choices=["cn-upwind", "cn-central", "rk2"])
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--r-max", dest="r_max", type=float, default=None)
-    p.add_argument("--r-min", dest="r_min", type=float, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--cfl", type=float, default=None)
+    p.add_argument("--nr", type=int, default=256)
+    p.add_argument("--r-max", dest="r_max", type=float, default=0.3)
+    p.add_argument("--r-min", dest="r_min", type=float, default=0.0)
+    p.add_argument("--t0", type=float, default=1e-3)
+    p.add_argument("--t1", type=float, default=2e-3)
+    p.add_argument("--cfl", type=float, default=0.25)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
@@ -482,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        dests = set(vars(args))
-        _apply_config_file(args, dests)
-        _fill_defaults(args)
+        if args.config:
+            args = parser.parse_args(_splice_config(argv, args))
         return args.fn(args)
     except ConfigError as exc:
         print(f"cole-lab: config error: {exc}", file=sys.stderr)
@@ -497,7 +469,7 @@ def main(argv: Optional[list] = None) -> int:
     except N.DivergenceError as exc:
         print(f"cole-lab: divergent quantity: {exc}", file=sys.stderr)
         return 1
-    except EvaluationError as exc:
+    except (EvaluationError, DomainError) as exc:
         print(f"cole-lab: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import quadrature as quad
 from .quadrature import Integrand, NonConvergenceError
 from .solutions import SolutionFamily
-from .specfun import erf
+from .specfun import DomainError, erf
 
 __all__ = [
     "DivergenceError",
@@ -78,8 +78,10 @@ _MAX_N = 343
 
 
 def sphere_measure(n: int) -> float:
-    """Surface measure of the unit sphere in R^n: 2 pi^(n/2)/Gamma(n/2),
-    for 1 <= n <= 343."""
+    """Surface measure of the unit sphere in R^n: 2 pi^(n/2)/Gamma(n/2).
+    Raises DomainError outside 1 <= n <= 343."""
+    if not 1 <= n <= _MAX_N:
+        raise DomainError(f"n must lie in 1..{_MAX_N} for an integral norm")
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
 
 
@@ -90,7 +92,7 @@ def default_t_grid() -> np.ndarray:
 @dataclass(frozen=True)
 class NormSpec:
     """Which functional: kind in {"lp", "grad_lp", "hess_bound_lp", "linf",
-    "lp_distance"}, with exponent p >= 1 and ambient dimension n.
+    "lp_distance"}, with exponent p >= 1; the dimension is the family's n.
 
     The decay preconditions p < n (lp), p < n/2 (grad), p < n/3 (hess) are
     deliberately not enforced: supercritical p are the interesting test
@@ -99,7 +101,6 @@ class NormSpec:
 
     kind: str
     p: float = 2.0
-    n: int = 3
     reference: Optional[SolutionFamily] = None
 
     def __post_init__(self):
@@ -107,8 +108,6 @@ class NormSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind != "linf" and not self.p >= 1.0:
             raise ValueError("p must be >= 1")
-        if self.kind != "linf" and not 1 <= self.n <= _MAX_N:
-            raise ValueError(f"n must lie in 1..{_MAX_N} for an integral norm")
         if self.kind == "lp_distance" and self.reference is None:
             raise ValueError("lp_distance needs a reference family")
 
@@ -226,15 +225,18 @@ def _quad(f, alpha, decay, splits, name):
 # L^p norms and distances
 # ---------------------------------------------------------------------------
 
-def _norm_from_integral(n: int, p: float, val: float, err: float):
-    """(omega_{n-1} val)^(1/p) for the radial integral val = int |f|^p
-    r^(n-1) dr, with the integral's error err propagated to first order."""
-    norm = (sphere_measure(n) * val) ** (1.0 / p)
+def _norm_from_integral(omega: float, p: float, val: float, err: float):
+    """(omega val)^(1/p) for the radial integral val = int |f|^p r^(n-1) dr
+    and omega = sphere_measure(n), with the integral's error err propagated
+    to first order.  The cores take omega before they integrate, so an n
+    past 343 raises DomainError before any quadrature runs."""
+    norm = (omega * val) ** (1.0 / p)
     return norm, norm * (err / val) / p if val > 0.0 else err
 
 
 def _lp_core(s: SolutionFamily, p: float, t: float):
     n = s.params.n
+    omega = sphere_measure(n)
     alpha = p * s.small_r_exponent + n - 1.0
     _check_origin(alpha, f"{s.kind} L^{p:g}")
     decay = _integrand_tail(s, t, p, 0.0)
@@ -243,7 +245,7 @@ def _lp_core(s: SolutionFamily, p: float, t: float):
         return np.abs(np.asarray(s.u(t, r))) ** p * r ** (n - 1.0)
 
     val, err = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.L{p:g}")
-    return _norm_from_integral(n, p, val, err)
+    return _norm_from_integral(omega, p, val, err)
 
 
 def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
@@ -254,8 +256,6 @@ def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
     a = 0 main example (u = r/t, no Gaussian cutoff)."""
     if spec.kind != "lp":
         raise ValueError("lp_norm expects a NormSpec of kind 'lp'")
-    if spec.n != s.params.n:
-        raise ValueError("NormSpec.n does not match the family dimension")
     return _lp_core(s, spec.p, t)[0]
 
 
@@ -271,6 +271,7 @@ def _erf_distance_core(mu: float, p: float, t: float):
     root = math.sqrt(4.0 * mu * t)
     amp = math.sqrt(mu / t)
     n = 3
+    omega = sphere_measure(n)
 
     def f(r):
         z = r / root
@@ -281,7 +282,7 @@ def _erf_distance_core(mu: float, p: float, t: float):
     _check_origin(alpha, f"|u_nst - u_st| L^{p:g}")
     val, err = _quad(f, alpha, ("gaussian", root / math.sqrt(p)), (root,),
                      f"erf_distance.L{p:g}")
-    return _norm_from_integral(n, p, val, err)
+    return _norm_from_integral(omega, p, val, err)
 
 
 def _lp_distance_core(s: SolutionFamily, ref: SolutionFamily, p: float, t: float):
@@ -297,6 +298,7 @@ def _lp_distance_core(s: SolutionFamily, ref: SolutionFamily, p: float, t: float
     # generic pointwise |difference|: conservative endpoint data (assumes no
     # leading-order cancellation at 0; may over-flag near-identical pairs)
     n = s.params.n
+    omega = sphere_measure(n)
     alpha0 = min(s.small_r_exponent, ref.small_r_exponent)
     alpha = p * alpha0 + n - 1.0
     _check_origin(alpha, f"{s.kind}-{ref.kind} distance L^{p:g}")
@@ -318,7 +320,7 @@ def _lp_distance_core(s: SolutionFamily, ref: SolutionFamily, p: float, t: float
 
     splits = tuple(sorted(set(_layer_splits(s, t) + _layer_splits(ref, t))))
     val, err = _quad(f, alpha, decay, splits, "lp_distance")
-    return _norm_from_integral(n, p, val, err)
+    return _norm_from_integral(omega, p, val, err)
 
 
 def lp_distance(s: SolutionFamily, ref: SolutionFamily, p: float, t: float) -> float:
@@ -342,6 +344,7 @@ def _layer_power_integral(c: float, b: float, ell: float, n: int, mu: float,
 
 def _grad_core(s: SolutionFamily, p: float, t: float):
     n = s.params.n
+    omega = sphere_measure(n)
     alpha = (p * (s.small_r_exponent - 1.0) + n - 1.0
              if s.small_r_exponent < 1.0 else n - 1.0)
     _check_origin(alpha, f"{s.kind} grad L^{p:g}")
@@ -353,7 +356,7 @@ def _grad_core(s: SolutionFamily, p: float, t: float):
         return (ur * ur + (n - 1.0) * g * g) ** (0.5 * p) * r ** (n - 1.0)
 
     val, err = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.gradL{p:g}")
-    return _norm_from_integral(n, p, val, err)
+    return _norm_from_integral(omega, p, val, err)
 
 
 def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> GradNormResult:
@@ -415,6 +418,7 @@ def hessian_frobenius_sq(s: SolutionFamily, t: float, r):
 def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
     """Exact R^n L^p norm of |D^2 u|_F (cross-check for hess_bound_lp)."""
     n = s.params.n
+    omega = sphere_measure(n)
     if s.small_r_exponent >= 1.0:
         alpha = p + n - 1.0      # |D^2 u|_F ~ r near a regular origin
     else:
@@ -426,7 +430,7 @@ def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
         return hessian_frobenius_sq(s, t, r) ** (0.5 * p) * r ** (n - 1.0)
 
     val, _ = _quad(f, alpha, decay, _layer_splits(s, t), f"{s.kind}.hessL{p:g}")
-    return (sphere_measure(n) * val) ** (1.0 / p)
+    return (omega * val) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

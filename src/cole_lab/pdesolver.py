@@ -27,7 +27,8 @@ numpy is the only dependency.
 
 Boundary data: march evaluates each Dirichlet end of a family once, over
 the array of all step times t0 + (m+1) dt, and steps through those traces
-by index; held (array-profile) ends are constant sequences.
+by index; a left end at r_min = 0 is held at u = 0, and held
+(array-profile) ends are constant sequences.
 
 Origin handling: for origin-regular data the r=0 node carries u = 0 exactly
 (the radial component of a continuous vector field vanishes at 0), so the
@@ -39,7 +40,7 @@ the residual module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -76,7 +77,6 @@ class SolverConfig:
     t1: float
     cfl: float = 0.25
     scheme: str = "cn-upwind"
-    left_boundary: str = "dirichlet-zero"   # or "dirichlet-exact" with r_min > 0
     r_min: float = 0.0
 
     def __post_init__(self):
@@ -99,14 +99,6 @@ class SolverConfig:
         if self.scheme == "rk2" and self.cfl > 0.5:
             # explicit diffusion number 4 mu dt / h^2 = 4 cfl must stay <= 2
             raise ValueError("rk2 requires cfl <= 0.5")
-        if self.left_boundary == "dirichlet-zero":
-            if self.r_min != 0.0:
-                raise ValueError("dirichlet-zero left boundary needs r_min = 0")
-        elif self.left_boundary == "dirichlet-exact":
-            if not self.r_min > 0.0:
-                raise ValueError("dirichlet-exact left boundary needs r_min > 0")
-        else:
-            raise ValueError("left_boundary must be dirichlet-zero or dirichlet-exact")
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.nr + 1)
@@ -296,10 +288,8 @@ def _initial_and_boundaries(cfg: SolverConfig, initial, r: np.ndarray):
         u0 = np.asarray(initial.u(cfg.t0, r), dtype=float)
         # the step times cfg.t0 + (m + 1) * dt, rounded as in Python floats
         times = cfg.t0 + np.arange(1.0, n_steps + 1.0) * dt
-        if cfg.left_boundary == "dirichlet-zero":
-            left = [0.0] * n_steps
-        else:
-            left = initial.u(times, r[0]).tolist()
+        # a left end at the origin is held at u = 0
+        left = [0.0] * n_steps if r[0] == 0.0 else initial.u(times, r[0]).tolist()
         return u0, left, initial.u(times, r[-1]).tolist()
     u0 = np.asarray(initial, dtype=float).copy()
     if u0.shape != r.shape:
@@ -311,9 +301,10 @@ def march(cfg: SolverConfig, initial: Union[SolutionFamily, np.ndarray]) -> Solv
     """March the radial equation from t0 to t1 and record extrema history.
 
     `initial` is either a SolutionFamily (sampled at t0, Dirichlet data taken
-    from the family at both ends) or a profile array on cfg.radii() (endpoint
-    values held fixed in time).  Raises StabilityError on NaN or when the
-    advective CFL number dt max|u| / h exceeds 1 mid-run.
+    from the family at both ends, or 0 at a left end r_min = 0) or a profile
+    array on cfg.radii() (endpoint values held fixed in time).  Raises
+    StabilityError on NaN or when the advective CFL number dt max|u| / h
+    exceeds 1 mid-run.
     """
     r = cfg.radii()
     u0, left, right = _initial_and_boundaries(cfg, initial, r)
@@ -351,11 +342,7 @@ def convergence_study(s: SolutionFamily, cfg: SolverConfig,
     first-order upwind advection error, ratios near 2."""
     errors = []
     for nr in nr_values:
-        cfg_nr = SolverConfig(n=cfg.n, mu=cfg.mu, r_max=cfg.r_max, nr=int(nr),
-                              t0=cfg.t0, t1=cfg.t1, cfl=cfg.cfl,
-                              scheme=cfg.scheme, left_boundary=cfg.left_boundary,
-                              r_min=cfg.r_min)
-        run = march(cfg_nr, s)
+        run = march(replace(cfg, nr=int(nr)), s)
         exact = np.asarray(s.u(cfg.t1, run.radii))
         errors.append(float(np.max(np.abs(run.final - exact))))
     ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))

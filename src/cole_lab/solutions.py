@@ -516,12 +516,17 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
 # Cole-Hopf transform of a positive heat function
 # ---------------------------------------------------------------------------
 
+# relative step of the finite differences that stand in for missing
+# theta-derivatives
+_FD_STEP = 1e-5
+
+
 @dataclass(frozen=True)
 class HeatFunction:
     """theta(t,r) > 0 solving theta_t = mu (theta_rr + (n-1)/r theta_r).
 
     theta and theta_r are required; the higher evaluators are optional and
-    finite differences with relative step fd_step stand in for any that are
+    finite differences with relative step _FD_STEP stand in for any that are
     missing.
     """
 
@@ -531,7 +536,6 @@ class HeatFunction:
     theta_rrr: Optional[Callable] = None
     theta_t: Optional[Callable] = None
     theta_rt: Optional[Callable] = None
-    fd_step: float = 1e-5
 
 
 def fd_derivative(f: Callable, x, h, order: int = 1, forward: bool = False):
@@ -563,7 +567,7 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
               params: Optional[Params] = None) -> SolutionFamily:
     """u = -2 mu theta_r / theta, with derivatives by quotient rule when the
     theta-derivatives are supplied and by O(h^4) finite differences of u
-    otherwise (step = fd_step * max(|r|, sqrt(4 mu t)); one-sided stencils
+    otherwise (step = _FD_STEP * max(|r|, sqrt(4 mu t)); one-sided stencils
     within two steps of r = 0).
 
     Raises EvaluationError if theta <= 0 is encountered at a query point,
@@ -603,7 +607,7 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
     # fam; each radius takes its own step, so arrays match scalar calls
     def fd_r(order):
         def formula(t, r, th):
-            h = theta.fd_step * np.maximum(r, _sqrt(4.0 * mu * t))
+            h = _FD_STEP * np.maximum(r, _sqrt(4.0 * mu * t))
             # within 2h of the origin the central stencil would leave r >= 0
             near = r < 2.0 * h
             out = np.empty_like(r)
@@ -616,7 +620,7 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
         return formula
 
     def fd_t(t, r, th):
-        return fd_derivative(lambda tau: fam.u(tau, r), t, theta.fd_step * t, 1)
+        return fd_derivative(lambda tau: fam.u(tau, r), t, _FD_STEP * t, 1)
 
     if theta.theta_rr is None:
         u_r = fd_r(1)

@@ -3,14 +3,14 @@
 erf and erfc are the C library's (math.erf, math.erfc), applied elementwise
 to arrays; erfc is computed directly in the tail, so it keeps full relative
 accuracy until it underflows near x = 27.  What neither numpy nor the
-standard library provides is computed here: the exponential integral E1 and
-the upper tail integral
+standard library provides is computed here: the upper tail integral
 
     G_n(z) = int_z^oo s^(-n/2) e^(-s) ds = Gamma(1 - n/2, z),
 
-which seeds the self-similar solution family.  G_n is computed by downward
-recurrence on the incomplete-gamma parameter starting from Gamma(1/2, z) =
-sqrt(pi) erfc(sqrt(z)) for odd n and from Gamma(0, z) = E1(z) for even n,
+which seeds the self-similar solution family; G_2 is the exponential
+integral E1.  G_n is computed by downward recurrence on the incomplete-gamma
+parameter starting from Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) for odd n and
+from Gamma(0, z) = E1(z) for even n,
 
     Gamma(a - 1, z) = (Gamma(a, z) - z^(a-1) e^(-z)) / (a - 1).
 
@@ -30,7 +30,6 @@ __all__ = [
     "DomainError",
     "erf",
     "erfc",
-    "exp1",
     "upper_tail_integral",
 ]
 
@@ -109,11 +108,6 @@ def _upper_gamma_cf(a, z):
     out = np.empty_like(f)
     out[order] = f
     return z ** a * np.exp(-z) / out
-
-
-def exp1(z):
-    """Exponential integral E1(z) = int_z^oo e^(-s)/s ds = G_2(z) for z > 0."""
-    return upper_tail_integral(2, z)
 
 
 def upper_tail_integral(n: int, z):

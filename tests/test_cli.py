@@ -1,6 +1,7 @@
 """Command-line interface: output shapes and formats, qualitative figure
 content, exit codes, config-file merging, and byte-level determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,13 +9,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cole_lab
 from cole_lab import acceptance
-from cole_lab.cli import _FIGURES, main
+from cole_lab.cli import _FIGURES, build_parser, main
 
 
 def _read_csv(path):
@@ -209,6 +212,100 @@ def test_config_file_unknown_key(tmp_path, capsys):
     rc = main(["norms", "--family", "MainExample", "--config", str(cfg)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fn", "subcommand"])
+def test_config_file_rejects_parser_names(key, tmp_path, capsys):
+    # names the parser sets itself, not flags
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: "decay"}))
+    assert main(["norms", "--family", "MainExample", "--config", str(cfg)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """main's exit code, counting argparse's SystemExit as its code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("subcommand,config", [
+    ("norms", {"n": "abc"}),
+    ("norms", {"mu": [1]}),
+    ("norms", {"n": 3.7}),        # ran n = 3
+    ("residual", {"grid": 3}),
+])
+def test_bad_config_values_exit_2(subcommand, config, tmp_path, capsys):
+    # config values are checked like flags; these ended in tracebacks
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = [subcommand, "--family", "MainExample", "--config", str(path)]
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_number_runs_like_flag(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"p": 2}))
+    argv = ["norms", "--family", "MainExample", "--t-grid", "1e-2:1e-4:3"]
+    assert main(argv + ["--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(argv + ["--p", "2"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+@pytest.mark.parametrize("argv,outs", [
+    (["norms", "--family", "MainExample", "--t-grid", "1e-2:1e-4:3"],
+     ("missing/x.csv", ".")),
+    (["verify-all"], ("missing/v.csv",)),
+])
+def test_unwritable_out_exits_2(argv, outs, tmp_path, capsys):
+    # a missing directory or a directory as --out is a config error, not
+    # the exit code 1 of a failed verification
+    for out in outs:
+        assert main(argv + ["--out", str(tmp_path / out)]) == 2
+        assert "config error: cannot write output" in capsys.readouterr().err
+
+
+# every flag of the fuzzed subcommands but --out and --config, with its
+# default (MainExample for --family, which has none)
+_CONFIG_DEFAULTS = {
+    cmd: {dest: "MainExample" if dest == "family" else value
+          for dest, value in vars(build_parser().parse_args([cmd])).items()
+          if dest not in ("out", "config", "fn", "subcommand")}
+    for cmd in ("norms", "residual", "solve")
+}
+_CONFIG_POOL = ("abc", 3.7, -1, [1], {}, None, True)
+
+
+@st.composite
+def _fuzzed_config(draw):
+    # every key is set; up to three take a pool value and the rest their
+    # defaults, so that most configs get past argparse, which stops at the
+    # first bad value, into the subcommand's own checks
+    cmd = draw(st.sampled_from(sorted(_CONFIG_DEFAULTS)))
+    defaults = _CONFIG_DEFAULTS[cmd]
+    drawn = draw(st.dictionaries(st.sampled_from(sorted(defaults)),
+                                 st.sampled_from(_CONFIG_POOL), max_size=3))
+    return cmd, {**defaults, **drawn}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_fuzzed_config())
+def test_config_fuzz_exits_cleanly(case):
+    cmd, config = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = _exit_code([cmd, "--config", path])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_bad_values_exit_2(capsys):

@@ -2,6 +2,7 @@
 identities, divergence power counting, sup-norm search, and decay fits."""
 
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -20,6 +21,7 @@ from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_
 from cole_lab.solutions import (Params, SolutionFamily, cartesian_components,
                                 main_example, nonstationary_erf, self_similar,
                                 stationary)
+from cole_lab.specfun import DomainError
 
 MAIN = main_example(Params(3, 0.1, a=1.0))
 MAIN0 = main_example(Params(3, 0.1, a=0.0))
@@ -56,7 +58,7 @@ def test_lp_norm_matches_layer_integral(n, p, mu, a, t):
     b = a * (4.0 * math.pi * mu) ** (0.5 * n)
     layer = layer_power_integral(c=p + n - 1.0, b=b, l=p, n=n, mu=mu, t=t)
     want = (sphere_measure(n) * t ** (-p) * layer.value) ** (1.0 / p)
-    got = lp_norm(fam, NormSpec("lp", p=p, n=n), t)
+    got = lp_norm(fam, NormSpec("lp", p=p), t)
     assert got == approx(want, rel=1e-9)
 
 
@@ -64,7 +66,7 @@ def test_self_similar_norms_scale_exactly():
     # ||u(t)||_p / ||u(t0)||_p = (t/t0)^((n-p)/(2p)) with no log correction
     for n, p in ((3, 1.0), (3, 2.0), (4, 2.0)):
         fam = self_similar(Params(n, 0.005, a=1.0))
-        spec = NormSpec("lp", p=p, n=n)
+        spec = NormSpec("lp", p=p)
         t0, t1 = 1e-2, 1e-5
         ratio = lp_norm(fam, spec, t1) / lp_norm(fam, spec, t0)
         assert ratio == approx((t1 / t0) ** ((n - p) / (2.0 * p)), rel=1e-9)
@@ -72,7 +74,7 @@ def test_self_similar_norms_scale_exactly():
 
 def test_supercritical_lp_grows():
     # p > n: same machinery, opposite direction as t -> 0
-    spec = NormSpec("lp", p=4.0, n=3)
+    spec = NormSpec("lp", p=4.0)
     assert lp_norm(MAIN, spec, 1e-6) > lp_norm(MAIN, spec, 1e-2)
 
 
@@ -85,8 +87,19 @@ def test_lp_norm_spec_validation():
         NormSpec("lp_distance", p=2.0)     # no reference supplied
     with pytest.raises(ValueError):
         lp_norm(MAIN, NormSpec("linf"), 1e-3)
-    with pytest.raises(ValueError):
-        lp_norm(MAIN, NormSpec("lp", p=2.0, n=4), 1e-3)
+
+
+def test_integral_norms_take_the_family_dimension():
+    # Gamma(n/2) overflows past n = 343; the guard reads the family's n,
+    # where it read a spec n that the sweep then ignored, and it runs before
+    # the quadrature, whose integral underflows at t = 1e-8
+    big = main_example(Params(n=400, mu=0.1, a=1.0))
+    for kind, t in itertools.product(("lp", "grad_lp"), (1e-2, 1e-8)):
+        with pytest.raises(DomainError):
+            norm_sweep(big, NormSpec(kind, p=2.0), (t,))
+    with pytest.raises(DomainError):
+        sphere_measure(344)
+    assert norm_sweep(big, NormSpec("linf"), (1e-2,)).flags == ("ok",)
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +109,20 @@ def test_lp_norm_spec_validation():
 def test_divergent_cases_raise():
     # stationary C=0 tail ~ 1/r: fails at infinity for p <= n
     with pytest.raises(DivergenceError):
-        lp_norm(ST0, NormSpec("lp", p=2.0, n=3), 1.0)
+        lp_norm(ST0, NormSpec("lp", p=2.0), 1.0)
     # degenerate a=0 main example u = r/t grows at infinity
     with pytest.raises(DivergenceError):
-        lp_norm(MAIN0, NormSpec("lp", p=2.0, n=3), 1e-3)
+        lp_norm(MAIN0, NormSpec("lp", p=2.0), 1e-3)
     # erf family tends to 2mu/r, so L^2 diverges; L^4 does not
     with pytest.raises(DivergenceError):
-        lp_norm(NST, NormSpec("lp", p=2.0, n=3), 1e-3)
-    assert math.isfinite(lp_norm(NST, NormSpec("lp", p=4.0, n=3), 1e-3))
+        lp_norm(NST, NormSpec("lp", p=2.0), 1e-3)
+    assert math.isfinite(lp_norm(NST, NormSpec("lp", p=4.0), 1e-3))
     # self-similar 1/r singularity at the origin kills p >= 3
     with pytest.raises(DivergenceError):
-        lp_norm(SS, NormSpec("lp", p=3.0, n=3), 1e-3)
-    assert math.isfinite(lp_norm(SS, NormSpec("lp", p=2.0, n=3), 1e-3))
+        lp_norm(SS, NormSpec("lp", p=3.0), 1e-3)
+    assert math.isfinite(lp_norm(SS, NormSpec("lp", p=2.0), 1e-3))
     # stationary C=1 decays like 1/r^2: L^2 is actually finite
-    assert math.isfinite(lp_norm(ST1, NormSpec("lp", p=2.0, n=3), 1.0))
+    assert math.isfinite(lp_norm(ST1, NormSpec("lp", p=2.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,7 @@ def test_erf_distance_symmetric_and_divergent_at_p3():
 
 def test_erf_distance_exact_slope():
     # sqrt(mu/t) w(r/sqrt(4mu t)) scales exactly: slope (3-p)/(2p)
-    spec = NormSpec("lp_distance", p=1.0, n=3, reference=ST0)
+    spec = NormSpec("lp_distance", p=1.0, reference=ST0)
     fit = decay_fit(norm_sweep(NST, spec, np.geomspace(1e-2, 1e-6, 9)))
     assert fit.slope == approx(1.0, abs=1e-9)
     assert fit.max_log_residual < 1e-9
@@ -311,7 +324,7 @@ def test_linf_bracketing_failure():
 # ---------------------------------------------------------------------------
 
 def test_norm_sweep_ok_flags_and_errors():
-    spec = NormSpec("lp", p=2.0, n=3)
+    spec = NormSpec("lp", p=2.0)
     rep = norm_sweep(MAIN, spec, np.geomspace(1e-2, 1e-6, 5))
     assert rep.flags == ("ok",) * 5
     assert all(v > 0.0 for v in rep.values)
@@ -322,8 +335,8 @@ def test_norm_sweep_ok_flags_and_errors():
 def test_norm_sweep_grad_and_hess_error_columns():
     # the error column carries the quadrature error (it printed 0.0)
     ts, p = (1e-2, 1e-5), 1.5
-    grad = norm_sweep(MAIN, NormSpec("grad_lp", p=p, n=3), ts)
-    hess = norm_sweep(MAIN, NormSpec("hess_bound_lp", p=p, n=3), ts)
+    grad = norm_sweep(MAIN, NormSpec("grad_lp", p=p), ts)
+    hess = norm_sweep(MAIN, NormSpec("hess_bound_lp", p=p), ts)
     for rep in (grad, hess):
         assert rep.flags == ("ok", "ok")
         assert all(0.0 < e <= 1e-8 * v for v, e in zip(rep.values, rep.quad_errors))
@@ -342,16 +355,16 @@ def test_norm_sweep_flags_underflow():
     # the integrals fall below the smallest normal double; these points
     # printed 0.0 with error 0.0 flagged ok
     big = main_example(Params(300, 0.1, a=1.0))
-    rep = norm_sweep(big, NormSpec("lp", p=2.0, n=300), (1e-2, 1e-5, 1e-8))
+    rep = norm_sweep(big, NormSpec("lp", p=2.0), (1e-2, 1e-5, 1e-8))
     assert rep.flags == ("ok", "underflow", "underflow")
     assert rep.values[0] > 0.0 and all(math.isnan(v) for v in rep.values[1:])
     tiny_mu = main_example(Params(3, 1e-300, a=1.0))
-    rep = norm_sweep(tiny_mu, NormSpec("lp", p=1.0, n=3), (1e-2, 1e-8))
+    rep = norm_sweep(tiny_mu, NormSpec("lp", p=1.0), (1e-2, 1e-8))
     assert rep.flags == ("underflow", "underflow")
     with pytest.raises(UnderflowError):
-        lp_norm(tiny_mu, NormSpec("lp", p=1.0, n=3), 1e-2)
+        lp_norm(tiny_mu, NormSpec("lp", p=1.0), 1e-2)
     # the exact zero of an identical-family distance is a value, not a loss
-    same = norm_sweep(MAIN, NormSpec("lp_distance", p=2.0, n=3, reference=MAIN),
+    same = norm_sweep(MAIN, NormSpec("lp_distance", p=2.0, reference=MAIN),
                       (1e-3,))
     assert same.flags == ("ok",) and same.values == (0.0,)
 
@@ -371,27 +384,27 @@ def test_l2_sweep_work_count(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
-    rep = norm_sweep(MAIN, NormSpec("lp", p=2.0, n=3))
+    rep = norm_sweep(MAIN, NormSpec("lp", p=2.0))
     assert rep.flags == ("ok",) * 13
     assert calls[0] <= 7 * 13
     assert panels[0] <= 126
 
 
 def test_norm_sweep_divergent_flags():
-    spec = NormSpec("lp", p=2.0, n=3)
+    spec = NormSpec("lp", p=2.0)
     rep = norm_sweep(NST, spec, (1e-2, 1e-4))
     assert rep.flags == ("divergent", "divergent")
     assert all(math.isnan(v) for v in rep.values)
 
 
 def test_norm_sweep_unbounded_flags():
-    rep = norm_sweep(SS, NormSpec("linf", n=3), (1e-2, 1e-4))
+    rep = norm_sweep(SS, NormSpec("linf"), (1e-2, 1e-4))
     assert rep.flags == ("unbounded", "unbounded")
 
 
 def test_decay_fit_exact_self_similar_law():
     fam = self_similar(Params(4, 0.02, a=1.0))
-    rep = norm_sweep(fam, NormSpec("lp", p=2.0, n=4), np.geomspace(1e-2, 1e-6, 9))
+    rep = norm_sweep(fam, NormSpec("lp", p=2.0), np.geomspace(1e-2, 1e-6, 9))
     fit = decay_fit(rep)
     assert fit.slope == approx(0.5, abs=1e-9)     # (n-p)/(2p)
     assert fit.max_log_residual < 1e-9
@@ -399,7 +412,7 @@ def test_decay_fit_exact_self_similar_law():
 
 
 def test_decay_fit_rejects_degenerate_input():
-    spec = NormSpec("lp", p=2.0, n=3)
+    spec = NormSpec("lp", p=2.0)
     flat = NormReport(family="x", spec=spec, t_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
                       values=(2.0, 2.0, 2.0, 2.0, 2.0),
                       quad_errors=(0.0,) * 5, flags=("ok",) * 5)

@@ -37,9 +37,6 @@ def test_config_validation():
         dict(r_min=0.4),                     # r_min >= r_max
         dict(scheme="ftcs"), dict(cfl=0.0), dict(cfl=1.5),
         dict(scheme="rk2", cfl=0.6),
-        dict(r_min=0.1),                     # dirichlet-zero needs r_min = 0
-        dict(left_boundary="dirichlet-exact"),   # needs r_min > 0
-        dict(left_boundary="neumann"),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -91,8 +88,7 @@ def test_rk2_agrees_with_implicit_upwind():
 
 def test_stationary_profile_drifts_slowly():
     cfg = SolverConfig(n=3, mu=0.1, r_max=2.0, nr=256, t0=1.0, t1=2.0,
-                       scheme="cn-central", left_boundary="dirichlet-exact",
-                       r_min=0.1)
+                       scheme="cn-central", r_min=0.1)
     run = march(cfg, ST)
     exact = ST.u(cfg.t1, run.radii)
     rel = np.max(np.abs(run.final - exact)) / np.max(np.abs(exact))
@@ -169,8 +165,7 @@ def test_tridiagonal_solve_matches_dense(n):
     # large n makes the rows near the origin far from diagonally dominant
     rng = np.random.default_rng(n)
     for cfl, nr, r_min in itertools.product((0.25, 1.0), (16, 512), (0.0, 0.05)):
-        cfg = _cfg(n=n, nr=nr, cfl=cfl, scheme="cn-central", r_min=r_min,
-                   left_boundary="dirichlet-exact" if r_min else "dirichlet-zero")
+        cfg = _cfg(n=n, nr=nr, cfl=cfl, scheme="cn-central", r_min=r_min)
         st = _Stepper(cfg, None, None)
         half = 0.5 * st.dt
         dense = (np.diag(1.0 - half * st.di) + np.diag(-half * st.up[:-1], 1)
@@ -203,8 +198,7 @@ def test_one_boundary_evaluation_per_step(scheme, r_min):
         calls.append((np.shape(t), np.ndim(r)))
         return MAIN.u(t, r)
 
-    cfg = _cfg(scheme=scheme, r_min=r_min,
-               left_boundary="dirichlet-exact" if r_min else "dirichlet-zero")
+    cfg = _cfg(scheme=scheme, r_min=r_min)
     run = march(cfg, dataclasses.replace(MAIN, u=u))
     # the initial profile u(t0, r), then one call over all step times for
     # the right end, and for the left end too unless it is held at 0
@@ -213,7 +207,7 @@ def test_one_boundary_evaluation_per_step(scheme, r_min):
 
 
 def test_boundary_traces_match_scalar_calls():
-    cfg = _cfg(scheme="cn-central", r_min=0.05, left_boundary="dirichlet-exact")
+    cfg = _cfg(scheme="cn-central", r_min=0.05)
     for fam in (MAIN, NST):
         _, left, right = _initial_and_boundaries(cfg, fam, cfg.radii())
         dt, n_steps = cfg.step_size()

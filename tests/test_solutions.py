@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from cole_lab.solutions import (EvaluationError, HeatFunction, Params,
-                                SingularityError, cartesian_components,
+from cole_lab.solutions import (_FD_STEP, EvaluationError, HeatFunction,
+                                Params, SingularityError, cartesian_components,
                                 cole_hopf, fd_derivative,
                                 gaussian_heat_function, main_example,
                                 nonstationary_erf, self_similar, stationary)
@@ -268,7 +268,7 @@ def test_cole_hopf_finite_difference_fallback_at_origin():
     exact = cole_hopf(full, mu=0.1, n=3)
     t = 0.37
     width = math.sqrt(4.0 * 0.1 * t)
-    h = HeatFunction.fd_step * width
+    h = _FD_STEP * width
     scale = exact.u_r(t, 0.0) / width
     with np.errstate(all="raise"):
         for r in (0.0, h):
