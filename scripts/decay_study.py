@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from cole_lab import norms as N
-from cole_lab.solutions import Params, nonstationary_erf, self_similar, stationary
+from cole_lab.solutions import Params, nonstationary_erf, self_similar
 
 
 def _fit(family, spec, t_grid):
@@ -45,11 +45,9 @@ def main(argv=None) -> int:
               f"{fit.slope:>12.8f} {expected:>12.8f} "
               f"{fit.max_log_residual:>10.2e}")
 
-    ref = stationary(Params(n=3, mu=args.mu, C=0.0))
     fam = nonstationary_erf(args.mu)
     for p in (1.0, 2.0):
-        spec = N.NormSpec("lp_distance", p=p, reference=ref)
-        fit = _fit(fam, spec, t_grid)
+        fit = _fit(fam, N.NormSpec("distance", p=p), t_grid)
         expected = (3.0 - p) / (2.0 * p)
         worst = max(worst, abs(fit.slope - expected))
         print(f"{'erf flow vs stationary limit':<34} {p:>4g} "

@@ -153,19 +153,15 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    mu = 0.1
-    nst = nonstationary_erf(mu)
-    st = stationary(Params(n=3, mu=mu, C=0.0))
+    nst = nonstationary_erf(0.1)
     checks = []
     for p in (1.0, 2.0):
-        spec = N.NormSpec("lp_distance", p=p, reference=st)
-        fit = N.decay_fit(N.norm_sweep(nst, spec))
+        fit = N.decay_fit(N.norm_sweep(nst, N.NormSpec("distance", p=p)))
         want = (3.0 - p) / (2.0 * p)
         ok = abs(fit.slope - want) <= 1e-6 and fit.max_log_residual <= 1e-6
         checks.append(_line(ok, f"p={p:g}: slope {fit.slope:.9f} (want {want:g}), "
                                 f"residual {fit.max_log_residual:.2e}"))
-    rep3 = N.norm_sweep(nst, N.NormSpec("lp_distance", p=3.0, reference=st),
-                        (1e-2, 1e-4))
+    rep3 = N.norm_sweep(nst, N.NormSpec("distance", p=3.0), (1e-2, 1e-4))
     ok3 = set(rep3.flags) == {"divergent"}
     checks.append(_line(ok3, f"p=3 flagged divergent: {rep3.flags}"))
     passed = all(ok for ok, _ in checks)
@@ -188,12 +184,11 @@ def criterion_6() -> CriterionResult:
 
     for n, p, vanish in ((5, 2.0, True), (3, 2.0, False)):
         fam = main_example(Params(n=n, mu=0.1, a=1.0))
-        bounds = (N.grad_bound_integrals(fam, p, t) for t in _T7)
-        vals = [b1 + b2 for b1, b2 in bounds]
+        vals = [N.grad_bound_integrals(fam, p, t)[0] for t in _T7]
         sweep(vals, f"grad bound sum (n,p)=({n},{p:g})", vanish)
     for n, p, vanish in ((7, 2.0, True), (3, 1.0, False)):
         fam = main_example(Params(n=n, mu=0.1, a=1.0))
-        vals = [N.hess_bound_lp(fam, p, t).total for t in _T7]
+        vals = [N.hess_bound_lp(fam, p, t)[0] for t in _T7]
         sweep(vals, f"hess bound total (n,p)=({n},{p:g})", vanish)
     passed = all(ok for ok, _ in checks)
     return CriterionResult(6, "Sobolev bound-integral thresholds", passed,

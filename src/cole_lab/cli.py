@@ -9,8 +9,6 @@ fixed command line: fixed seeds, fixed grids, no wall-clock content.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -144,24 +142,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(args, meta: str, header, rows, json_obj):
-    """Write CSV (metadata comment + header + rows) or a JSON mirror.
+def _cells(rows):
+    """The data lines of a table given as rows of cells, for _emit."""
+    return lambda: [",".join(map(_fmt, row)) + "\n" for row in rows]
 
-    rows is a list of cell lists for csv.writer, or a function returning the
-    finished data lines of a table whose fields never need CSV quoting.
+
+def _emit(args, meta: str, header, lines, json_obj):
+    """Write CSV (metadata comment + header + data lines) or a JSON mirror.
+
+    lines is a function returning the finished data lines; no emitted field
+    (numbers, flags, names and titles) needs CSV quoting.
     """
     if args.format == "json":
         text = json.dumps(_json_safe(json_obj), sort_keys=True, indent=2) + "\n"
-    elif callable(rows):
-        text = "# " + meta + "\n" + ",".join(header) + "\n" + "".join(rows())
     else:
-        buf = io.StringIO()
-        buf.write("# " + meta + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-        text = buf.getvalue()
+        text = "# " + meta + "\n" + ",".join(header) + "\n" + "".join(lines())
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -200,6 +195,8 @@ _FIGURES = {
 
 def cmd_figure(args) -> int:
     which = args.which
+    if which is None:
+        raise ConfigError(f"no figure given, choose one of {tuple(_FIGURES)}")
     build, (r_lo, r_hi), (t_lo, t_hi) = _FIGURES[which]
     fam = build()
     rs = np.linspace(r_lo, r_hi, 200)
@@ -233,28 +230,12 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _norm_spec(args, fam: SolutionFamily, p: float) -> N.NormSpec:
-    """The functional that `norms` and `decay` sweep for one exponent p,
-    after checking that it is defined for the family."""
-    kind = args.kind
-    if kind == "distance":
-        # the erf family exists only for n = 3
-        if fam.kind != "NonStationaryErf":
-            raise ConfigError(
-                "distance norms are defined for the NonStationaryErf family (n=3)")
-        ref = stationary(Params(n=3, mu=args.mu, C=0.0))
-        return N.NormSpec("lp_distance", p=p, reference=ref)
-    if kind == "hess_bound_lp" and (fam.kind != "MainExample" or fam.params.a <= 0.0):
-        raise ConfigError("hess_bound_lp is derived only for the main example, a > 0")
-    return N.NormSpec(kind, p=p)
-
-
 def cmd_norms(args) -> int:
     fam = _build_family(args)
     ps = _parse_p_list(args.p)
     ts = _parse_t_grid(args.t_grid)
     kind = args.kind
-    reports = [N.norm_sweep(fam, _norm_spec(args, fam, p), ts) for p in ps]
+    reports = [N.norm_sweep(fam, N.NormSpec(kind, p=p), ts) for p in ps]
     header = ["t"]
     for p in ps:
         header += [f"value[p={p:g}]", f"error[p={p:g}]", f"flags[p={p:g}]"]
@@ -272,7 +253,7 @@ def cmd_norms(args) -> int:
                              "quad_errors": list(rep.quad_errors),
                              "flags": list(rep.flags)}
                             for p, rep in zip(ps, reports)]}
-    _emit(args, meta, header, rows, json_obj)
+    _emit(args, meta, header, _cells(rows), json_obj)
     return 0
 
 
@@ -284,9 +265,8 @@ def cmd_decay(args) -> int:
     rows = []
     fits = []
     for p in ps:
-        spec = _norm_spec(args, fam, p)
         try:
-            fit = N.decay_fit(N.norm_sweep(fam, spec, ts))
+            fit = N.decay_fit(N.norm_sweep(fam, N.NormSpec(kind, p=p), ts))
         except N.DegenerateFitError as exc:
             return _fail(f"decay fit failed for p={p:g}: {exc}")
         fits.append(fit)
@@ -300,7 +280,7 @@ def cmd_decay(args) -> int:
                           "n_points": f.n_points, "t_grid": list(f.t_grid)}
                          for p, f in zip(ps, fits)]}
     _emit(args, meta, ["p", "slope", "intercept", "max_log_residual",
-                       "n_points"], rows, json_obj)
+                       "n_points"], _cells(rows), json_obj)
     return 0
 
 
@@ -332,7 +312,7 @@ def cmd_residual(args) -> int:
                              "worst_t": rep.worst_t, "worst_r": rep.worst_r,
                              "n_points": rep.n_points} for rep in reps]}
     _emit(args, meta, ["form", "source", "max_abs_scaled", "l2_scaled",
-                       "worst_t", "worst_r", "n_points"], rows, json_obj)
+                       "worst_t", "worst_r", "n_points"], _cells(rows), json_obj)
     return 0
 
 
@@ -359,7 +339,7 @@ def cmd_solve(args) -> int:
                 "max_history": list(run.max_history),
                 "min_history": list(run.min_history)}
     _emit(args, meta, ["scheme", "nr", "n_steps", "dt", "final_max",
-                       "final_min", "max_error_vs_exact"], rows, json_obj)
+                       "final_min", "max_error_vs_exact"], _cells(rows), json_obj)
     return 0
 
 
@@ -378,7 +358,7 @@ def cmd_verify_all(args) -> int:
                                   "passed": r.passed, "lines": list(r.lines)}
                                  for r in report.results]}
         meta = _meta(args, "verify-all", f"all_passed={report.all_passed}")
-        _emit(args, meta, ["index", "status", "title"], rows, json_obj)
+        _emit(args, meta, ["index", "status", "title"], _cells(rows), json_obj)
     return 0 if report.all_passed else 1
 
 
@@ -416,15 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit figure surface data (200x200 grid)")
     common(p, family=False)
-    p.add_argument("--which", type=int, required=True, choices=[1, 2, 3])
+    p.add_argument("--which", type=int, choices=sorted(_FIGURES))
     p.set_defaults(fn=cmd_figure)
 
     for name, fn, text in (("norms", cmd_norms, "norm sweep over a t-grid"),
                            ("decay", cmd_decay, "log-log decay fit of a norm sweep")):
         p = sub.add_parser(name, help=text)
         common(p, t_grid=True)
-        p.add_argument("--kind", default="lp",
-                       choices=["lp", "grad_lp", "hess_bound_lp", "linf", "distance"])
+        p.add_argument("--kind", default="lp", choices=N.KINDS)
         p.add_argument("--p", default="2", help="comma-separated exponents")
         p.set_defaults(fn=fn)
 

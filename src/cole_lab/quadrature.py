@@ -78,7 +78,6 @@ class QuadResult:
     value: float
     abs_error_estimate: float
     subdivisions: int
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -287,9 +286,8 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-30
     panels = sorted(live + frozen, key=itemgetter(1, 2))
     value = math.fsum(p[3] for p in panels)
     err_total = math.fsum(p[0] for p in panels) + tail_bound
-    converged = err_total <= max(abs_tol, rel_tol * abs(value))
     return QuadResult(value=value, abs_error_estimate=err_total,
-                      subdivisions=n_panels, converged=converged)
+                      subdivisions=n_panels)
 
 
 def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,

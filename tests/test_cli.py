@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cole_lab
-from cole_lab import acceptance
+from cole_lab import acceptance, cli
 from cole_lab.cli import _FIGURES, build_parser, main
 
 
@@ -78,6 +78,63 @@ def test_figure_csv_equals_csv_writer_reference(which, tmp_path):
                              repr(0.0), flag])
     meta, body = out.read_text().split("\n", 1)
     assert meta.startswith(f"# cole-lab {cole_lab.__version__} | figure {which} |")
+    assert body == buf.getvalue()
+
+
+def test_figure_config_supplies_which(tmp_path, capsys):
+    # argv was parsed before the file was read, so a required --which
+    # stopped the run before the file could supply it
+    path = tmp_path / "fig.json"
+    path.write_text(json.dumps({"which": 2}))
+    assert main(["figure", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["figure", "--which", "2"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_figure_without_which_exits_2(capsys):
+    assert main(["figure"]) == 2
+    assert "config error: no figure given" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norms", "--family", "MainExample", "--kind", "grad_lp", "--p", "1,2",
+     "--t-grid", "1e-2:1e-4:3"],
+    ["norms", "--family", "SelfSimilar", "--kind", "linf", "--t-grid", "1e-2:1e-4:3"],
+    ["norms", "--family", "NonStationaryErf", "--kind", "distance", "--p", "2,3",
+     "--t-grid", "1e-2:1e-4:3"],
+    ["decay", "--family", "SelfSimilar", "--mu", "0.005", "--p", "1,2",
+     "--t-grid", "1e-2:1e-6:5"],
+    ["residual", "--family", "NonStationaryErf", "--grid", "1e-3:0.3:32",
+     "--t-grid", "1e-3:0.2:2"],
+    ["solve", "--family", "MainExample", "--nr", "64"],
+    ["verify-all"],
+])
+def test_table_csv_equals_csv_writer(argv, tmp_path, monkeypatch, capsys):
+    # tables are comma-joined cells; csv.writer over the same cells, which
+    # would quote a field that needs it, must give the same bytes
+    seen = {}
+    real_emit, real_cells = cli._emit, cli._cells
+
+    def emit(args, meta, header, lines, json_obj):
+        seen["header"] = header
+        return real_emit(args, meta, header, lines, json_obj)
+
+    def cells(rows):
+        seen["rows"] = rows
+        return real_cells(rows)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    monkeypatch.setattr(cli, "_cells", cells)
+    out = tmp_path / "table.csv"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(seen["header"])
+    writer.writerows([[cli._fmt(x) for x in row] for row in seen["rows"]])
+    meta, body = out.read_text().split("\n", 1)
+    assert meta.startswith(f"# cole-lab {cole_lab.__version__} | {argv[0]} |")
     assert body == buf.getvalue()
 
 

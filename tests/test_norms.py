@@ -11,12 +11,13 @@ import pytest
 from pytest import approx
 
 from cole_lab import quadrature
-from cole_lab.norms import (BracketingError, DegenerateFitError,
+from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             DivergenceError, NormReport, NormSpec,
                             UnderflowError, decay_fit, default_t_grid,
-                            grad_lp_norm, hess_bound_lp, hessian_frobenius_lp,
-                            hessian_frobenius_sq, linf_norm, lp_distance,
-                            lp_norm, norm_sweep, sphere_measure)
+                            grad_bound_integrals, grad_lp_norm, hess_bound_lp,
+                            hessian_frobenius_lp, hessian_frobenius_sq,
+                            linf_norm, lp_distance, lp_norm, norm_sweep,
+                            sphere_measure)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
 from cole_lab.solutions import (Params, SolutionFamily, cartesian_components,
                                 main_example, nonstationary_erf, self_similar,
@@ -84,7 +85,8 @@ def test_lp_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec("lp", p=0.5)
     with pytest.raises(ValueError):
-        NormSpec("lp_distance", p=2.0)     # no reference supplied
+        NormSpec("lp_distance", p=2.0)     # the kind is called "distance"
+    assert NormSpec("distance", p=2.0).p == 2.0   # needs no reference
     with pytest.raises(ValueError):
         lp_norm(MAIN, NormSpec("linf"), 1e-3)
 
@@ -129,12 +131,6 @@ def test_divergent_cases_raise():
 # L^p distances
 # ---------------------------------------------------------------------------
 
-def test_distance_of_family_with_itself_is_zero():
-    assert lp_distance(MAIN, MAIN, 2.0, 1e-3) == 0.0
-    clone = main_example(Params(3, 0.1, a=1.0))
-    assert lp_distance(clone, MAIN, 2.0, 1e-3) == 0.0
-
-
 def test_erf_distance_dual_route():
     # closed-form route |u_nst - u_st| = sqrt(mu/t) w(z) vs raw pointwise
     # subtraction fed to the generic quadrature
@@ -147,38 +143,22 @@ def test_erf_distance_dual_route():
             Integrand(f, small_r_exponent=-p + n - 1.0,
                       decay=("gaussian", root / math.sqrt(p)), splits=(root,)),
             rel_tol=1e-11)
-        assert raw.converged
+        assert raw.abs_error_estimate <= 1e-11 * abs(raw.value)
         want = (sphere_measure(n) * raw.value) ** (1.0 / p)
-        assert lp_distance(NST, ST0, p, t) == approx(want, rel=1e-9)
+        assert lp_distance(NST, p, t) == approx(want, rel=1e-9)
 
 
-def test_erf_distance_symmetric_and_divergent_at_p3():
-    t = 1e-3
-    assert lp_distance(ST0, NST, 2.0, t) == lp_distance(NST, ST0, 2.0, t)
+def test_erf_distance_divergent_at_p3():
     with pytest.raises(DivergenceError):
-        lp_distance(NST, ST0, 3.0, t)
+        lp_distance(NST, 3.0, 1e-3)
 
 
 def test_erf_distance_exact_slope():
     # sqrt(mu/t) w(r/sqrt(4mu t)) scales exactly: slope (3-p)/(2p)
-    spec = NormSpec("lp_distance", p=1.0, reference=ST0)
+    spec = NormSpec("distance", p=1.0)
     fit = decay_fit(norm_sweep(NST, spec, np.geomspace(1e-2, 1e-6, 9)))
     assert fit.slope == approx(1.0, abs=1e-9)
     assert fit.max_log_residual < 1e-9
-
-
-def test_generic_distance_route():
-    # dissimilar singular families take the generic subtraction path
-    t, p, n = 0.37, 2.0, 3
-    d = lp_distance(SS, ST1, p, t)
-    assert math.isfinite(d) and d > 0.0
-    assert lp_distance(ST1, SS, p, t) == d
-
-
-def test_distance_dimension_mismatch():
-    ss4 = self_similar(Params(4, 0.005, a=1.0))
-    with pytest.raises(ValueError):
-        lp_distance(ss4, ST1, 2.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +169,17 @@ def test_grad_bound_dominates_exact_norm():
     # pointwise |Du|_F <= bound integrands gives norm <= 2 (omega B)^(1/p)
     for p in (1.0, 2.0):
         for t in (1e-3, 1e-5, 1e-7):
-            res = grad_lp_norm(MAIN, p, t)
-            assert res.bound_1 > 0.0 and res.bound_2 > 0.0
-            cap = 2.0 * (sphere_measure(3) * res.bound_sum) ** (1.0 / p)
-            assert res.value < cap
+            bound, err = grad_bound_integrals(MAIN, p, t)
+            assert 0.0 < err <= 1e-8 * bound
+            cap = 2.0 * (sphere_measure(3) * bound) ** (1.0 / p)
+            assert grad_lp_norm(MAIN, p, t) < cap
 
 
 def test_grad_bounds_only_for_main_example():
-    res = grad_lp_norm(NST, 4.0, 1e-3)
-    assert math.isfinite(res.value) and res.bound_1 is None
-    assert res.bound_sum is None
+    assert math.isfinite(grad_lp_norm(NST, 4.0, 1e-3))
+    for fam in (NST, SS, MAIN0):
+        with pytest.raises(DomainError):
+            grad_bound_integrals(fam, 2.0, 1e-3)
 
 
 def test_grad_divergent_for_strong_singularity():
@@ -208,10 +189,16 @@ def test_grad_divergent_for_strong_singularity():
 
 
 def test_hess_bound_terms_positive_and_restricted():
-    res = hess_bound_lp(MAIN, 1.5, 1e-4)
-    assert res.term_1 > 0.0 and res.term_2 > 0.0 and res.term_3 > 0.0
-    assert res.total == approx(res.term_1 + res.term_2 + res.term_3, rel=1e-15)
-    with pytest.raises(ValueError):
+    t, p = 1e-4, 1.5
+    b = (4.0 * math.pi * 0.1) ** 1.5
+    terms = [t ** (-k * p) * layer_power_integral(c, b, p, 3, 0.1, t,
+                                                  rel_tol=1e-10).value
+             for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0))]
+    assert all(term > 0.0 for term in terms)
+    value, err = hess_bound_lp(MAIN, p, t)
+    assert value == terms[0] + terms[1] + terms[2]
+    assert 0.0 < err <= 1e-8 * value
+    with pytest.raises(DomainError):
         hess_bound_lp(SS, 1.5, 1e-4)
     with pytest.raises(DivergenceError):
         hess_bound_lp(MAIN, 3.0, 1e-4)   # first exponent n-p-1 hits -1
@@ -235,6 +222,48 @@ def test_frobenius_formulas_match_cartesian_tensors():
 def test_hessian_exact_norm_finite_for_main():
     v = hessian_frobenius_lp(MAIN, 2.0, 1e-4)
     assert math.isfinite(v) and v > 0.0
+
+
+def _mp_main_seminorms(n, p, t, mu=0.1, a=1.0):
+    """R^n L^p norms of |Du|_F and |D^2u|_F for the main example by 30-digit
+    mpmath quadrature, from g = u/r = 1/(t (1 + a (4 pi mu t)^(n/2)
+    e^(r^2/4mu t))) and its derivatives by mp.diffs: |Du|_F^2 = (g + r g')^2
+    + (n-1) g^2, and with P r = g', W r^3 = r g'' - g',
+    |D^2u|_F^2 = (W r^3)^2 + 6 (W r^3)(P r) + 3(n+2)(P r)^2.  One quadrature
+    takes |Du|_F^p as the real and |D^2u|_F^p as the imaginary part, so the
+    derivatives are taken once per node."""
+    mp = mpmath.mp
+    with mp.workdps(30):
+        t, mu, p = mp.mpf(t), mp.mpf(mu), mp.mpf(p)
+        four_mu_t = 4 * mu * t
+        big_a = a * (mp.pi * four_mu_t) ** (mp.mpf(n) / 2)
+
+        def g(r):
+            return 1 / (t * (1 + big_a * mp.exp(r * r / four_mu_t)))
+
+        def both(r):
+            g0, g1, g2 = mp.diffs(g, r, 2)
+            w = r * g2 - g1
+            du = ((g0 + r * g1) ** 2 + (n - 1) * g0 ** 2) ** (p / 2)
+            d2u = (w * w + 6 * w * g1 + 3 * (n + 2) * g1 * g1) ** (p / 2)
+            return mp.mpc(du, d2u) * r ** (n - 1)
+
+        # breakpoints around the interior layer at r0, of width 2 mu t / r0
+        r0 = mp.sqrt(-four_mu_t * mp.log(big_a))
+        dr = 2 * mu * t / r0
+        pts = [0] + [r0 + k * dr for k in (-20, -5, 0, 5, 20, 60)] + [mp.inf]
+        omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        z = mp.quad(both, pts)
+        return tuple(float((omega * v) ** (1 / p)) for v in (z.real, z.imag))
+
+
+@pytest.mark.parametrize("n,p,t", [(5, 2.0, 1e-2), (5, 2.0, 1e-6),
+                                   (7, 2.0, 1e-2), (7, 2.0, 1e-6)])
+def test_exact_seminorms_match_mpmath(n, p, t):
+    fam = main_example(Params(n, 0.1, a=1.0))
+    grad, hess = _mp_main_seminorms(n, p, t)
+    assert grad_lp_norm(fam, p, t) == approx(grad, rel=1e-10)
+    assert hessian_frobenius_lp(fam, p, t) == approx(hess, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +352,41 @@ def test_linf_bracketing_failure():
 # sweeps and decay fits
 # ---------------------------------------------------------------------------
 
+# kind -> (family, the public function's value at (p, t))
+_PUBLIC = {
+    "lp": (MAIN, lambda s, p, t: lp_norm(s, NormSpec("lp", p=p), t)),
+    "grad_lp": (MAIN, grad_lp_norm),
+    "hess_bound_lp": (MAIN, lambda s, p, t: hess_bound_lp(s, p, t)[0]),
+    "linf": (MAIN, lambda s, p, t: linf_norm(s, t)[0]),
+    "distance": (NST, lp_distance),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_table_matches_public_functions(kind):
+    fam, public = _PUBLIC[kind]
+    ts = (1e-2, 1e-5)
+    for p in (1.0, 2.0):
+        rep = norm_sweep(fam, NormSpec(kind, p=p), ts)
+        assert rep.flags == ("ok", "ok")
+        assert rep.values == tuple(public(fam, p, t) for t in ts)
+
+
+def test_undefined_kinds_raise_domain_error():
+    # a distance off the erf family and a bound off the main example with
+    # a > 0 are not defined; the family check comes before power counting
+    for fam in (MAIN, SS, ST0):
+        with pytest.raises(DomainError, match="NonStationaryErf family"):
+            lp_distance(fam, 2.0, 1e-3)
+        with pytest.raises(DomainError):
+            norm_sweep(fam, NormSpec("distance", p=2.0), (1e-3,))
+    for fam in (SS, ST1, NST, MAIN0):
+        with pytest.raises(DomainError, match="main example, a > 0"):
+            hess_bound_lp(fam, 3.0, 1e-3)     # p = n also fails power counting
+        with pytest.raises(DomainError):
+            norm_sweep(fam, NormSpec("hess_bound_lp", p=1.0), (1e-3,))
+
+
 def test_norm_sweep_ok_flags_and_errors():
     spec = NormSpec("lp", p=2.0)
     rep = norm_sweep(MAIN, spec, np.geomspace(1e-2, 1e-6, 5))
@@ -346,9 +410,9 @@ def test_norm_sweep_grad_and_hess_error_columns():
             c, b, p, 3, 0.1, t, rel_tol=1e-10).abs_error_estimate
             for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0)))
         assert e == approx(want, rel=1e-12)
-        assert v == hess_bound_lp(MAIN, p, t).total
+        assert v == hess_bound_lp(MAIN, p, t)[0]
     for t, v in zip(ts, grad.values):
-        assert v == grad_lp_norm(MAIN, p, t).value
+        assert v == grad_lp_norm(MAIN, p, t)
 
 
 def test_norm_sweep_flags_underflow():
@@ -363,10 +427,6 @@ def test_norm_sweep_flags_underflow():
     assert rep.flags == ("underflow", "underflow")
     with pytest.raises(UnderflowError):
         lp_norm(tiny_mu, NormSpec("lp", p=1.0), 1e-2)
-    # the exact zero of an identical-family distance is a value, not a loss
-    same = norm_sweep(MAIN, NormSpec("lp_distance", p=2.0, reference=MAIN),
-                      (1e-3,))
-    assert same.flags == ("ok",) and same.values == (0.0,)
 
 
 def test_l2_sweep_work_count(monkeypatch):
