@@ -73,21 +73,16 @@ def _build_family(args) -> SolutionFamily:
     kind = args.family
     if kind is None:
         raise ConfigError(f"no family given, choose one of {_FAMILIES}")
-    try:
-        if kind == "NonStationaryErf":
-            if args.n != 3:
-                raise ConfigError("NonStationaryErf is defined for n=3 only")
-            return nonstationary_erf(args.mu)
-        params = Params(n=args.n, mu=args.mu, a=args.a, C=args.C)
-        if kind == "MainExample":
-            return main_example(params)
-        if kind == "SelfSimilar":
-            return self_similar(params)
-        return stationary(params)
-    except (ValueError, EvaluationError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    if kind == "NonStationaryErf":
+        if args.n != 3:
+            raise ConfigError("NonStationaryErf is defined for n=3 only")
+        return nonstationary_erf(args.mu)
+    params = Params(n=args.n, mu=args.mu, a=args.a, C=args.C)
+    if kind == "MainExample":
+        return main_example(params)
+    if kind == "SelfSimilar":
+        return self_similar(params)
+    return stationary(params)
 
 
 def _splice_config(argv: list, args) -> list:

@@ -319,7 +319,13 @@ def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
         if c <= -1.0:
             raise DivergenceError(f"{name}: term exponent {c:g} not integrable at 0")
     n, mu, a = s.params.n, s.params.mu, s.params.a
-    b = a * (4.0 * math.pi * mu) ** (0.5 * n)
+    try:
+        b = a * (4.0 * math.pi * mu) ** (0.5 * n)
+    except OverflowError:
+        b = math.inf
+    if not 0.0 < b < math.inf:
+        raise DomainError(f"{name}: b = a (4 pi mu)^(n/2) = {b!r} is not a "
+                          "positive double")
     value = error = 0.0
     for k, c in terms:
         val, err = _positive(

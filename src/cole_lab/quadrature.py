@@ -272,7 +272,7 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-30
         jobs = []
         for panel in worst:
             _, lo, hi, _, fn = panel
-            if hi - lo < 100.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+            if hi - lo < 100.0 * _EPS * max(abs(lo), abs(hi)):
                 frozen.append(panel)
             elif n_panels < max_subdivisions:
                 mid = 0.5 * (lo + hi)

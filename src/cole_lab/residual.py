@@ -9,10 +9,6 @@ self-check on the derivative evaluators.  Residuals are reported relative
 to the largest single term magnitude at each point, since the terms
 themselves reach 1e6 and beyond as t -> 0 and absolute tolerances would be
 meaningless there.
-
-The Cartesian pass assembles the full vector system from
-cartesian_components and includes the origin for origin-regular families,
-where the correct limits are value 0, Jacobian g0(t) I, second partials 0.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ __all__ = [
     "residual_pointwise",
     "radial_residual",
     "divergence_form_residual",
-    "cartesian_residual",
     "origin_limit_check",
 ]
 
@@ -72,7 +67,7 @@ class Grid1D:
 @dataclass(frozen=True)
 class ResidualReport:
     family: str
-    form: str                  # "radial" | "divergence" | "cartesian"
+    form: str                  # "radial" | "divergence"
     derivative_source: str     # "analytic" | "finite-difference"
     max_abs_scaled: float
     l2_scaled: float
@@ -126,7 +121,7 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
     count = 0
     for t in g.t_values:
         r = g.radii()
-        r = r[r > 0.0]  # the origin is covered by the Cartesian pass
+        r = r[r > 0.0]  # both forms divide by r
         if derivative_source == "finite-difference":
             # step from the grid itself; shrink the stencil footprint away
             # from the left domain edge
@@ -166,43 +161,6 @@ def divergence_form_residual(s: SolutionFamily, g: Grid1D,
     same PDE, evaluated with a different grouping so agreement with
     radial_residual is a rounding-level consistency check."""
     return _run_grid(s, g, "divergence", derivative_source)
-
-
-def cartesian_residual(s: SolutionFamily, t: float,
-                       points: Sequence) -> ResidualReport:
-    """Residual of u_t + (Du)u - mu Lap(u) = 0 at the given R^n points.
-
-    Uses the Cartesian assembly (value, Jacobian, second partials); the
-    origin is admitted for origin-regular families, where every term
-    vanishes by the closed-form limits.
-    """
-    from .solutions import cartesian_components
-
-    n, mu = s.params.n, s.params.mu
-    worst = -1.0
-    worst_r = math.nan
-    sq = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        value, jac, second = cartesian_components(s, t, x)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            ut_vec = np.zeros(n)
-        else:
-            ut_vec = float(s.u_t(t, r)) / r * x
-        advect = jac @ value
-        lap = np.einsum("ijj->i", second)
-        res = ut_vec + advect - mu * lap
-        scale = max(float(np.max(np.abs(ut_vec))), float(np.max(np.abs(advect))),
-                    mu * float(np.max(np.abs(lap))), 1e-300)
-        val = float(np.max(np.abs(res))) / scale
-        sq += val * val
-        if val > worst:
-            worst, worst_r = val, r
-    return ResidualReport(
-        family=s.label(), form="cartesian", derivative_source="analytic",
-        max_abs_scaled=worst, l2_scaled=math.sqrt(sq / max(len(points), 1)),
-        worst_t=float(t), worst_r=worst_r, n_points=len(points))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ regrouped so that no intermediate overflows or cancels:
   as e^(logaddexp(0, L)) and works with the pair (iD, sigma) =
   (1/(1+e^L), e^L/(1+e^L)), each in [0,1].
 * self_similar works with the profile ratio F'/F, never with F' itself.
-* stationary and cole_hopf derive g, g_r, P and W from their own u, u_r
-  and u_rr formulas over one shared core.
+* self_similar, stationary and cole_hopf derive g, g_r, P and W from their
+  own u, u_r and u_rr formulas over one shared core.
 * nonstationary_erf describes each quantity by one row of a table
   (amplitude, k, weight, combination) and below z = 0.35, where the
   subtraction 1/r - (gaussian)/(erf) loses digits, sums the row's Taylor
@@ -72,7 +72,8 @@ class SingularityError(EvaluationError):
 
 @dataclass(frozen=True)
 class Params:
-    """Family constants: dimension n >= 2, viscosity mu > 0, constants a, C.
+    """Family constants: dimension n >= 2, viscosity mu > 0 and constants
+    a, C, all finite.
 
     a enters the main example and the self-similar family (a > 0 for
     boundedness away from r = 0; a = 0 admitted as the degenerate u = r/t
@@ -89,6 +90,8 @@ class Params:
             raise DomainError("Params.n must be an integer >= 2")
         if not self.mu > 0.0:
             raise DomainError("Params.mu must be positive")
+        if not all(map(math.isfinite, (self.mu, self.a, self.C))):
+            raise DomainError("Params.mu, a and C must be finite")
 
 
 @dataclass(frozen=True)
@@ -325,31 +328,15 @@ def self_similar(p: Params) -> SolutionFamily:
     def amp(t):
         return _sqrt(4.0 * mu / t)
 
-    def W(t, r, xi, F, ratio1, ratio2):
-        tx = 2.0 * xi / r
-        ur_over = ratio1 * tx            # u_r / u
-        urr_over = tx / r * (2.0 * xi * ratio2 + ratio1)   # u_rr / u
-        # W = (u_rr - g_r)/r^3 - 2 P / r^2 with everything factored over u
-        g_over = 1.0 / r
-        gr_over = (ur_over - g_over) / r
-        p_over = gr_over / r
-        w_over = (urr_over - gr_over) / (r ** 3) - 2.0 * p_over / (r * r)
-        return amp(t) * F * w_over
-
     return _family(
-        "SelfSimilar", p, core,
-        {"u": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F,
-         "u_r": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F * ratio1 * 2.0 * xi / r,
-         "u_rr": lambda t, r, xi, F, ratio1, ratio2:
-             amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1),
-         "u_t": lambda t, r, xi, F, ratio1, ratio2:
-             -amp(t) / t * F * (0.5 + xi * ratio1),
-         "g": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F / r,
-         "g_r": lambda t, r, xi, F, ratio1, ratio2:
-             amp(t) * F / r * (ratio1 * 2.0 * xi / r - 1.0 / r),
-         "P": lambda t, r, xi, F, ratio1, ratio2:
-             amp(t) * F / (r * r) * (ratio1 * 2.0 * xi / r - 1.0 / r),
-         "W": W},
+        "SelfSimilar", p, core, _with_shape(
+            {"u": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F,
+             "u_r": lambda t, r, xi, F, ratio1, ratio2:
+                 amp(t) * F * ratio1 * 2.0 * xi / r,
+             "u_rr": lambda t, r, xi, F, ratio1, ratio2:
+                 amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1),
+             "u_t": lambda t, r, xi, F, ratio1, ratio2:
+                 -amp(t) / t * F * (0.5 + xi * ratio1)}),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None)
@@ -498,15 +485,14 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
     power of r divides, so r = 0 and subnormal r are ordinary points.  In
     the direct branch w underflows past z ~ 27 and u becomes 2mu/r.
     """
-    if not mu > 0.0:
-        raise DomainError("nonstationary_erf requires mu > 0")
+    params = Params(n=3, mu=mu, a=0.0, C=0.0)
 
     def core(t, r):
         z = r / _sqrt(4.0 * mu * t)
         return z, z < _V_SWITCH
 
     return _family(
-        "NonStationaryErf", Params(n=3, mu=mu, a=0.0, C=0.0), core,
+        "NonStationaryErf", params, core,
         {q: _erf_formula(mu, *row) for q, row in _ERF_TABLE.items()},
         positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("power", -1.0), g0=lambda t: 1.0 / (3.0 * _check_t(t)))

@@ -389,6 +389,23 @@ def test_undefined_norm_for_family_exits_2(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norms", "--family", "MainExample", "--mu", "inf"],
+    ["norms", "--family", "MainExample", "--a", "inf"],
+    ["norms", "--family", "Stationary", "--C", "nan"],
+    ["residual", "--family", "Stationary", "--mu", "inf"],
+    ["solve", "--family", "MainExample", "--mu", "inf"],
+    ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--a", "nan"],
+    ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--mu", "1e-308"],
+    ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--mu", "1e300"],
+])
+def test_nonfinite_constants_exit_2(argv, capsys):
+    # these printed NaN rows with exit 0 or ended in tracebacks
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["figure", "--which", "4"])

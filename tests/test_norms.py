@@ -63,6 +63,21 @@ def test_lp_norm_matches_layer_integral(n, p, mu, a, t):
     assert got == approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e-26, 1e-30, 1e-60, 1e-100, 1e-200])
+def test_lp_norm_matches_polylog_at_deep_t(t):
+    """Main example (n=3, mu=0.1, a=1) L^1 norm against its closed form
+    omega (4 mu t)^2/(2t) F_1(eta), F_1(eta) = -Li_2(-e^eta) and
+    eta = -log(a (4 pi mu t)^(3/2)), in 30-digit mpmath.  Every panel here
+    is far narrower than 1, so the quadrature's freeze test must be
+    relative for these to converge."""
+    mp = mpmath.mp
+    with mp.workdps(30):
+        four_mu_t = 4 * mp.mpf("0.1") * mp.mpf(t)
+        eta = -mp.log((mp.pi * four_mu_t) ** mp.mpf(1.5))
+        want = 4 * mp.pi * four_mu_t ** 2 / (2 * mp.mpf(t)) * -mp.polylog(2, -mp.exp(eta))
+    assert lp_norm(MAIN, NormSpec("lp", p=1.0), t) == approx(float(want), rel=1e-12)
+
+
 def test_self_similar_norms_scale_exactly():
     # ||u(t)||_p / ||u(t0)||_p = (t/t0)^((n-p)/(2p)) with no log correction
     for n, p in ((3, 1.0), (3, 2.0), (4, 2.0)):

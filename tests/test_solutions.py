@@ -4,6 +4,7 @@ differences, Cole-Hopf round trips, and the Cartesian assembly."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,32 @@ def test_main_example_frozen_values(t, r, want):
 @pytest.mark.parametrize("t,r,want", SS_TABLE)
 def test_self_similar_frozen_values(t, r, want):
     assert SS.u(t, r) == approx(want, rel=5e-13)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_self_similar_shape_functions_match_mpmath(n):
+    """g, g_r, P and W against 40-digit mpmath on r/sqrt(4 mu t) in
+    [1e-3, 6]: g = u/r from the closed form with G_n(xi) = Gamma(1 - n/2, xi),
+    its r-derivatives by mp.diffs, P = g'/r and W = P'/r = (g'' - g'/r)/r^2."""
+    mu, t = 0.005, 1e-5
+    fam = self_similar(Params(n, mu, a=1.0))
+    mp = mpmath.mp
+    with mp.workdps(40):
+        four_mu_t = 4 * mp.mpf(mu) * mp.mpf(t)
+
+        def g(r):
+            xi = r * r / four_mu_t
+            F = (xi ** (mp.mpf(1 - n) / 2) * mp.exp(-xi)
+                 / (1 + mp.gammainc(1 - mp.mpf(n) / 2, xi)))
+            return 2 * mp.sqrt(mp.mpf(mu) / mp.mpf(t)) * F / r
+
+        for x in (1e-3, 1e-2, 0.2, 1.0, 2.5, 6.0):
+            r = x * math.sqrt(4.0 * mu * t)
+            g0, g1, g2 = mp.diffs(g, mp.mpf(r), 2)
+            want = (g0, g1, g1 / r, (g2 - g1 / r) / r ** 2)
+            got = (fam.g(t, r), fam.g_r(t, r), fam.P(t, r), fam.W(t, r))
+            for q, v, w in zip(("g", "g_r", "P", "W"), got, want):
+                assert v == approx(float(w), rel=1e-13), (q, x)
 
 
 @pytest.mark.parametrize("z,want", NST_TABLE)
