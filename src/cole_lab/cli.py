@@ -437,7 +437,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"cole-lab: config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, P.StabilityError) as exc:
+    except (NonConvergenceError, P.StabilityError, N.UnderflowError) as exc:
         print(f"cole-lab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except N.DivergenceError as exc:

@@ -7,6 +7,11 @@ bound core the main example's bound integrals.  A kind that is not defined
 for a family (a distance off the erf family, a bound off the main example)
 raises DomainError.
 
+A family that declares self_similar has ||D^k u(t)||_p = K t^((n-p)/(2p)
+- k/2) exactly, so its lp and grad_lp sweeps compute one integral per
+(p, k), at t_ref = 1/(4 mu) where sqrt(4 mu t) = 1, and scale it to every
+grid point; lp_norm and grad_lp_norm still integrate at their own t.
+
 All L^p values are full R^n norms: (omega_{n-1} int_0^oo |u|^p r^(n-1)
 dr)^(1/p) with omega_{n-1} = 2 pi^(n/2) / Gamma(n/2).  Values are the
 norms themselves, not their p-th powers, so a law norm^p ~ t^((n-p)/2)
@@ -59,6 +64,8 @@ __all__ = [
 
 _REL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
+# below the relative tolerance of every integral that is a normal double
+_ABS_TOL = _REL_TOL * _TINY
 
 
 class DivergenceError(ValueError):
@@ -74,8 +81,9 @@ class BracketingError(RuntimeError):
 
 
 class UnderflowError(ArithmeticError):
-    """The integral of a positive integrand came back below the smallest
-    normal double, so the norm built from it has lost its precision."""
+    """A quantity came back below the smallest normal double (the integral
+    of a positive integrand, every term of a residual grid), so what is
+    built from it has lost its precision."""
 
 
 # Gamma(n/2) overflows a double past n = 343
@@ -181,17 +189,20 @@ def _positive(res: quad.QuadResult, name: str):
     return res.value, res.abs_error_estimate
 
 
-def _norm(omega: float, p: float, f, alpha: float, decay: tuple, splits: tuple,
-          name: str):
-    """(omega val)^(1/p) for val = int_0^oo f dr, f = |.|^p r^(n-1) with
-    omega = sphere_measure(n), and the integral's error propagated to first
-    order.  The cores take omega before they integrate, so an n past 343
-    raises DomainError before any quadrature runs."""
+def _integral(f, alpha: float, decay: tuple, splits: tuple, name: str):
+    """(val, error) of val = int_0^oo f dr, a positive integrand.  The
+    cores take omega = sphere_measure(n) before they integrate, so an n past
+    343 raises DomainError before any quadrature runs."""
     res = quad.integrate_semi_infinite(
         Integrand(f, small_r_exponent=alpha, decay=decay, splits=splits,
                   name=name),
-        rel_tol=_REL_TOL)
-    val, err = _positive(res, name)
+        rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+    return _positive(res, name)
+
+
+def _norm(omega: float, p: float, val: float, err: float):
+    """(omega val)^(1/p) for val = int_0^oo |.|^p r^(n-1) dr, with the
+    integral's error propagated to first order."""
     norm = (omega * val) ** (1.0 / p)
     return norm, norm * (err / val) / p
 
@@ -215,29 +226,61 @@ def _abs_d2u_p(s: SolutionFamily, t: float, r, p: float):
     return hessian_frobenius_sq(s, t, r) ** (0.5 * p)
 
 
-# k -> (|D^k u|_F^p pointwise, its exponent at r -> 0 given u's, name); a
-# regular origin (u ~ r) gives |Du|_F ~ 1 and |D^2 u|_F ~ r
+def _abs_u(s: SolutionFamily, t: float, r):
+    return np.abs(np.asarray(s.u(t, r)))
+
+
+def _abs_du(s: SolutionFamily, t: float, r):
+    return np.hypot(np.asarray(s.u_r(t, r)),
+                    math.sqrt(s.params.n - 1.0) * np.asarray(s.g(t, r)))
+
+
+def _abs_d2u(s: SolutionFamily, t: float, r):
+    return np.sqrt(hessian_frobenius_sq(s, t, r))
+
+
+# k -> (|D^k u|_F^p pointwise, |D^k u|_F pointwise, its exponent at r -> 0
+# given u's, name); a regular origin (u ~ r) gives |Du|_F ~ 1 and
+# |D^2 u|_F ~ r
 _DERIVATIVES = (
-    (_abs_u_p, lambda e: e, ""),
-    (_abs_du_p, lambda e: e - 1.0 if e < 1.0 else 0.0, "grad "),
-    (_abs_d2u_p, lambda e: e - 2.0 if e < 1.0 else 1.0, "hess "),
+    (_abs_u_p, _abs_u, lambda e: e, ""),
+    (_abs_du_p, _abs_du, lambda e: e - 1.0 if e < 1.0 else 0.0, "grad "),
+    (_abs_d2u_p, _abs_d2u, lambda e: e - 2.0 if e < 1.0 else 1.0, "hess "),
 )
 
 
-def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
-    """(value, error) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2."""
-    pointwise, origin, name = _DERIVATIVES[k]
+def _derivative_integral(s: SolutionFamily, p: float, t: float, k: int):
+    """(omega, val, error): the sphere measure and the integral
+    int_0^oo |D^k u|_F^p r^(n-1) dr, k = 0, 1, 2, with its error.
+
+    Near a singular origin |D^k u|_F^p overflows and r^(n-1) underflows at
+    radii where the integrand is a normal double (at t = 1e-300 the
+    quadrature reaches r ~ 1e-156), so a family with small_r_exponent < 0
+    integrates exp(p log |D^k u|_F + (n-1) log r), with |Du|_F from
+    np.hypot; the exponential costs |log f| ulps, 1e-13 at worst."""
+    pointwise, modulus, origin, name = _DERIVATIVES[k]
     n = s.params.n
     omega = sphere_measure(n)
     alpha = p * origin(s.small_r_exponent) + n - 1.0
     _check_origin(alpha, f"{s.kind} {name}L^{p:g}")
     decay = _integrand_tail(s, t, p, derivative_order=k)
 
-    def f(r):
-        return pointwise(s, t, r, p) * r ** (n - 1.0)
+    if s.small_r_exponent < 0.0:
+        def f(r):
+            with np.errstate(divide="ignore"):   # log 0 where u underflows
+                return np.exp(p * np.log(modulus(s, t, r)) + (n - 1.0) * np.log(r))
+    else:
+        def f(r):
+            return pointwise(s, t, r, p) * r ** (n - 1.0)
 
-    return _norm(omega, p, f, alpha, decay, _layer_splits(s, t),
-                 f"{s.kind}.{name.strip()}L{p:g}")
+    return (omega, *_integral(f, alpha, decay, _layer_splits(s, t),
+                              f"{s.kind}.{name.strip()}L{p:g}"))
+
+
+def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
+    """(value, error) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2."""
+    omega, val, err = _derivative_integral(s, p, t, k)
+    return _norm(omega, p, val, err)
 
 
 def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
@@ -292,8 +335,8 @@ def _distance_core(s: SolutionFamily, p: float, t: float):
 
     alpha = -p + n - 1.0  # w ~ 1/z at 0
     _check_origin(alpha, f"|u_nst - u_st| L^{p:g}")
-    return _norm(omega, p, f, alpha, ("gaussian", root / math.sqrt(p)), (root,),
-                 f"erf_distance.L{p:g}")
+    return _norm(omega, p, *_integral(f, alpha, ("gaussian", root / math.sqrt(p)),
+                                      (root,), f"erf_distance.L{p:g}"))
 
 
 def lp_distance(s: SolutionFamily, p: float, t: float) -> float:
@@ -414,16 +457,90 @@ def linf_norm(s: SolutionFamily, t: float):
 # sweeps and decay fits
 # ---------------------------------------------------------------------------
 
-# kind -> (s, p, t) -> (value, error).  hess_bound_lp and linf_norm are
-# called through their module names, which perfbench's tracer rebinds.
+def _lp_kind(k: int):
+    return (lambda s, p, t: _derivative_lp(s, p, t, k)), k
+
+
+# kind -> (core (s, p, t) -> (value, error), the k of an L^p norm of
+# |D^k u|_F, else None).  hess_bound_lp and linf_norm are called through
+# their module names, which perfbench's tracer rebinds.
 _CORES = {
-    "lp": lambda s, p, t: _derivative_lp(s, p, t, 0),
-    "grad_lp": lambda s, p, t: _derivative_lp(s, p, t, 1),
-    "hess_bound_lp": lambda s, p, t: hess_bound_lp(s, p, t),
-    "linf": lambda s, p, t: (linf_norm(s, t)[0], 0.0),
-    "distance": _distance_core,
+    "lp": _lp_kind(0),
+    "grad_lp": _lp_kind(1),
+    "hess_bound_lp": (lambda s, p, t: hess_bound_lp(s, p, t), None),
+    "linf": (lambda s, p, t: (linf_norm(s, t)[0], 0.0), None),
+    "distance": (_distance_core, None),
 }
 KINDS = tuple(_CORES)
+
+def _flagged(flag: str) -> tuple:
+    return math.nan, 0.0, flag
+
+
+def _point(core, s: SolutionFamily, p: float, t: float) -> tuple:
+    """(value, error, flag) of one grid point, with the errors that stand
+    for a property of the point turned into its flag."""
+    try:
+        v, e = core(s, p, t)
+    except DivergenceError:
+        return _flagged("divergent")
+    except (NonConvergenceError, BracketingError):
+        return _flagged("non-converged")
+    except UnderflowError:
+        return _flagged("underflow")
+    return float(v), float(e), "unbounded" if math.isinf(v) else "ok"
+
+
+def _power(x: float, y: float) -> float:
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
+    """The points of an L^p sweep of |D^k u|_F over a self-similar family
+    from one integral at t_ref = 1/(4 mu), where sqrt(4 mu t_ref) = 1.
+
+    u(t, r) = lam u(lam^2 t, lam r) makes the norm exactly
+    K t^((n-p)/(2p) - k/2), so each point takes the reference value and
+    error times (t/t_ref)^((n-p)/(2p) - k/2); a point whose integral, so
+    scaled, falls below the smallest normal double is flagged underflow.
+    A divergence or non-convergence at the reference flags every point.
+    None when no reference stands for the grid (t_ref not a positive
+    double, or an integral there that underflows or overflows): the caller
+    then integrates at each t."""
+    t_ref = 1.0 / (4.0 * s.params.mu)
+    if not 0.0 < t_ref < math.inf:
+        return None
+    try:
+        omega, val, err = _derivative_integral(s, p, t_ref, k)
+    except DivergenceError:
+        return [_flagged("divergent")] * len(ts)
+    except UnderflowError:
+        return None
+    except NonConvergenceError:
+        val = None
+    # the per-t cores reject such a t once divergence is ruled out
+    for t in ts:
+        if not (t > 0.0 and math.isfinite(t)):
+            raise DomainError(f"t must be positive and finite, got {t}")
+    if val is None:
+        return [_flagged("non-converged")] * len(ts)
+    v_ref, e_ref = _norm(omega, p, val, err)
+    if not math.isfinite(v_ref):
+        return None
+    e = 0.5 * (s.params.n - p) / p - 0.5 * k
+    points = []
+    for t in ts:
+        ratio = t / t_ref
+        if not val * _power(ratio, p * e) >= _TINY:
+            points.append(_flagged("underflow"))
+            continue
+        scale = _power(ratio, e)
+        v = v_ref * scale
+        points.append((v, e_ref * scale, "unbounded" if math.isinf(v) else "ok"))
+    return points
 
 
 def norm_sweep(s: SolutionFamily, spec: NormSpec,
@@ -431,27 +548,22 @@ def norm_sweep(s: SolutionFamily, spec: NormSpec,
     """Evaluate one norm functional over a t-grid, converting divergences,
     unbounded sups, quadrature failures and integrals that underflow into
     per-point flags.  A kind that is not defined for the family raises
-    DomainError."""
-    ts = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
-    core = _CORES[spec.kind]
-    values, errors, flags = [], [], []
-    for t in ts:
-        try:
-            v, e = core(s, spec.p, float(t))
-            flag = "unbounded" if math.isinf(v) else "ok"
-        except DivergenceError:
-            v, e, flag = math.nan, 0.0, "divergent"
-        except (NonConvergenceError, BracketingError):
-            v, e, flag = math.nan, 0.0, "non-converged"
-        except UnderflowError:
-            v, e, flag = math.nan, 0.0, "underflow"
-        values.append(float(v))
-        errors.append(float(e))
-        flags.append(flag)
-    return NormReport(family=s.label(), spec=spec,
-                      t_grid=tuple(float(t) for t in ts),
-                      values=tuple(values), quad_errors=tuple(errors),
-                      flags=tuple(flags))
+    DomainError.
+
+    An L^p sweep of u or Du over a family that declares self_similar
+    computes one integral per (p, k) and scales it to every t
+    (_scaled_points); every other sweep integrates at each t."""
+    ts = [float(t) for t in
+          (default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float))]
+    core, k = _CORES[spec.kind]
+    points = None
+    if s.self_similar and k is not None and ts:
+        points = _scaled_points(s, spec.p, k, ts)
+    if points is None:
+        points = [_point(core, s, spec.p, t) for t in ts]
+    values, errors, flags = zip(*points) if points else ((), (), ())
+    return NormReport(family=s.label(), spec=spec, t_grid=tuple(ts),
+                      values=values, quad_errors=errors, flags=flags)
 
 
 def decay_fit(report: NormReport) -> DecayFit:

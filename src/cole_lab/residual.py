@@ -8,7 +8,8 @@ different floating-point groupings and comparing to rounding is a cheap
 self-check on the derivative evaluators.  Residuals are reported relative
 to the largest single term magnitude at each point, since the terms
 themselves reach 1e6 and beyond as t -> 0 and absolute tolerances would be
-meaningless there.
+meaningless there.  A grid on which every term underflows to 0 raises
+norms.UnderflowError instead of reporting an exact solve.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .norms import UnderflowError
 from .solutions import SolutionFamily, fd_derivative
 
 __all__ = [
@@ -76,8 +78,8 @@ class ResidualReport:
     n_points: int
 
 
-def _scaled(s: SolutionFamily, t: float, r: np.ndarray, form: str,
-            u, ur, urr, ut):
+def _terms(s: SolutionFamily, r: np.ndarray, form: str, u, ur, urr, ut):
+    """(R, scale): the residual and the largest single term magnitude."""
     n, mu = s.params.n, s.params.mu
     if form == "radial":
         R = ut + u * ur - mu * (urr + (n - 1.0) * (ur / r - u / (r * r)))
@@ -89,8 +91,30 @@ def _scaled(s: SolutionFamily, t: float, r: np.ndarray, form: str,
         np.abs(ut), np.abs(u * ur), mu * np.abs(urr),
         mu * (n - 1.0) * np.abs(ur / r), mu * (n - 1.0) * np.abs(u) / (r * r),
     ])
+    return R, scale
+
+
+def _scaled(s: SolutionFamily, t: float, r: np.ndarray, form: str,
+            u, ur, urr, ut):
+    R, scale = _terms(s, r, form, u, ur, urr, ut)
     scale = np.maximum(scale, 1e-300)
     return R / scale
+
+
+def _derivatives(s: SolutionFamily, t: float, r: np.ndarray,
+                 derivative_source: str, h_r: Optional[float],
+                 h_t: Optional[float]) -> tuple:
+    """(u, u_r, u_rr, u_t) at radii r for one time slice."""
+    if derivative_source == "analytic":
+        return s.u(t, r), s.u_r(t, r), s.u_rr(t, r), s.u_t(t, r)
+    if derivative_source == "finite-difference":
+        if h_r is None or h_t is None:
+            raise ValueError("finite-difference residual needs h_r and h_t")
+        return (s.u(t, r),
+                fd_derivative(lambda x: s.u(t, x), r, h_r, 1),
+                fd_derivative(lambda x: s.u(t, x), r, h_r, 2),
+                fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1))
+    raise ValueError(f"unknown derivative source {derivative_source!r}")
 
 
 def residual_pointwise(s: SolutionFamily, t: float, r, form: str = "radial",
@@ -99,45 +123,57 @@ def residual_pointwise(s: SolutionFamily, t: float, r, form: str = "radial",
                        h_t: Optional[float] = None) -> np.ndarray:
     """Scaled residual at radii r (r > 0) for one time slice."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if derivative_source == "analytic":
-        u, ur, urr, ut = s.u(t, r), s.u_r(t, r), s.u_rr(t, r), s.u_t(t, r)
-    elif derivative_source == "finite-difference":
-        if h_r is None or h_t is None:
-            raise ValueError("finite-difference residual needs h_r and h_t")
-        u = s.u(t, r)
-        ur = fd_derivative(lambda x: s.u(t, x), r, h_r, 1)
-        urr = fd_derivative(lambda x: s.u(t, x), r, h_r, 2)
-        ut = fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1)
-    else:
-        raise ValueError(f"unknown derivative source {derivative_source!r}")
-    return _scaled(s, t, r, form, u, ur, urr, ut)
+    return _scaled(s, t, r, form,
+                   *_derivatives(s, t, r, derivative_source, h_r, h_t))
+
+
+def _underflows(s: SolutionFamily, g: Grid1D) -> bool:
+    """True when evaluating u, u_r, u_rr and u_t on the grid underflows,
+    i.e. their zeros stand for values too small for a double."""
+    r = g.radii()
+    r = r[r > 0.0]
+    with np.errstate(under="raise"):
+        try:
+            for t in g.t_values:
+                _derivatives(s, t, r, "analytic", None, None)
+        except FloatingPointError:
+            return True
+    return False
 
 
 def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
               derivative_source: str) -> ResidualReport:
+    """The report over the grid.  Where every term is 0 at every point and
+    those zeros come from underflow, the residual carries no digits and
+    UnderflowError is raised; an exact zero solution still reports 0."""
     worst = -1.0
     worst_t = worst_r = math.nan
     sq_sum = 0.0
     count = 0
+    digits = False
     for t in g.t_values:
         r = g.radii()
         r = r[r > 0.0]  # both forms divide by r
+        h_r = h_t = None
         if derivative_source == "finite-difference":
             # step from the grid itself; shrink the stencil footprint away
             # from the left domain edge
-            h = float(np.min(np.diff(g.radii())))
-            keep = r - 2.0 * h > 0.0
-            r = r[keep]
-            vals = residual_pointwise(s, t, r, form, derivative_source,
-                                      h_r=h, h_t=t * h / g.r_max)
-        else:
-            vals = residual_pointwise(s, t, r, form, derivative_source)
-        a = np.abs(vals)
+            h_r = float(np.min(np.diff(g.radii())))
+            r = r[r - 2.0 * h_r > 0.0]
+            h_t = t * h_r / g.r_max
+        R, scale = _terms(s, r, form,
+                          *_derivatives(s, t, r, derivative_source, h_r, h_t))
+        digits = digits or bool(np.any(scale > 0.0))
+        a = np.abs(R / np.maximum(scale, 1e-300))
         i = int(np.argmax(a))
         if a[i] > worst:
             worst, worst_t, worst_r = float(a[i]), float(t), float(r[i])
         sq_sum += float(np.sum(a * a))
         count += len(r)
+    if not digits and _underflows(s, g):
+        raise UnderflowError(
+            f"{s.label()}: u, u_r, u_rr and u_t underflow to 0 at every grid "
+            "point, so the residual carries no digits")
     return ResidualReport(
         family=s.label(), form=form, derivative_source=derivative_source,
         max_abs_scaled=worst, l2_scaled=math.sqrt(sq_sum / max(count, 1)),

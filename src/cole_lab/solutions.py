@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import DomainError, erf, upper_tail_integral
+from .specfun import DomainError, erf, scaled_tail, upper_tail_integral
 
 __all__ = [
     "Params",
@@ -105,6 +105,10 @@ class SolutionFamily:
     small_r_exponent: u ~ r^alpha as r -> 0+.
     tail: t -> ("gaussian", scale) or ("power", beta), the large-r decay
     certificate consumed by the norm quadratures.
+    self_similar: u(t, r) = lam u(lam^2 t, lam r) for every lam > 0, so
+    every L^p norm of D^k u is an exact power of t (norms.norm_sweep
+    integrates once and scales).  A fact of the closed form, declared by
+    the constructor that knows it; never inferred.
     """
 
     kind: str
@@ -121,6 +125,7 @@ class SolutionFamily:
     small_r_exponent: float
     tail: Callable
     g0: Optional[Callable] = None
+    self_similar: bool = False
 
     def label(self) -> str:
         p = self.params
@@ -152,6 +157,10 @@ def _libm(fn):
 
 _log, _exp, _pow, _sqrt = (_libm(f) for f in
                            (math.log, math.exp, math.pow, math.sqrt))
+
+
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)   # below it r * r is subnormal
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def _at(x, mask):
@@ -304,16 +313,37 @@ def self_similar(p: Params) -> SolutionFamily:
     the denominator is positive.  Derivatives are built from the
     logarithmic ratio F'/F = (1-n)/(2 xi) - 1 + w1, w1 = xi^(-n/2) e^(-xi)
     / (a + G_n(xi)), which stays modest where F itself spans hundreds of
-    orders of magnitude.
+    orders of magnitude.  F''/F is formed only for u_rr.
+
+    Where xi is so small that xi^(-n/2) or 1/xi^2 would overflow (below
+    max(e^(-1410/n), 2e-154)), or where r^2 is no longer a normal double,
+    the same quantities come from rho = sqrt(xi) = r/sqrt(4 mu t) and the
+    scaled tail Q_n = xi^(n/2-1) e^xi G_n (specfun.scaled_tail), so G_n
+    enters through log G_n = (1 - n/2) log xi - xi + log Q_n and never
+    overflows.  With phi = 1/(Q_n + a xi^(n/2-1) e^xi) and
+    c = phi - (n/2 - 1) - xi = rho beta phi,
+
+        u = 4 mu phi / r,   u_r = (u/r)(2c - 1),
+        u_rr = (u/r^2)((2c - 2)(2c - 1) + 4(phi c - xi)),
+        u_t = -(u/t) c = -4 mu phi^2 beta / t / sqrt(4 mu t),
+
+    where beta = rho Q_(n-2) - rho Q_n - a rho^(n-3) e^xi (n/2 - 1 + xi)
+    is summed without cancellation.  A value there that overflows a double
+    raises SingularityError.  The family declares self_similar: u(t, r) =
+    lam u(lam^2 t, lam r) for every lam > 0.
     """
     if p.n < 3:
         raise DomainError("self_similar requires n >= 3")
     if not p.a > 0.0:
         raise DomainError("self_similar requires a > 0")
     n, mu, a = p.n, p.mu, p.a
+    m = 0.5 * n - 1.0
+    xi_tiny = max(math.exp(-1410.0 / n), 2e-154)
 
-    def core(t, r):
-        xi = r * r / (4.0 * mu * t)
+    def amp(t):
+        return _sqrt(4.0 * mu / t)
+
+    def direct(t, r, xi):
         lxi = np.log(xi)
         psi = a + upper_tail_integral(n, xi)
         # w1 = -psi'/psi, kept via exp of logs to dodge overflow at tiny xi
@@ -321,25 +351,75 @@ def self_similar(p: Params) -> SolutionFamily:
         lf = 0.5 * (1.0 - n) * lxi - xi
         F = np.exp(lf) / psi
         ratio1 = 0.5 * (1.0 - n) / xi - 1.0 + w1          # F'/F
+        return xi, F, ratio1, w1
+
+    def near_origin(t, r, _):
+        # a rho that rounds to 0 gives the rho -> 0 limits at the smallest
+        # subnormal, where log rho (n even) is still finite
+        rho = np.maximum(r / _sqrt(4.0 * mu * t), _SMALLEST)
+        xi = rho * rho                 # r * r may be subnormal
+        q, sq = scaled_tail(n, rho)
+        e = a * rho ** (n - 3) * np.exp(xi)
+        phi = 1.0 / (q + rho * e)
+        return xi, rho, phi, sq - rho * q - e * (m + xi)
+
+    def u_rr(t, r, xi, F, ratio1, w1):
         dratio1 = 0.5 * (n - 1.0) / (xi * xi) - w1 * (0.5 * n / xi + 1.0) + w1 * w1
         ratio2 = ratio1 * ratio1 + dratio1                 # F''/F
-        return xi, F, ratio1, ratio2
+        return amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1)
 
-    def amp(t):
-        return _sqrt(4.0 * mu / t)
+    far = _with_shape(
+        {"u": lambda t, r, xi, F, ratio1, w1: amp(t) * F,
+         "u_r": lambda t, r, xi, F, ratio1, w1: amp(t) * F * ratio1 * 2.0 * xi / r,
+         "u_rr": u_rr,
+         "u_t": lambda t, r, xi, F, ratio1, w1:
+             -amp(t) / t * F * (0.5 + xi * ratio1)})
+    near = _with_shape(
+        {"u": lambda t, r, xi, rho, phi, beta: 4.0 * mu * phi / r,
+         "u_r": lambda t, r, xi, rho, phi, beta:
+             4.0 * mu * phi / r / r * (2.0 * rho * beta * phi - 1.0),
+         "u_rr": lambda t, r, xi, rho, phi, beta: 4.0 * mu * phi / r / r / r * (
+             (2.0 * rho * beta * phi - 2.0) * (2.0 * rho * beta * phi - 1.0)
+             + 4.0 * (rho * beta * phi * phi - xi)),
+         "u_t": lambda t, r, xi, rho, phi, beta:
+             -4.0 * mu * phi * phi * beta / t / _sqrt(4.0 * mu * t)})
+    # 0.5 + xi F'/F in the direct u_t cancels to O(xi) (O(sqrt xi) for
+    # n = 3), so u_t switches early, at xi = 1e-3
+    cuts = {q: xi_tiny for q in far}
+    cuts["u_t"] = max(xi_tiny, 1e-3)
 
     return _family(
-        "SelfSimilar", p, core, _with_shape(
-            {"u": lambda t, r, xi, F, ratio1, ratio2: amp(t) * F,
-             "u_r": lambda t, r, xi, F, ratio1, ratio2:
-                 amp(t) * F * ratio1 * 2.0 * xi / r,
-             "u_rr": lambda t, r, xi, F, ratio1, ratio2:
-                 amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1),
-             "u_t": lambda t, r, xi, F, ratio1, ratio2:
-                 -amp(t) / t * F * (0.5 + xi * ratio1)}),
+        "SelfSimilar", p, lambda t, r: (r * r / (4.0 * mu * t),),
+        {q: _split(q, cuts[q], (direct, far[q]), (near_origin, near[q]))
+         for q in far},
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
-        g0=None)
+        g0=None, self_similar=True)
+
+
+def _split(name, cut, far, near):
+    """A formula over the core (xi,) that applies far = (core, formula) to
+    the points with xi >= cut and near = (core, formula) to the others and
+    to those where r^2 is subnormal (xi < 1); each core maps (t, r, xi) to
+    its formula's arguments.  On a call that reaches the near formula, a
+    value that overflows a double raises SingularityError."""
+    def formula(t, r, xi):
+        inner = (xi < cut) | ((r < _SQRT_TINY) & (xi < 1.0))
+        if not inner.any():
+            return far[1](t, r, *far[0](t, r, xi))
+        out = np.empty_like(r)
+        for (core, f), mask in ((far, ~inner), (near, inner)):
+            if mask.any():
+                ts, rs = _at(t, mask), r[mask]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out[mask] = f(ts, rs, *core(ts, rs, xi[mask]))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise SingularityError(
+                f"SelfSimilar {name} overflows a double at r = {r[bad][0]!r}, "
+                "this close to the singular origin")
+        return out
+    return formula
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ The recurrence amplifies rounding as z grows (to 3e-10 relative for n = 7
 near z = 40), so it is used only for z <= 1; past z = 1 both E1 and G_n come
 from Legendre's continued fraction for Gamma(a, z), accurate to an ulp or
 two there.  All functions accept scalars or numpy arrays.
+
+Where z is so small that G_n ~ z^(1-n/2)/(n/2 - 1) overflows, its log is
+log G_n = (1 - n/2) log z - z + log Q_n(z) with the scaled tail
+Q_n(z) = z^(n/2-1) e^z G_n(z), which stays near 1/(n/2 - 1); scaled_tail
+computes Q_n from sqrt(z), and the same recurrence, written for Q,
+
+    Q_n = (1 - z Q_(n-2)) / (n/2 - 1),
+
+subtracts the small z Q_(n-2) from 1, so it runs upward without loss.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ __all__ = [
     "erf",
     "erfc",
     "upper_tail_integral",
+    "scaled_tail",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -73,14 +83,14 @@ def erfc(x):
 # Exponential integral E1 and the upper tail integral G_n
 # ---------------------------------------------------------------------------
 
-def _exp1_series(z):
+def _exp1_series(z, log_z):
     # E1(z) = -gamma - log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!), z <= 1
     acc = np.zeros_like(z)
     term = np.ones_like(z)
     for k in range(1, 40):
         term = term * (-z) / k
         acc -= term / k
-    return -EULER_GAMMA - np.log(z) + acc
+    return -EULER_GAMMA - log_z + acc
 
 
 def _upper_gamma_cf(a, z):
@@ -131,17 +141,43 @@ def upper_tail_integral(n: int, z):
     small = ~big
     if np.any(small):
         zs = z[small]
+        lz = np.log(zs)
         if n % 2 == 1:
             a = 0.5
             g = SQRT_PI * erfc(np.sqrt(zs))
             steps = (n - 1) // 2
         else:
             a = 0.0
-            g = _exp1_series(zs)
+            g = _exp1_series(zs, lz)
             steps = (n - 2) // 2
-        lz = np.log(zs)
         for _ in range(steps):
             g = (g - np.exp((a - 1.0) * lz - zs)) / (a - 1.0)
             a -= 1.0
         out[small] = g
     return _ret(out, scalar)
+
+
+def scaled_tail(n: int, root):
+    """(Q_n(z), sqrt(z) Q_(n-2)(z)) at z = root^2 <= 1, for integer n >= 3,
+    where Q_n(z) = z^(n/2-1) e^z G_n(z) (see the module docstring).
+
+    Takes sqrt(z), so z may underflow: Q_n -> 1/(n/2 - 1) and
+    sqrt(z) Q_(n-2) -> 0 (n >= 4) as z -> 0.  The recurrence starts from
+    sqrt(z) Q_1 = sqrt(pi) e^z erfc(sqrt z) for odd n and from
+    sqrt(z) Q_2 = sqrt(z) e^z E1(z) for even n.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise DomainError("scaled_tail requires integer n >= 3")
+    root, scalar = _prepare(root)
+    if np.any(root <= 0.0) or np.any(root > 1.0):
+        raise DomainError("scaled_tail requires 0 < z <= 1")
+    z = root * root
+    if n % 2 == 1:
+        sq = SQRT_PI * np.exp(z) * erfc(root)
+    else:
+        sq = root * np.exp(z) * _exp1_series(z, 2.0 * np.log(root))
+    for k in range(3 if n % 2 else 4, n + 1, 2):
+        q = (1.0 - root * sq) / (0.5 * k - 1.0)
+        if k < n:
+            sq = root * q
+    return _ret(q, scalar), _ret(sq, scalar)

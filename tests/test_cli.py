@@ -240,6 +240,15 @@ def test_solve_singular_family_needs_inner_radius(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_residual_of_underflowed_terms_exits_3(capsys):
+    # u near 1e-449: every term underflows, which printed 0.0 residuals
+    # with exit 0
+    rc = main(["residual", "--family", "MainExample", "--mu", "1e300"])
+    assert rc == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "numerical failure" in out.err and "underflow" in out.err
+
+
 def test_solve_stability_failure_exits_3(capsys):
     # small mu lets the diffusion-based dt grow while the layer peak stays
     # steep, so the advective CFL lands far above 1

@@ -11,13 +11,14 @@ import pytest
 from pytest import approx
 
 from cole_lab import quadrature
+from cole_lab.cli import main
 from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             DivergenceError, NormReport, NormSpec,
                             UnderflowError, decay_fit, default_t_grid,
                             grad_bound_integrals, grad_lp_norm, hess_bound_lp,
                             hessian_frobenius_lp, hessian_frobenius_sq,
                             linf_norm, lp_distance, lp_norm, norm_sweep,
-                            sphere_measure)
+                            sphere_measure, _derivative_lp)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
 from cole_lab.solutions import (Params, SolutionFamily, cartesian_components,
                                 main_example, nonstationary_erf, self_similar,
@@ -484,6 +485,81 @@ def test_decay_fit_exact_self_similar_law():
     assert fit.slope == approx(0.5, abs=1e-9)     # (n-p)/(2p)
     assert fit.max_log_residual < 1e-9
     assert fit.n_points == 9
+
+
+def _per_t_point(fam, p, t, k):
+    # (value, flag) of the per-t core, as norm_sweep flags it
+    try:
+        v = _derivative_lp(fam, p, t, k)[0]
+    except DivergenceError:
+        return math.nan, "divergent"
+    except UnderflowError:
+        return math.nan, "underflow"
+    return v, "unbounded" if math.isinf(v) else "ok"
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+def test_self_similar_sweep_scales_one_integral(n):
+    """The scaled sweep against the per-t core at every point of
+    t = 1e2..1e-300: rel 1e-12 and the same flags.  At the parent the per-t
+    core itself failed below t ~ 1e-100 (|u|^p and u_r^2 overflowed,
+    1e-300 absolute tolerance), flagging underflow on normal norms."""
+    fam = self_similar(Params(n, 0.005, a=1.0))
+    ts = np.geomspace(1e2, 1e-300, 16)
+    for (kind, k), p in itertools.product((("lp", 0), ("grad_lp", 1)),
+                                          (1.0, 1.5, 2.0, 4.0)):
+        rep = norm_sweep(fam, NormSpec(kind, p=p), ts)
+        for t, v, flag in zip(ts.tolist(), rep.values, rep.flags):
+            want, want_flag = _per_t_point(fam, p, t, k)
+            assert flag == want_flag, (kind, p, t)
+            if flag == "ok":
+                assert v == approx(want, rel=1e-12), (kind, p, t)
+    flags = norm_sweep(fam, NormSpec("lp", p=1.0), ts).flags
+    assert flags == ("ok",) * 16 if n == 3 else flags[0] == "ok"
+
+
+@pytest.mark.parametrize("t", [1e-100, 1e-300])
+def test_self_similar_sweep_matches_mpmath_at_deep_t(t):
+    """||u(t)||_p^p = omega (4 mu)^((p+n)/2) t^((n-p)/2) / 2
+    int_0^oo F(xi)^p xi^((n-2)/2) dxi for n = 3, F(xi) = xi^(-1)
+    e^(-xi) / (a + G_3(xi)), G_3 = 2 xi^(-1/2) e^(-xi) - 2 sqrt(pi)
+    erfc(sqrt xi), in 30-digit mpmath."""
+    mp = mpmath.mp
+    mu, a = 0.005, 1.0
+    fam = self_similar(Params(3, mu, a=a))
+    for p in (1.0, 2.0):
+        got = norm_sweep(fam, NormSpec("lp", p=p), (t,)).values[0]
+        with mp.workdps(30):
+            def F(x):
+                g3 = 2 / mp.sqrt(x) * mp.exp(-x) - 2 * mp.sqrt(mp.pi) * mp.erfc(mp.sqrt(x))
+                return mp.exp(-x) / (x * (a + g3))
+            xint = mp.quad(lambda x: F(x) ** p * mp.sqrt(x), [0, 1, 10, 60, mp.inf])
+            norm_p = (4 * mp.pi * (4 * mp.mpf(mu)) ** ((p + 3) / 2)
+                      * mp.mpf(t) ** ((3 - p) / 2) / 2 * xint)
+            want = norm_p ** (1 / mp.mpf(p))
+        assert got == approx(float(want), rel=1e-12), p
+
+
+def _count_integrals(monkeypatch):
+    calls = [0]
+    real = quadrature.integrate_semi_infinite
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,integrals", [("SelfSimilar", 2), ("MainExample", 26)])
+def test_norms_cli_integral_count(family, integrals, monkeypatch, capsys):
+    # one integral per p for the self-similar family (26 before), one per
+    # (p, t) for the main example, which does not declare self_similar
+    calls = _count_integrals(monkeypatch)
+    assert main(["norms", "--family", family, "--kind", "lp", "--p", "1,2"]) == 0
+    assert calls[0] == integrals
+    capsys.readouterr()
 
 
 def test_decay_fit_rejects_degenerate_input():

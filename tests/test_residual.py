@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from cole_lab.norms import UnderflowError
 from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                origin_limit_check, radial_residual,
                                residual_pointwise)
@@ -135,6 +136,7 @@ def test_cartesian_residual_including_origin():
 
 
 def test_zero_solution_residual_is_zero():
+    # every term is an exact 0, not an underflow, so this is no error
     zeros = lambda t, r: np.zeros_like(np.asarray(r, dtype=float))
     const = HeatFunction(theta=lambda t, r: np.ones_like(np.asarray(r, dtype=float)),
                          theta_r=zeros, theta_rr=zeros, theta_rrr=zeros,
@@ -142,6 +144,16 @@ def test_zero_solution_residual_is_zero():
     fam = cole_hopf(const, mu=0.1, n=3)
     rep = radial_residual(fam, Grid1D(0.1, 1.0, 32, (0.5,)))
     assert rep.max_abs_scaled == 0.0
+
+
+def test_residual_of_underflowed_terms_raises():
+    # mu = 1e300 puts u near 1e-449: every term underflows to 0, which
+    # reported an exact solve (0.0) at the parent
+    fam = main_example(Params(3, 1e300, a=1.0))
+    grid = Grid1D(1e-4, 0.1, 32, (2e-5, 1e-3))
+    for source in ("analytic", "finite-difference"):
+        with pytest.raises(UnderflowError, match="underflow"):
+            radial_residual(fam, grid, derivative_source=source)
 
 
 def test_singular_family_on_grid_touching_zero():

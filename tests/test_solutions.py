@@ -3,6 +3,7 @@ random well-scaled points, derivative cross-checks against finite
 differences, Cole-Hopf round trips, and the Cartesian assembly."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -242,6 +243,114 @@ def test_self_similar_scaling_identity():
         assert lam * SS.u(lam * lam * t, lam * r) == approx(SS.u(t, r), rel=1e-13)
         assert lam * lam * SS.u_r(lam * lam * t, lam * r) == approx(
             SS.u_r(t, r), rel=1e-13)
+
+
+def _scaling_defect(fam):
+    """Worst relative gap of lam u(lam^2 t, lam r) = u(t, r),
+    lam^2 u_r(lam^2 t, lam r) = u_r(t, r) and lam^3 u_t(lam^2 t, lam r) =
+    u_t(t, r) over xi = r^2/4mu t in [1e-6, 5].  lam = 0.5, 4 and 1024
+    scale t and r exactly; lam = 3.7 rounds xi, which the direct u_t
+    amplifies by its 0.5 + xi F'/F cancellation (to 4e-12 at xi = 1e-3),
+    so it is checked on u and u_r only."""
+    mu = fam.params.mu
+    worst = 0.0
+    for t in (1e-5, 0.2):
+        r = np.sqrt(np.geomspace(1e-6, 5.0, 13) * 4.0 * mu * t)
+        for lam, quantities in ((0.5, ("u", "u_r", "u_t")), (4.0, ("u", "u_r", "u_t")),
+                                (1024.0, ("u", "u_r", "u_t")), (3.7, ("u", "u_r"))):
+            for q in quantities:
+                power = {"u": 1, "u_r": 2, "u_t": 3}[q]
+                want = getattr(fam, q)(t, r)
+                got = lam ** power * getattr(fam, q)(lam * lam * t, lam * r)
+                worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    return worst
+
+
+def test_self_similar_declaration_holds():
+    """Every family that declares self_similar satisfies the scaling
+    identities to rounding; the main example, which is not self-similar,
+    fails them, so a wrong declaration would show here."""
+    candidates = ([self_similar(Params(n, 0.005, a=a)) for n in range(3, 8)
+                   for a in (1.0, 0.3)]
+                  + [main_example(Params(n, 0.1, a=1.0)) for n in (2, 3, 5)]
+                  + [ST3, NST, MAIN0])
+    declared = [f for f in candidates if f.self_similar]
+    assert {f.kind for f in declared} == {"SelfSimilar"} and len(declared) == 10
+    for fam in declared:
+        assert _scaling_defect(fam) <= 1e-14, fam.label()
+    assert not MAIN.self_similar
+    assert _scaling_defect(MAIN) > 1e-3
+
+
+def _mp_self_similar(n, mu, a, t, r):
+    """u, u_r, u_rr and u_t of the self-similar family in 700-digit mpmath,
+    enough to cancel the O(1) terms of 0.5 + xi F'/F down to xi = 1e-600;
+    G_n by the recurrence from erfc or E1."""
+    mp = mpmath.mp
+    with mp.workdps(700):
+        mu, a, t, r = mp.mpf(mu), mp.mpf(a), mp.mpf(t), mp.mpf(r)
+        xi = r * r / (4 * mu * t)
+        if n % 2:
+            g, s = mp.sqrt(mp.pi) * mp.erfc(mp.sqrt(xi)), mp.mpf(1) / 2
+        else:
+            g, s = mp.e1(xi), mp.mpf(0)
+        while s > 1 - mp.mpf(n) / 2:
+            g = (g - xi ** (s - 1) * mp.exp(-xi)) / (s - 1)
+            s -= 1
+        psi = a + g
+        u = mp.sqrt(4 * mu / t) * xi ** (mp.mpf(1 - n) / 2) * mp.exp(-xi) / psi
+        w1 = xi ** (-mp.mpf(n) / 2) * mp.exp(-xi) / psi
+        r1 = (1 - n) / (2 * xi) - 1 + w1
+        r2 = r1 ** 2 + (n - 1) / (2 * xi ** 2) - w1 * (n / (2 * xi) + 1) + w1 ** 2
+        return {"u": u, "u_r": u * r1 * 2 * xi / r,
+                "u_rr": u * 2 * xi / r ** 2 * (2 * xi * r2 + r1),
+                "u_t": -(u / t) * (mp.mpf(1) / 2 + xi * r1)}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_self_similar_near_origin_matches_mpmath(n):
+    """Down to r = 1e-300 (xi = 5e-596) u, u_r, u_rr and u_t are finite and
+    accurate, or raise SingularityError exactly where the true value
+    overflows a double; no RuntimeWarning.  They returned inf, raised
+    DomainError (xi = 0) or warned below xi ~ 1e-154, and u_t lost every
+    digit to cancellation from xi ~ 1e-10 down."""
+    mu, t, a = 0.005, 1e-3, 0.7
+    fam = self_similar(Params(n, mu, a=a))
+    for r in (1e-300, 1e-200, 1e-160, 1e-100, 1e-60, 1e-20, 1e-6, 1e-4):
+        want = _mp_self_similar(n, mu, a, t, r)
+        for q, w in want.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if abs(w) > np.finfo(float).max:
+                    with pytest.raises(SingularityError, match="overflows"):
+                        getattr(fam, q)(t, r)
+                    continue
+                got = getattr(fam, q)(t, r)
+            assert float(abs((got - w) / w)) <= 1e-12, (q, r)
+
+
+def test_self_similar_tiny_r_values():
+    # SelfSimilar(3, 0.005): five RuntimeWarnings at r = 1e-100, inf at
+    # 1e-160 and DomainError at 1e-200; u -> 2 mu (n - 2)/r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e-100, 1e-160, 1e-200):
+            assert SS.u(1e-3, r) == approx(0.01 / r, rel=1e-12)
+            assert math.isfinite(SS.u_t(1e-3, r))
+
+
+def test_self_similar_near_origin_arrays_equal_scalar_calls():
+    # an array that mixes near-origin and direct points, with array t,
+    # gives each element the bits of its scalar call; u_r and g overflow
+    # below r ~ 1e-154, so they take the points above
+    r = np.array([1e-200, 3e-4, 1e-160, 1e-7, 1e-100, 2e-4, 1e-30])
+    t = np.array([1e-3, 2e-5, 1e-3, 0.3, 1e-3, 1e-5, 1e-2])
+    for q, keep in (("u", r > 0.0), ("u_t", r > 0.0), ("u_r", r > 1e-150),
+                    ("g", r > 1e-150)):
+        fn = getattr(SS, q)
+        ts, rs = t[keep], r[keep]
+        assert np.array_equal(fn(ts, rs), [fn(a, b) for a, b in
+                                           zip(ts.tolist(), rs.tolist())]), q
 
 
 # ---------------------------------------------------------------------------

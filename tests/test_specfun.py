@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cole_lab.quadrature import kronrod_15
-from cole_lab.specfun import DomainError, erf, erfc, upper_tail_integral
+from cole_lab.specfun import (DomainError, erf, erfc, scaled_tail,
+                              upper_tail_integral)
 
 # reference values computed once with a 40-digit arbitrary-precision
 # evaluation of the defining integrals and frozen here
@@ -243,3 +244,37 @@ def test_array_scalar_passthrough():
     assert isinstance(erf(0.5), float)
     assert isinstance(erfc(np.array([[1.0, 2.0]])), np.ndarray)
     assert isinstance(upper_tail_integral(2, 1.0), float)
+
+
+def _mp_gamma_tails(n, z):
+    """Gamma(1 - k/2, z) for k = 1..n in mpmath, by the downward recurrence
+    from Gamma(1/2, z) = sqrt(pi) erfc(sqrt z) and Gamma(0, z) = E1(z)."""
+    out = {1: mpmath.sqrt(mpmath.pi) * mpmath.erfc(mpmath.sqrt(z)), 2: mpmath.e1(z)}
+    for k in range(3, n + 1):
+        a = 1 - mpmath.mpf(k - 2) / 2
+        out[k] = (out[k - 2] - z ** (a - 1) * mpmath.exp(-z)) / (a - 1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_scaled_tail_against_mpmath(n):
+    """Q_n(z) = z^(n/2-1) e^z G_n(z) and sqrt(z) Q_(n-2)(z), from sqrt(z)
+    down to z = 1e-600 (sqrt z = 1e-300), where G_n itself overflows."""
+    root = np.geomspace(1e-300, 1.0, 41)
+    q, sq = scaled_tail(n, root)
+    with mpmath.workdps(50):
+        for x, qi, sqi in zip(root.tolist(), q, sq):
+            z = mpmath.mpf(x) ** 2
+            scale = z ** (mpmath.mpf(n) / 2 - 1) * mpmath.exp(z)
+            g = _mp_gamma_tails(n, z)
+            want_q, want_sq = scale * g[n], mpmath.mpf(x) * scale / z * g[n - 2]
+            assert float(abs(qi - want_q) / want_q) <= 2e-15, (n, x)
+            assert float(abs(sqi - want_sq) / want_sq) <= 2e-15, (n, x)
+    assert np.array_equal(q, [scaled_tail(n, x)[0] for x in root.tolist()])
+
+
+def test_scaled_tail_domain():
+    for n, root in ((2, 0.5), (3, 0.0), (3, 1.5), (3.0, 0.5)):
+        with pytest.raises(DomainError):
+            scaled_tail(n, root)
+    assert isinstance(scaled_tail(4, 0.5)[0], float)
