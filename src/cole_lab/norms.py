@@ -64,8 +64,6 @@ __all__ = [
 
 _REL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
-# below the relative tolerance of every integral that is a normal double
-_ABS_TOL = _REL_TOL * _TINY
 
 
 class DivergenceError(ValueError):
@@ -196,7 +194,7 @@ def _integral(f, alpha: float, decay: tuple, splits: tuple, name: str):
     res = quad.integrate_semi_infinite(
         Integrand(f, small_r_exponent=alpha, decay=decay, splits=splits,
                   name=name),
-        rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+        rel_tol=_REL_TOL)
     return _positive(res, name)
 
 

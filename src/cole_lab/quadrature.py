@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -209,9 +209,13 @@ def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
         f"tail truncation stalled at r = {radius:.3g} for {f.name or 'integrand'}")
 
 
-def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-300,
+def integrate_semi_infinite(f: Integrand, rel_tol: float,
+                            abs_tol: Optional[float] = None,
                             max_subdivisions: int = 10_000) -> QuadResult:
     """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol).
+
+    abs_tol defaults to rel_tol times the smallest normal double, below the
+    relative tolerance of every integral that is a normal double.
 
     Stages:
 
@@ -231,8 +235,10 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float, abs_tol: float = 1e-30
     order of refinement.  Raises NonConvergenceError once the subdivision
     cap is hit or no panel can be split further.
     """
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
+    if not (rel_tol > 0.0 and (abs_tol is None or abs_tol > 0.0)):
         raise ValueError("tolerances must be positive")
+    if abs_tol is None:
+        abs_tol = rel_tol * _TINY
     alpha = f.small_r_exponent
     if alpha <= -1.0:
         raise ValueError(f"integrand declares r^{alpha} at 0+, not integrable")

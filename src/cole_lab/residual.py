@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .norms import UnderflowError
-from .solutions import SolutionFamily, fd_derivative
+from .solutions import SolutionFamily, fd_central
 
 __all__ = [
     "Grid1D",
@@ -101,19 +101,21 @@ def _scaled(s: SolutionFamily, t: float, r: np.ndarray, form: str,
     return R / scale
 
 
-def _derivatives(s: SolutionFamily, t: float, r: np.ndarray,
+def _derivatives(s: SolutionFamily, t, r: np.ndarray,
                  derivative_source: str, h_r: Optional[float],
-                 h_t: Optional[float]) -> tuple:
-    """(u, u_r, u_rr, u_t) at radii r for one time slice."""
+                 h_t) -> tuple:
+    """(u, u_r, u_rr, u_t) at radii r for one time slice t, or for a column
+    of slices against r at the grid's shape.  The finite-difference pass
+    makes nine calls of u: the centre, four radial offsets shared by u_r
+    and u_rr, and four time offsets."""
     if derivative_source == "analytic":
         return s.u(t, r), s.u_r(t, r), s.u_rr(t, r), s.u_t(t, r)
     if derivative_source == "finite-difference":
         if h_r is None or h_t is None:
             raise ValueError("finite-difference residual needs h_r and h_t")
-        return (s.u(t, r),
-                fd_derivative(lambda x: s.u(t, x), r, h_r, 1),
-                fd_derivative(lambda x: s.u(t, x), r, h_r, 2),
-                fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1))
+        u = s.u(t, r)
+        return (u, *fd_central(lambda x: s.u(t, x), r, h_r, u),
+                fd_central(lambda tau: s.u(tau, r), t, h_t)[0])
     raise ValueError(f"unknown derivative source {derivative_source!r}")
 
 
@@ -127,15 +129,15 @@ def residual_pointwise(s: SolutionFamily, t: float, r, form: str = "radial",
                    *_derivatives(s, t, r, derivative_source, h_r, h_t))
 
 
-def _underflows(s: SolutionFamily, g: Grid1D) -> bool:
-    """True when evaluating u, u_r, u_rr and u_t on the grid underflows,
-    i.e. their zeros stand for values too small for a double."""
+def _underflows(s: SolutionFamily, g: Grid1D, t: np.ndarray) -> bool:
+    """True when evaluating u, u_r, u_rr and u_t on the grid (its slices as
+    the column t) underflows, i.e. their zeros stand for values too small
+    for a double."""
     r = g.radii()
     r = r[r > 0.0]
     with np.errstate(under="raise"):
         try:
-            for t in g.t_values:
-                _derivatives(s, t, r, "analytic", None, None)
+            _derivatives(s, t, r, "analytic", None, None)
         except FloatingPointError:
             return True
     return False
@@ -143,41 +145,42 @@ def _underflows(s: SolutionFamily, g: Grid1D) -> bool:
 
 def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
               derivative_source: str) -> ResidualReport:
-    """The report over the grid.  Where every term is 0 at every point and
-    those zeros come from underflow, the residual carries no digits and
-    UnderflowError is raised; an exact zero solution still reports 0."""
+    """The report over the grid, from one call per quantity (or stencil
+    offset) on the whole (t, r) grid; the maximum and the sum of squares are
+    still taken slice by slice in t order, as a loop over slices would.
+    Where every term is 0 at every point and those zeros come from
+    underflow, the residual carries no digits and UnderflowError is raised;
+    an exact zero solution still reports 0."""
+    t = np.array(g.t_values, dtype=float)[:, None]   # one row per slice
+    r = g.radii()
+    r = r[r > 0.0]  # both forms divide by r
+    h_r = h_t = None
+    if derivative_source == "finite-difference":
+        # step from the grid itself; shrink the stencil footprint away
+        # from the left domain edge
+        h_r = float(np.min(np.diff(g.radii())))
+        r = r[r - 2.0 * h_r > 0.0]
+        h_t = t * h_r / g.r_max
+    grid_r = np.broadcast_to(r, (len(t), len(r)))
+    R, scale = _terms(s, r, form,
+                      *_derivatives(s, t, grid_r, derivative_source, h_r, h_t))
+    a = np.abs(R / np.maximum(scale, 1e-300))
     worst = -1.0
     worst_t = worst_r = math.nan
     sq_sum = 0.0
-    count = 0
-    digits = False
-    for t in g.t_values:
-        r = g.radii()
-        r = r[r > 0.0]  # both forms divide by r
-        h_r = h_t = None
-        if derivative_source == "finite-difference":
-            # step from the grid itself; shrink the stencil footprint away
-            # from the left domain edge
-            h_r = float(np.min(np.diff(g.radii())))
-            r = r[r - 2.0 * h_r > 0.0]
-            h_t = t * h_r / g.r_max
-        R, scale = _terms(s, r, form,
-                          *_derivatives(s, t, r, derivative_source, h_r, h_t))
-        digits = digits or bool(np.any(scale > 0.0))
-        a = np.abs(R / np.maximum(scale, 1e-300))
-        i = int(np.argmax(a))
-        if a[i] > worst:
-            worst, worst_t, worst_r = float(a[i]), float(t), float(r[i])
-        sq_sum += float(np.sum(a * a))
-        count += len(r)
-    if not digits and _underflows(s, g):
+    for t_i, a_i in zip(g.t_values, a):
+        i = int(np.argmax(a_i))
+        if a_i[i] > worst:
+            worst, worst_t, worst_r = float(a_i[i]), float(t_i), float(r[i])
+        sq_sum += float(np.sum(a_i * a_i))
+    if not np.any(scale > 0.0) and _underflows(s, g, t):
         raise UnderflowError(
             f"{s.label()}: u, u_r, u_rr and u_t underflow to 0 at every grid "
             "point, so the residual carries no digits")
     return ResidualReport(
         family=s.label(), form=form, derivative_source=derivative_source,
-        max_abs_scaled=worst, l2_scaled=math.sqrt(sq_sum / max(count, 1)),
-        worst_t=worst_t, worst_r=worst_r, n_points=count)
+        max_abs_scaled=worst, l2_scaled=math.sqrt(sq_sum / max(a.size, 1)),
+        worst_t=worst_t, worst_r=worst_r, n_points=a.size)
 
 
 def radial_residual(s: SolutionFamily, g: Grid1D,

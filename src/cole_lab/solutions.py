@@ -31,7 +31,10 @@ they are pure and safe to share across threads.  An array element gets the
 bits of a scalar call at the same (t, r): numpy arithmetic rounds as Python
 float arithmetic does, and where a formula applies a math-module function
 to t (log, exp, pow, sqrt), an array t gets the same libm routine element by
-element (_libm), not numpy's own, which differs in the last place.
+element (_libm), not numpy's own, which differs in the last place.  An
+array t reaches the formulas unbroadcast (a column t against a row of r
+costs one libm call per t, not per point); it is broadcast only where a
+mask selects points (_at).
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "nonstationary_erf",
     "cartesian_components",
     "fd_derivative",
+    "fd_central",
 ]
 
 
@@ -164,8 +168,9 @@ _SMALLEST = np.finfo(float).smallest_subnormal
 
 
 def _at(x, mask):
-    """x[mask] for an array-t quantity, x itself for a scalar one."""
-    return x[mask] if isinstance(x, np.ndarray) else x
+    """An array-t quantity broadcast to mask's shape and masked, a scalar
+    one as it is."""
+    return np.broadcast_to(x, mask.shape)[mask] if isinstance(x, np.ndarray) else x
 
 
 def _asarray_r(r, positive: bool):
@@ -183,14 +188,14 @@ def _asarray_r(r, positive: bool):
 
 def _evaluator(core, formula, positive: bool):
     """(t, r) -> formula(t, r, *core(t, r)); a float for scalar t and r,
-    else an array of their broadcast shape.  An array t is broadcast
-    against r first, so the core and formula see t and r of one shape.
+    else an array of their broadcast shape.  r is broadcast to that shape
+    (a view), so a formula of r alone has it too; an array t is not.
     positive: reject r <= 0 (else only r < 0)."""
     def evaluate(t, r):
         t = _check_t(t)
         r, scalar = _asarray_r(r, positive)
         if isinstance(t, np.ndarray):
-            t, r = np.broadcast_arrays(t, r)
+            r = np.broadcast_to(r, np.broadcast_shapes(t.shape, r.shape))
             scalar = False
         val = formula(t, r, *core(t, r))
         return float(val[0]) if scalar else val
@@ -536,8 +541,9 @@ def _erf_formula(mu, amplitude, k, weight, combination):
             # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
             # nonzero term has 2 m0 - k in {0, 1}, so no power of r divides
             rs = r[series]
-            four_mu_t = 4.0 * mu * _at(t, series)
-            pw = _pow(1.0 / four_mu_t, m0) * rs ** (2 * m0 - k)
+            four_mu_t = 4.0 * mu * t
+            pw = _at(_pow(1.0 / four_mu_t, m0), series) * rs ** (2 * m0 - k)
+            four_mu_t = _at(four_mu_t, series)
             acc = np.zeros_like(rs)
             for wc in terms:
                 acc = acc + wc * pw
@@ -622,11 +628,20 @@ def fd_derivative(f: Callable, x, h, order: int = 1, forward: bool = False):
         f5 = f(x + 5 * h)
         return (45.0 * f0 - 154.0 * f1 + 214.0 * f2 - 156.0 * f3 + 61.0 * f4
                 - 10.0 * f5) / (12.0 * h * h)
-    fm2, fm1, fp1, fp2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
     if order == 1:
-        return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    f0 = f(x)
-    return (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+        return fd_central(f, x, h)[0]
+    return fd_central(f, x, h, f(x))[1]
+
+
+def fd_central(f: Callable, x, h, f0=None):
+    """(first, second) 5-point central derivatives, O(h^4), from one
+    evaluation of f at x - 2h, x - h, x + h and x + 2h; the second takes the
+    centre value f0 = f(x) from the caller and is None without it."""
+    fm2, fm1, fp1, fp2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
+    first = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    if f0 is None:
+        return first, None
+    return first, (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
 
 
 def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,

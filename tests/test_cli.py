@@ -3,6 +3,7 @@ content, exit codes, config-file merging, and byte-level determinism."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -79,6 +80,46 @@ def test_figure_csv_equals_csv_writer_reference(which, tmp_path):
     meta, body = out.read_text().split("\n", 1)
     assert meta.startswith(f"# cole-lab {cole_lab.__version__} | figure {which} |")
     assert body == buf.getvalue()
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_figure_work_count(which, monkeypatch, capsys):
+    # the 200 x 200 grid from at most four calls of u (a t column against
+    # the r row, in blocks of rows), not one call per t row
+    sizes = []
+
+    def counting(build):
+        def counted_build():
+            fam = build()
+
+            def u(t, r):
+                out = fam.u(t, r)
+                sizes.append(out.size)
+                return out
+            return dataclasses.replace(fam, u=u)
+        return counted_build
+
+    figures = {w: (counting(build), *rest) for w, (build, *rest) in _FIGURES.items()}
+    monkeypatch.setattr(cli, "_FIGURES", figures)
+    assert main(["figure", "--which", str(which)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 200 * 200
+    assert len(sizes) <= 4 and sum(sizes) == 200 * 200
+
+
+def test_parser_is_shared_and_keeps_no_state(tmp_path, capsys):
+    # main() reuses one parser; a run with --config must leave nothing in it
+    # for the next run, whose output equals a run on a fresh parser
+    assert build_parser() is build_parser()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "linf", "p": "1,2", "n": 5}))
+    plain = ["norms", "--family", "MainExample", "--t-grid", "1e-2:1e-3:2"]
+    assert main(["norms", "--config", str(path)] + plain[1:]) == 0
+    configured = capsys.readouterr().out
+    assert main(plain) == 0
+    second = capsys.readouterr().out
+    build_parser.cache_clear()
+    assert main(plain) == 0
+    assert second == capsys.readouterr().out != configured
 
 
 def test_figure_config_supplies_which(tmp_path, capsys):

@@ -200,3 +200,15 @@ def test_nonconvergence_reported():
                        decay=("exponential", 1.0), name="jagged")
     with pytest.raises(NonConvergenceError):
         integrate_semi_infinite(jagged, rel_tol=1e-13, max_subdivisions=40)
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-205])
+def test_layer_integral_relative_below_1e_290(t):
+    # the bare layer integral against its s = r^2/4mu t reduction where the
+    # integral is near 1e-300: an absolute floor of 1e-300 parted them by
+    # 4.0e-5 at t = 1e-200 and 2.3e-3 at t = 1e-205, and lemma2_J raised
+    c, b, l, n, mu = 2.0, 1.0, 2.0, 3, 0.1
+    direct = layer_power_integral(c, b, l, n, mu, t).value
+    reduced = 0.5 * (4.0 * mu) ** 1.5 * lemma1_I(q=1.5, k=0.5, b=b, l=l, n=n, t=t)
+    assert direct == pytest.approx(reduced, rel=1e-13)
+    assert lemma2_J(d=0.0, c=c, b=b, l=l, n=n, mu=mu, t=t) == direct

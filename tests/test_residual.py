@@ -2,6 +2,7 @@
 the two PDE groupings agree, finite-difference re-derivation converges at
 stencil order, and the origin limits hold."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -97,6 +98,67 @@ def test_finite_difference_residual_equals_per_radius_loop(name, fam, r_range,
         want = _scaled(fam, t, r, form, fam.u(t, r), np.array(ur),
                        np.array(urr), np.array(ut))
         assert np.array_equal(got, want), t
+
+
+def _per_slice_report(fam, grid, form, source):
+    """The grid report from one evaluation per time slice, with the
+    stencils of fd_derivative: the loop the whole-grid residual replaced."""
+    r = grid.radii()
+    r = r[r > 0.0]
+    if source == "finite-difference":
+        h = float(np.min(np.diff(grid.radii())))
+        r = r[r - 2.0 * h > 0.0]
+    worst, worst_t, worst_r, sq_sum = -1.0, math.nan, math.nan, 0.0
+    for t in grid.t_values:
+        if source == "analytic":
+            d = (fam.u(t, r), fam.u_r(t, r), fam.u_rr(t, r), fam.u_t(t, r))
+        else:
+            h_t = t * h / grid.r_max
+            d = (fam.u(t, r), fd_derivative(lambda x: fam.u(t, x), r, h, 1),
+                 fd_derivative(lambda x: fam.u(t, x), r, h, 2),
+                 fd_derivative(lambda tau: fam.u(tau, r), t, h_t, 1))
+        a = np.abs(_scaled(fam, t, r, form, *d))
+        i = int(np.argmax(a))
+        if a[i] > worst:
+            worst, worst_t, worst_r = float(a[i]), float(t), float(r[i])
+        sq_sum += float(np.sum(a * a))
+    count = len(r) * len(grid.t_values)
+    return (worst, math.sqrt(sq_sum / count), worst_t, worst_r, count)
+
+
+@pytest.mark.parametrize("source", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("form", ["radial", "divergence"])
+@pytest.mark.parametrize("name,fam,r_range,t_range", CANONICAL,
+                         ids=[c[0] for c in CANONICAL])
+def test_grid_residual_equals_per_slice_loop(name, fam, r_range, t_range, form,
+                                             source):
+    # one call per quantity on the whole (t, r) grid, reduced slice by slice
+    # in t order, reports the bits of one evaluation per slice
+    grid = Grid1D(*r_range, 64, tuple(np.geomspace(*t_range).tolist()))
+    run = radial_residual if form == "radial" else divergence_form_residual
+    rep = run(fam, grid, derivative_source=source)
+    assert (rep.max_abs_scaled, rep.l2_scaled, rep.worst_t, rep.worst_r,
+            rep.n_points) == _per_slice_report(fam, grid, form, source)
+    assert (rep.form, rep.derivative_source) == (form, source)
+
+
+@pytest.mark.parametrize("source,calls", [("analytic", 1),
+                                          ("finite-difference", 9)])
+def test_grid_residual_work_count(source, calls):
+    # u on the whole grid per quantity or stencil offset: 9 calls of u for
+    # the finite-difference pass (the centre, four radial offsets shared by
+    # u_r and u_rr, four time offsets), not 14 per time slice
+    seen = []
+
+    def counted(t, r):
+        seen.append(np.shape(r))
+        return MAIN.u(t, r)
+
+    fam = dataclasses.replace(MAIN, u=counted)
+    rep = radial_residual(fam, Grid1D(1e-4, 0.1, 64, (2e-5, 2e-4, 1e-3)),
+                          derivative_source=source)
+    assert len(seen) == calls
+    assert all(shape == (3, rep.n_points // 3) for shape in seen)
 
 
 def test_finite_difference_shrinks_stencil_at_left_edge():

@@ -676,6 +676,21 @@ def test_array_t_broadcasts_against_r():
         assert np.array_equal(out, want), name
 
 
+@pytest.mark.parametrize("label,mu,evaluators", _ARRAY_T_EVALUATORS,
+                         ids=[c[0] for c in _ARRAY_T_EVALUATORS])
+def test_column_t_against_row_r_matches_scalar_calls(label, mu, evaluators):
+    # the (t, r) grid of a figure or residual run: t reaches the formulas
+    # unbroadcast, and is broadcast only at masked branches (the erf series,
+    # the self-similar near-origin u_t, the one-sided Cole-Hopf stencils)
+    t = np.geomspace(1e-6, 1.0, 7)[:, None]
+    r = np.geomspace(1e-3, 1.0, 13)
+    for q, f in evaluators.items():
+        for rr in (r, np.broadcast_to(r, (t.size, r.size))):
+            out = f(t, rr)
+            want = np.array([[f(float(ti), float(ri)) for ri in r] for ti in t[:, 0]])
+            assert np.array_equal(out, want), (q, int(np.sum(out != want)))
+
+
 def test_array_t_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         t = np.array([1e-3, bad, 0.37])
