@@ -207,10 +207,11 @@ def cmd_figure(args) -> int:
     # the family is undefined at t = 0; as a column, t meets the r row in
     # one call per block of _FIGURE_BLOCK rows
     t_eval = np.where(ts > 0.0, ts, 1e-9)[:, None]
-    block = np.broadcast_to(rs, (_FIGURE_BLOCK, len(rs)))
     values = []
     for i in range(0, len(ts), _FIGURE_BLOCK):
-        values += fam.u(t_eval[i:i + _FIGURE_BLOCK], block).tolist()
+        t_block = t_eval[i:i + _FIGURE_BLOCK]
+        r_block = np.broadcast_to(rs, (len(t_block), len(rs)))
+        values += fam.u(t_block, r_block).tolist()
     # (t, flag, values at rs) per t row
     slices = [(t, "t-floor" if t == 0.0 else "", us)
               for t, us in zip(ts.tolist(), values)]

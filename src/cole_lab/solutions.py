@@ -641,7 +641,8 @@ def fd_central(f: Callable, x, h, f0=None):
     first = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     if f0 is None:
         return first, None
-    return first, (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+    second = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+    return first, second
 
 
 def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
