@@ -24,8 +24,9 @@ from . import norms as N
 from . import pdesolver as P
 from . import residual as R
 from .quadrature import NonConvergenceError
-from .solutions import (EvaluationError, Params, SolutionFamily, main_example,
-                        nonstationary_erf, self_similar, stationary)
+from .solutions import (EvaluationError, Params, SolutionFamily, grid_blocks,
+                        main_example, nonstationary_erf, self_similar,
+                        stationary)
 from .specfun import DomainError
 
 __all__ = ["main", "build_parser"]
@@ -189,12 +190,6 @@ _FIGURES = {
 }
 
 
-# t rows per evaluator call: with one 200-row call the pointwise benchmark
-# workload peaks at 51.8 MB, with blocks of 50 rows at 51.0 MB, no more
-# than with one call per row
-_FIGURE_BLOCK = 50
-
-
 def cmd_figure(args) -> int:
     which = args.which
     if which is None:
@@ -204,13 +199,10 @@ def cmd_figure(args) -> int:
     rs = np.linspace(r_lo, r_hi, 200)
     r_list = rs.tolist()
     ts = np.linspace(t_lo, t_hi, 200)
-    # the family is undefined at t = 0; as a column, t meets the r row in
-    # one call per block of _FIGURE_BLOCK rows
-    t_eval = np.where(ts > 0.0, ts, 1e-9)[:, None]
+    # the family is undefined at t = 0; a column of t meets the r row in
+    # one call per block of rows
     values = []
-    for i in range(0, len(ts), _FIGURE_BLOCK):
-        t_block = t_eval[i:i + _FIGURE_BLOCK]
-        r_block = np.broadcast_to(rs, (len(t_block), len(rs)))
+    for t_block, r_block in grid_blocks(np.where(ts > 0.0, ts, 1e-9), rs):
         values += fam.u(t_block, r_block).tolist()
     # (t, flag, values at rs) per t row
     slices = [(t, "t-floor" if t == 0.0 else "", us)

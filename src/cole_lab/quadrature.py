@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -210,11 +210,9 @@ def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
 
 
 def integrate_semi_infinite(f: Integrand, rel_tol: float,
-                            abs_tol: Optional[float] = None,
                             max_subdivisions: int = 10_000) -> QuadResult:
-    """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol).
-
-    abs_tol defaults to rel_tol times the smallest normal double, below the
+    """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol), where
+    abs_tol = rel_tol times the smallest normal double lies below the
     relative tolerance of every integral that is a normal double.
 
     Stages:
@@ -235,10 +233,9 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
     order of refinement.  Raises NonConvergenceError once the subdivision
     cap is hit or no panel can be split further.
     """
-    if not (rel_tol > 0.0 and (abs_tol is None or abs_tol > 0.0)):
-        raise ValueError("tolerances must be positive")
-    if abs_tol is None:
-        abs_tol = rel_tol * _TINY
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
+    abs_tol = rel_tol * _TINY
     alpha = f.small_r_exponent
     if alpha <= -1.0:
         raise ValueError(f"integrand declares r^{alpha} at 0+, not integrable")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .norms import UnderflowError
-from .solutions import SolutionFamily, fd_central
+from .solutions import SolutionFamily, fd_central, fd_derivative, grid_blocks
 
 __all__ = [
     "Grid1D",
@@ -105,7 +105,7 @@ def _derivatives(s: SolutionFamily, t, r: np.ndarray,
                  derivative_source: str, h_r: Optional[float],
                  h_t) -> tuple:
     """(u, u_r, u_rr, u_t) at radii r for one time slice t, or for a column
-    of slices against r at the grid's shape.  The finite-difference pass
+    of slices against r at the block's shape.  The finite-difference pass
     makes nine calls of u: the centre, four radial offsets shared by u_r
     and u_rr, and four time offsets."""
     if derivative_source == "analytic":
@@ -115,7 +115,7 @@ def _derivatives(s: SolutionFamily, t, r: np.ndarray,
             raise ValueError("finite-difference residual needs h_r and h_t")
         u = s.u(t, r)
         return (u, *fd_central(lambda x: s.u(t, x), r, h_r, u),
-                fd_central(lambda tau: s.u(tau, r), t, h_t)[0])
+                fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1))
     raise ValueError(f"unknown derivative source {derivative_source!r}")
 
 
@@ -129,15 +129,15 @@ def residual_pointwise(s: SolutionFamily, t: float, r, form: str = "radial",
                    *_derivatives(s, t, r, derivative_source, h_r, h_t))
 
 
-def _underflows(s: SolutionFamily, g: Grid1D, t: np.ndarray) -> bool:
-    """True when evaluating u, u_r, u_rr and u_t on the grid (its slices as
-    the column t) underflows, i.e. their zeros stand for values too small
-    for a double."""
+def _underflows(s: SolutionFamily, g: Grid1D) -> bool:
+    """True when evaluating u, u_r, u_rr and u_t on the grid underflows,
+    i.e. their zeros stand for values too small for a double."""
     r = g.radii()
     r = r[r > 0.0]
     with np.errstate(under="raise"):
         try:
-            _derivatives(s, t, r, "analytic", None, None)
+            for t, grid_r in grid_blocks(g.t_values, r):
+                _derivatives(s, t, grid_r, "analytic", None, None)
         except FloatingPointError:
             return True
     return False
@@ -146,12 +146,11 @@ def _underflows(s: SolutionFamily, g: Grid1D, t: np.ndarray) -> bool:
 def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
               derivative_source: str) -> ResidualReport:
     """The report over the grid, from one call per quantity (or stencil
-    offset) on the whole (t, r) grid; the maximum and the sum of squares are
-    still taken slice by slice in t order, as a loop over slices would.
-    Where every term is 0 at every point and those zeros come from
-    underflow, the residual carries no digits and UnderflowError is raised;
-    an exact zero solution still reports 0."""
-    t = np.array(g.t_values, dtype=float)[:, None]   # one row per slice
+    offset) per block of t rows (solutions.grid_blocks); the maximum and the
+    sum of squares are still taken slice by slice in t order, as a loop over
+    slices would.  Where every term is 0 at every point and those zeros come
+    from underflow, the residual carries no digits and UnderflowError is
+    raised; an exact zero solution still reports 0."""
     r = g.radii()
     r = r[r > 0.0]  # both forms divide by r
     h_r = h_t = None
@@ -160,27 +159,31 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
         # from the left domain edge
         h_r = float(np.min(np.diff(g.radii())))
         r = r[r - 2.0 * h_r > 0.0]
-        h_t = t * h_r / g.r_max
-    grid_r = np.broadcast_to(r, (len(t), len(r)))
-    R, scale = _terms(s, r, form,
-                      *_derivatives(s, t, grid_r, derivative_source, h_r, h_t))
-    a = np.abs(R / np.maximum(scale, 1e-300))
     worst = -1.0
     worst_t = worst_r = math.nan
     sq_sum = 0.0
-    for t_i, a_i in zip(g.t_values, a):
-        i = int(np.argmax(a_i))
-        if a_i[i] > worst:
-            worst, worst_t, worst_r = float(a_i[i]), float(t_i), float(r[i])
-        sq_sum += float(np.sum(a_i * a_i))
-    if not np.any(scale > 0.0) and _underflows(s, g, t):
+    digits = False
+    for t, grid_r in grid_blocks(g.t_values, r):
+        if h_r is not None:
+            h_t = t * h_r / g.r_max
+        R, scale = _terms(s, r, form, *_derivatives(s, t, grid_r,
+                                                    derivative_source, h_r, h_t))
+        digits = digits or bool(np.any(scale > 0.0))
+        a = np.abs(R / np.maximum(scale, 1e-300))
+        for t_i, a_i in zip(t[:, 0].tolist(), a):
+            i = int(np.argmax(a_i))
+            if a_i[i] > worst:
+                worst, worst_t, worst_r = float(a_i[i]), t_i, float(r[i])
+            sq_sum += float(np.sum(a_i * a_i))
+    if not digits and _underflows(s, g):
         raise UnderflowError(
             f"{s.label()}: u, u_r, u_rr and u_t underflow to 0 at every grid "
             "point, so the residual carries no digits")
+    count = len(g.t_values) * len(r)
     return ResidualReport(
         family=s.label(), form=form, derivative_source=derivative_source,
-        max_abs_scaled=worst, l2_scaled=math.sqrt(sq_sum / max(a.size, 1)),
-        worst_t=worst_t, worst_r=worst_r, n_points=a.size)
+        max_abs_scaled=worst, l2_scaled=math.sqrt(sq_sum / max(count, 1)),
+        worst_t=worst_t, worst_r=worst_r, n_points=count)
 
 
 def radial_residual(s: SolutionFamily, g: Grid1D,

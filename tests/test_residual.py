@@ -13,9 +13,10 @@ from cole_lab.norms import UnderflowError
 from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                origin_limit_check, radial_residual,
                                residual_pointwise)
-from cole_lab.solutions import (HeatFunction, Params, cartesian_components,
-                                cole_hopf, fd_derivative, main_example,
-                                nonstationary_erf, self_similar, stationary)
+from cole_lab.solutions import (GRID_BLOCK_POINTS, HeatFunction, Params,
+                                cartesian_components, cole_hopf, fd_derivative,
+                                main_example, nonstationary_erf, self_similar,
+                                stationary)
 
 MAIN = main_example(Params(3, 0.1, a=1.0))
 NST = nonstationary_erf(0.1)
@@ -159,6 +160,29 @@ def test_grid_residual_work_count(source, calls):
                           derivative_source=source)
     assert len(seen) == calls
     assert all(shape == (3, rep.n_points // 3) for shape in seen)
+
+
+@pytest.mark.parametrize("nr,k", [(199, 120), (19_999, 3)])
+def test_grid_residual_evaluates_in_blocks_of_rows(nr, k):
+    # a grid larger than one block is evaluated block by block, each block
+    # of whole t rows within GRID_BLOCK_POINTS (at least one row), so memory
+    # grows with the block; the report keeps the bits of a per-slice loop
+    seen = []
+
+    def counted(t, r):
+        seen.append(np.shape(r))
+        return MAIN.u(t, r)
+
+    fam = dataclasses.replace(MAIN, u=counted)
+    grid = Grid1D(1e-4, 0.1, nr, tuple(np.geomspace(2e-5, 1e-3, k).tolist()))
+    rep = radial_residual(fam, grid)
+    rows = max(1, GRID_BLOCK_POINTS // (nr + 1))
+    assert len(seen) == math.ceil(k / rows)
+    assert [shape[0] for shape in seen] == [
+        min(rows, k - i) for i in range(0, k, rows)]
+    assert all(shape[1] == nr + 1 for shape in seen)
+    assert (rep.max_abs_scaled, rep.l2_scaled, rep.worst_t, rep.worst_r,
+            rep.n_points) == _per_slice_report(MAIN, grid, "radial", "analytic")
 
 
 def test_finite_difference_shrinks_stencil_at_left_edge():
