@@ -372,9 +372,25 @@ def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
         val, err = _positive(
             quad.layer_power_integral(c, b, p, n, mu, t, rel_tol=_REL_TOL),
             "layer_power_integral")
-        value += t ** (-k * p) * val
-        error += t ** (-k * p) * err
+        value += _times_power(val, t, -k * p)
+        error += _times_power(err, t, -k * p)
     return value, error
+
+
+def _times_power(x: float, t: float, e: float) -> float:
+    """t^e x for x >= 0, as t ** e * x wherever t ** e is a double, else
+    through logarithms, so that a finite product stays finite (inf where the
+    product itself passes the largest double)."""
+    try:
+        return t ** e * x
+    except OverflowError:
+        pass
+    if x == 0.0:
+        return 0.0
+    try:
+        return math.exp(math.log(x) + e * math.log(t))
+    except OverflowError:
+        return math.inf
 
 
 def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:

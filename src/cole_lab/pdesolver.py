@@ -30,6 +30,22 @@ the array of all step times t0 + (m+1) dt, and steps through those traces
 by index; a left end at r_min = 0 is held at u = 0, and held
 (array-profile) ends are constant sequences.
 
+Stacking: march also takes a list of k initial states under one
+configuration and advances them as the diagonal blocks of one system.  The
+k node vectors of N = nr + 1 entries lie end to end in one flat array, so
+the interior rows of the step form one vector of k N - 2 entries in which
+block b owns rows b N .. b N + N - 3.  The two rows between blocks (the
+right end of block b and the left end of block b + 1) are identity rows
+with no coupling, and a block's first sub-diagonal and last super-diagonal
+entries are 0, so the LU factor and every doubling multiplier restart at
+each seam: the seam pivots are 1, the multipliers across it are 0, and each
+block gets the same bits as a march of its own.  The Dirichlet terms go
+into rows 0::N and N-3::N, and the seam nodes are written from the boundary
+data after each step.  The stack stays flat because numpy's per-call cost
+dominates at these sizes: a flat multiply or doubling pass over 2 N
+entries costs about what one over N does, while a strided (k, N) layout
+with broadcast coefficients was measured no faster than k separate marches.
+
 Origin handling: for origin-regular data the r=0 node carries u = 0 exactly
 (the radial component of a continuous vector field vanishes at 0), so the
 singular (n-1)(u_r/r - u/r^2) terms are never evaluated there; their
@@ -112,6 +128,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverRun:
+    """One march; a stacked march puts the block axis first on final
+    (k, nr + 1) and on the histories (k, n_steps)."""
+
     config: SolverConfig
     radii: np.ndarray
     final: np.ndarray
@@ -224,29 +243,55 @@ class _Tridiagonal:
 
 
 class _Stepper:
-    """One configured time step; shared by march and the replay in
-    min_principle_experiment so both advance with identical arithmetic.
+    """One configured time step of a stack of k blocks (see the module
+    docstring); shared by march and the replay in min_principle_experiment
+    so both advance with identical arithmetic.
 
-    left and right hold the Dirichlet value of each end at the end of every
-    step: sequences of length n_steps, indexed by the step number."""
+    left and right hold the Dirichlet value of each block's ends at the end
+    of every step: arrays of shape (n_steps, k), indexed by the step number
+    (None for one block held at 0, when only the operator and the matrix
+    are wanted)."""
 
     def __init__(self, cfg: SolverConfig, left, right):
         self.cfg = cfg
-        self.left = left
-        self.right = right
+        self.dt, self.n_steps = cfg.step_size()
+        if left is None:
+            left = right = np.zeros((self.n_steps, 1))
+        k = left.shape[1]
+        n_nodes = cfg.nr + 1
         r = cfg.radii()
         self.h = r[1] - r[0]
         ri = r[1:-1]
         mu, n = cfg.mu, cfg.n
-        self.lo = mu * (1.0 / self.h**2 - (n - 1) / (2.0 * self.h * ri))
-        self.di = mu * (-2.0 / self.h**2 - (n - 1) / ri**2)
-        self.up = mu * (1.0 / self.h**2 + (n - 1) / (2.0 * self.h * ri))
-        self.dt, self.n_steps = cfg.step_size()
+        lo = mu * (1.0 / self.h**2 - (n - 1) / (2.0 * self.h * ri))
+        di = mu * (-2.0 / self.h**2 - (n - 1) / ri**2)
+        up = mu * (1.0 / self.h**2 + (n - 1) / (2.0 * self.h * ri))
+
+        def stack(rows, seam=0.0):
+            # k copies of one block's interior rows, two seam rows between
+            return np.tile(np.append(rows, (seam, seam)), k)[:-2]
+
+        def per_end(at_left, at_right):
+            # (n_steps, 2k): each block's left and right value, in node order
+            return np.stack((at_left, at_right), axis=-1).reshape(len(at_left), 2 * k)
+
+        self.lo, self.di, self.up = stack(lo), stack(di), stack(up)
+        offsets = np.arange(k)[:, None] * n_nodes
+        self.ends = (offsets + (0, n_nodes - 1)).ravel()
+        self.end_values = per_end(left, right)
         if cfg.scheme != "rk2":
-            # I - dt/2 L, the implicit half of Crank-Nicolson
-            self.matrix = _Tridiagonal(-0.5 * self.dt * self.lo,
-                                       1.0 - 0.5 * self.dt * self.di,
-                                       -0.5 * self.dt * self.up)
+            # I - dt/2 L, the implicit half of Crank-Nicolson; a block's
+            # first and last rows do not reach across its ends
+            sub, sup = -0.5 * self.dt * lo, -0.5 * self.dt * up
+            sub[0] = sup[-1] = 0.0
+            self.matrix = _Tridiagonal(stack(sub),
+                                       stack(1.0 - 0.5 * self.dt * di, 1.0),
+                                       stack(sup))
+            # the Dirichlet terms of every step, in interior rows 0::N and
+            # N-3::N
+            self.end_rows = (offsets + (0, n_nodes - 3)).ravel()
+            self.end_terms = per_end(0.5 * self.dt * lo[0] * left,
+                                     0.5 * self.dt * up[-1] * right)
 
     def apply_operator(self, u: np.ndarray) -> np.ndarray:
         return self.lo * u[:-2] + self.di * u[1:-1] + self.up * u[2:]
@@ -260,21 +305,29 @@ class _Stepper:
             ur = np.where(u[1:-1] >= 0.0, back, fwd)
         return u[1:-1] * ur
 
+    def _ends(self, u: np.ndarray, m: int) -> np.ndarray:
+        """u with every block's two ends (the seam nodes too) set to their
+        Dirichlet values after step m."""
+        u[self.ends] = self.end_values[m]
+        return u
+
     def step(self, u: np.ndarray, m: int) -> np.ndarray:
         """u after step m, i.e. at t0 + (m+1) dt."""
-        left, right = self.left[m], self.right[m]
+        new = np.empty_like(u)
+        interior = new[1:-1]
         if self.cfg.scheme == "rk2":
             k1 = self.apply_operator(u) - self.advection(u)
-            mid = np.concatenate(([left], u[1:-1] + self.dt * k1, [right]))
+            mid = np.empty_like(u)
+            np.add(u[1:-1], self.dt * k1, out=mid[1:-1])
+            self._ends(mid, m)
             k2 = self.apply_operator(mid) - self.advection(mid)
-            interior = u[1:-1] + 0.5 * self.dt * (k1 + k2)
+            np.add(u[1:-1], 0.5 * self.dt * (k1 + k2), out=interior)
         else:
-            rhs = (u[1:-1] + 0.5 * self.dt * self.apply_operator(u)
-                   - self.dt * self.advection(u))
-            rhs[0] += 0.5 * self.dt * self.lo[0] * left
-            rhs[-1] += 0.5 * self.dt * self.up[-1] * right
-            interior = self.matrix.solve(rhs)
-        return np.concatenate(([left], interior, [right]))
+            np.subtract(u[1:-1] + 0.5 * self.dt * self.apply_operator(u),
+                        self.dt * self.advection(u), out=interior)
+            interior[self.end_rows] += self.end_terms[m]
+            self.matrix.solve(interior)
+        return self._ends(new, m)
 
 
 def _initial_and_boundaries(cfg: SolverConfig, initial, r: np.ndarray):
@@ -297,25 +350,35 @@ def _initial_and_boundaries(cfg: SolverConfig, initial, r: np.ndarray):
     return u0, [float(u0[0])] * n_steps, [float(u0[-1])] * n_steps
 
 
-def march(cfg: SolverConfig, initial: Union[SolutionFamily, np.ndarray]) -> SolverRun:
+def march(cfg: SolverConfig,
+          initial: Union[SolutionFamily, np.ndarray, Sequence]) -> SolverRun:
     """March the radial equation from t0 to t1 and record extrema history.
 
     `initial` is either a SolutionFamily (sampled at t0, Dirichlet data taken
     from the family at both ends, or 0 at a left end r_min = 0) or a profile
-    array on cfg.radii() (endpoint values held fixed in time).  Raises
-    StabilityError on NaN or when the advective CFL number dt max|u| / h
-    exceeds 1 mid-run.
+    array on cfg.radii() (endpoint values held fixed in time).  A list or
+    tuple of them is marched as one stack (see the module docstring), and
+    the run then puts the block axis first on final and the histories; each
+    block matches a march of its own bit for bit.  Raises StabilityError on
+    NaN or when the advective CFL number dt max|u| / h exceeds 1 mid-run.
     """
+    stacked = isinstance(initial, (list, tuple))
+    members = list(initial) if stacked else [initial]
+    if not members:
+        raise ValueError("nothing to march: the stack is empty")
     r = cfg.radii()
-    u0, left, right = _initial_and_boundaries(cfg, initial, r)
+    parts = [_initial_and_boundaries(cfg, s, r) for s in members]
+    u0 = np.concatenate([u for u, _, _ in parts])
     if not np.all(np.isfinite(u0)):
         raise ValueError("initial profile contains non-finite values")
-    stepper = _Stepper(cfg, left, right)
+    stepper = _Stepper(cfg, np.column_stack([left for _, left, _ in parts]),
+                       np.column_stack([right for _, _, right in parts]))
     dt, n_steps = stepper.dt, stepper.n_steps
 
-    u = u0.copy()
-    max_hist = np.empty(n_steps)
-    min_hist = np.empty(n_steps)
+    u = u0
+    starts = np.arange(0, u.size, r.size)
+    max_hist = np.empty((n_steps, starts.size))
+    min_hist = np.empty((n_steps, starts.size))
     hi, lo = float(u.max()), float(u.min())
     for m in range(n_steps):
         amp = max(hi, -lo)
@@ -323,34 +386,44 @@ def march(cfg: SolverConfig, initial: Union[SolutionFamily, np.ndarray]) -> Solv
             raise StabilityError(
                 f"advective CFL {dt * amp / stepper.h:.3g} > 1 at step {m}")
         u = stepper.step(u, m)
+        his = np.maximum.reduceat(u, starts, out=max_hist[m]).tolist()
+        los = np.minimum.reduceat(u, starts, out=min_hist[m]).tolist()
         # max and min propagate NaN, so they also detect non-finite values
-        hi, lo = float(u.max()), float(u.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
+        if not all(map(math.isfinite, his + los)):
             raise StabilityError(f"non-finite value at step {m + 1}")
-        max_hist[m] = hi
-        min_hist[m] = lo
-    return SolverRun(config=cfg, radii=r, final=u, n_steps=n_steps, dt=dt,
+        hi, lo = max(his), min(los)
+    final = u.reshape(starts.size, r.size)
+    max_hist, min_hist = max_hist.T.copy(), min_hist.T.copy()
+    if not stacked:
+        final, max_hist, min_hist = final[0], max_hist[0], min_hist[0]
+    return SolverRun(config=cfg, radii=r, final=final, n_steps=n_steps, dt=dt,
                      max_history=max_hist, min_history=min_hist)
 
 
-def convergence_study(s: SolutionFamily, cfg: SolverConfig,
-                      nr_values: Sequence[int]) -> ConvergenceReport:
-    """Manufactured-solution test: march s from t0, compare to s at t1 in
-    max norm for each nr, and report h-halving error ratios.
+def convergence_study(cfg: SolverConfig, cases: Sequence) -> tuple:
+    """Manufactured-solution test: for each case (family, nr_values), march
+    the family from t0, compare to it at t1 in max norm for each nr, and
+    report h-halving error ratios; one ConvergenceReport per case.
 
-    cn-central shows ratios near 4 (order 2); cn-upwind and rk2 carry the
-    first-order upwind advection error, ratios near 2."""
-    errors = []
-    for nr in nr_values:
-        run = march(replace(cfg, nr=int(nr)), s)
-        exact = np.asarray(s.u(cfg.t1, run.radii))
-        errors.append(float(np.max(np.abs(run.final - exact))))
-    ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))
-    orders = tuple(math.log2(max(rho, 1e-300)) for rho in ratios)
-    return ConvergenceReport(scheme=cfg.scheme,
-                             nr_values=tuple(int(v) for v in nr_values),
-                             errors=tuple(errors), ratios=ratios,
-                             observed_orders=orders)
+    Each distinct nr is marched once, as one stack of every family that
+    lists it.  cn-central shows ratios near 4 (order 2); cn-upwind and rk2
+    carry the first-order upwind advection error, ratios near 2."""
+    cases = [(s, tuple(int(nr) for nr in nrs)) for s, nrs in cases]
+    errors = {}
+    for nr in sorted({nr for _, nrs in cases for nr in nrs}):
+        members = [i for i, (_, nrs) in enumerate(cases) if nr in nrs]
+        run = march(replace(cfg, nr=nr), [cases[i][0] for i in members])
+        for i, final in zip(members, run.final):
+            exact = np.asarray(cases[i][0].u(cfg.t1, run.radii))
+            errors[i, nr] = float(np.max(np.abs(final - exact)))
+    reports = []
+    for i, (_, nrs) in enumerate(cases):
+        errs = tuple(errors[i, nr] for nr in nrs)
+        ratios = tuple(a / b for a, b in zip(errs[:-1], errs[1:]))
+        reports.append(ConvergenceReport(
+            scheme=cfg.scheme, nr_values=nrs, errors=errs, ratios=ratios,
+            observed_orders=tuple(math.log2(max(rho, 1e-300)) for rho in ratios)))
+    return tuple(reports)
 
 
 def min_principle_experiment(cfg: SolverConfig,
@@ -366,7 +439,8 @@ def min_principle_experiment(cfg: SolverConfig,
     d2 = np.abs(u0[:-2] - 2.0 * u0[1:-1] + u0[2:]) / h**2
     eps_h = h * h * float(d2.max()) if d2.size else 0.0
     n_steps = cfg.step_size()[1]
-    stepper = _Stepper(cfg, [float(u0[0])] * n_steps, [float(u0[-1])] * n_steps)
+    stepper = _Stepper(cfg, np.full((n_steps, 1), u0[0]),
+                       np.full((n_steps, 1), u0[-1]))
 
     u = u0.copy()
     min_hist = np.empty(stepper.n_steps)

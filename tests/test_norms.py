@@ -220,6 +220,31 @@ def test_hess_bound_terms_positive_and_restricted():
         hess_bound_lp(MAIN, 3.0, 1e-4)   # first exponent n-p-1 hits -1
 
 
+def test_bound_integrals_past_the_largest_power_of_t(capsys):
+    # t^(-kp) passes the largest double (t^-4 = 1e320 at t = 1e-80) while
+    # the term t^(-kp) int r^c f^-p dr is still a double: the bound is the
+    # finite sum, and deeper in t a typed error, never an OverflowError
+    t, p = 1e-80, 2.0
+    b = (4.0 * math.pi * 0.1) ** 1.5
+    ints = [layer_power_integral(c, b, p, 3, 0.1, t, rel_tol=1e-10).value
+            for c in (2.0, 2.0 * p + 2.0)]
+    with mpmath.workdps(30):
+        want = float(sum(mpmath.mpf(t) ** (-k * p) * v
+                         for k, v in zip((1, 2), ints)))
+    value, err = grad_bound_integrals(MAIN, p, t)
+    assert value == approx(want, rel=1e-13)
+    assert 0.0 < err <= 1e-8 * value
+    with pytest.raises(UnderflowError):
+        grad_bound_integrals(main_example(Params(3, 0.1)), 2.0, 1e-200)
+    with pytest.raises(UnderflowError):
+        hess_bound_lp(MAIN, 2.0, 1e-80)
+    rc = main(["norms", "--family", "MainExample", "--kind", "hess_bound_lp",
+               "--p", "2", "--t-grid", "1e-80:1e-100:2"])
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rc == 0
+    assert [row.split(",")[-1] for row in rows] == ["underflow", "underflow"]
+
+
 def test_frobenius_formulas_match_cartesian_tensors():
     # |Du|_F^2 and |D^2u|_F^2 computed from the radial shape functions must
     # equal the naive sums over the assembled Cartesian components

@@ -59,17 +59,17 @@ def test_zero_initial_profile_is_fixed_point():
 
 
 def test_central_scheme_is_second_order_on_main_example():
-    rep = convergence_study(MAIN, _cfg(scheme="cn-central"), [128, 256, 512])
+    (rep,) = convergence_study(_cfg(scheme="cn-central"), [(MAIN, [128, 256, 512])])
     assert all(3.5 <= rho <= 4.5 for rho in rep.ratios)
 
 
 def test_central_scheme_is_second_order_on_erf_family():
-    rep = convergence_study(NST, _cfg(scheme="cn-central"), [64, 128, 256])
+    (rep,) = convergence_study(_cfg(scheme="cn-central"), [(NST, [64, 128, 256])])
     assert all(3.5 <= rho <= 4.5 for rho in rep.ratios)
 
 
 def test_upwind_scheme_is_first_order():
-    rep = convergence_study(MAIN, _cfg(scheme="cn-upwind"), [128, 256, 512])
+    (rep,) = convergence_study(_cfg(scheme="cn-upwind"), [(MAIN, [128, 256, 512])])
     assert all(abs(o - 1.0) <= 0.3 for o in rep.observed_orders)
 
 
@@ -253,3 +253,95 @@ def test_eps2_flush_matches_smallest_normal_flush(nr, monkeypatch):
     for run, fam in zip(runs, (MAIN, NST)):
         ref = march(cfg, fam).final
         assert np.max(np.abs(run.final - ref)) <= 1e-28 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# stacked marches: k states as the diagonal blocks of one system
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["cn-upwind", "cn-central", "rk2"])
+@pytest.mark.parametrize("r_min", [0.0, 0.05])
+def test_stacked_march_matches_separate_marches(scheme, r_min):
+    cfg = _cfg(scheme=scheme, r_min=r_min)
+    stacked = march(cfg, [MAIN, NST])
+    assert stacked.final.shape == (2, cfg.nr + 1)
+    assert stacked.max_history.shape == (2, stacked.n_steps)
+    for block, fam in enumerate((MAIN, NST)):
+        alone = march(cfg, fam)
+        assert stacked.n_steps == alone.n_steps and stacked.dt == alone.dt
+        assert _same_bits(stacked.final[block], alone.final)
+        assert _same_bits(stacked.max_history[block], alone.max_history)
+        assert _same_bits(stacked.min_history[block], alone.min_history)
+
+
+def test_stacked_profiles_match_separate_marches():
+    cfg = _cfg(nr=64, r_max=2.0, scheme="cn-central")
+    r = cfg.radii()
+    profiles = [BumpProfile().evaluate(r), 0.5 * np.sin(np.pi * r / 2.0),
+                BumpProfile(depth=0.3, center=0.7).evaluate(r)]
+    stacked = march(cfg, profiles)
+    for block, profile in enumerate(profiles):
+        alone = march(cfg, profile)
+        assert _same_bits(stacked.final[block], alone.final)
+        assert _same_bits(stacked.max_history[block], alone.max_history)
+        assert _same_bits(stacked.min_history[block], alone.min_history)
+
+
+@pytest.mark.parametrize("scheme", ["cn-upwind", "cn-central", "rk2"])
+def test_zero_block_beside_main_stays_zero(scheme):
+    # nothing leaks across the seam rows, in either order
+    cfg = _cfg(scheme=scheme)
+    zero = np.zeros(cfg.nr + 1)
+    for stack, block in (([zero, MAIN], 0), ([MAIN, zero], 1)):
+        run = march(cfg, stack)
+        assert np.all(run.final[block] == 0.0)
+        assert np.all(run.max_history[block] == 0.0)
+        assert np.all(run.min_history[block] == 0.0)
+        assert _same_bits(run.final[1 - block], march(cfg, MAIN).final)
+
+
+@pytest.mark.parametrize("scheme", ["cn-central", "rk2"])
+def test_stacked_march_raises_on_one_unstable_block(scheme):
+    cfg = _cfg(nr=64, r_max=2.0, scheme=scheme)
+    violent = 100.0 * BumpProfile().evaluate(cfg.radii())
+    with pytest.raises(StabilityError):
+        march(cfg, violent)
+    with pytest.raises(StabilityError):
+        march(cfg, [np.zeros(65), violent])
+
+
+def test_stacked_march_input_validation():
+    cfg = _cfg(nr=64)
+    with pytest.raises(ValueError):
+        march(cfg, [])
+    with pytest.raises(ValueError):
+        march(cfg, [MAIN, np.zeros(64)])                     # needs nr+1 nodes
+    with pytest.raises(ValueError):
+        march(cfg, [MAIN, main_example(Params(4, 0.1, a=1.0))])   # wrong n
+
+
+def test_convergence_study_marches_each_nr_once(monkeypatch):
+    # one stacked march per distinct nr, over every case that lists it
+    marched = []
+
+    def spy(cfg, initial):
+        marched.append((cfg.nr, len(initial)))
+        return march(cfg, initial)
+
+    monkeypatch.setattr(pdesolver, "march", spy)
+    cfg = _cfg(scheme="cn-central")
+    reports = convergence_study(cfg, [(MAIN, [128, 256]), (NST, [64, 128, 256])])
+    assert marched == [(64, 1), (128, 2), (256, 2)]
+    monkeypatch.undo()
+    for rep, (fam, nrs) in zip(reports, ((MAIN, [128, 256]), (NST, [64, 128, 256]))):
+        assert rep.nr_values == tuple(nrs)
+        want = []
+        for nr in nrs:
+            run = march(dataclasses.replace(cfg, nr=nr), fam)
+            want.append(float(np.max(np.abs(run.final - fam.u(cfg.t1, run.radii)))))
+        assert rep.errors == tuple(want)
+        assert rep.ratios == tuple(a / b for a, b in zip(want[:-1], want[1:]))

@@ -51,3 +51,19 @@ def test_tracer_sees_every_layer():
                  "norms.linf_ms", "residual.points", "pdesolver.steps",
                  "solutions.vector_calls", "acceptance.c3_s", "cli.emit_ms"):
         assert metrics[name] > 0, name
+
+
+def test_criterion_9_stacks_its_marches():
+    # criterion 9 marches both families as one stack at nr = 128, 256 and
+    # 512, and the erf family alone at 64: 19 + 73 + 292 + 1166 steps, and
+    # one boundary trace per family and march (the left end is held at 0)
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert acceptance.CRITERIA[8]().passed
+    finally:
+        tracer.uninstall()
+    metrics = tracer_mod.layer_metrics(tracer.take())
+    assert metrics["pdesolver.steps"] == 1550
+    assert metrics["pdesolver.boundary_calls"] == 7
