@@ -21,9 +21,10 @@ Divergent integrals are detected by endpoint power counting from the
 family's declared exponents, before any quadrature runs; the quadrature is
 never asked to discover a divergence.  Non-integrable cases raise
 DivergenceError, and norm_sweep converts errors into per-point flags so a
-report never silently drops a grid point.  Every integrand here is
-positive, so an integral below the smallest normal double raises
-UnderflowError (flag "underflow") instead of passing for a norm of 0.
+report never silently drops a grid point.  The L^p integrands are scaled
+in logs to O(1) at the layer and the bound integrals taken in xi =
+r/sqrt(4 mu t), so UnderflowError (flag "underflow") means that a value
+itself is below the smallest normal double, not only its p-th power.
 """
 
 from __future__ import annotations
@@ -205,30 +206,26 @@ def _norm(omega: float, p: float, val: float, err: float):
     return norm, norm * (err / val) / p
 
 
+def _root(log_scale: float, p: float, val: float, err: float):
+    """(e^log_scale val)^(1/p), formed in logs (inf past the largest
+    double), and its error to first order in the error err of val."""
+    try:
+        x = math.exp((log_scale + math.log(val)) / p)
+    except OverflowError:
+        x = math.inf
+    return x, x * (err / val) / p
+
+
 # ---------------------------------------------------------------------------
 # L^p norms of u, Du and D^2 u, and the erf family's distance
 # ---------------------------------------------------------------------------
-
-def _abs_u_p(s: SolutionFamily, t: float, r, p: float):
-    return np.abs(np.asarray(s.u(t, r))) ** p
-
-
-def _abs_du_p(s: SolutionFamily, t: float, r, p: float):
-    # |Du|_F = sqrt(u_r^2 + (n-1)(u/r)^2)
-    ur = np.asarray(s.u_r(t, r))
-    g = np.asarray(s.g(t, r))
-    return (ur * ur + (s.params.n - 1.0) * g * g) ** (0.5 * p)
-
-
-def _abs_d2u_p(s: SolutionFamily, t: float, r, p: float):
-    return hessian_frobenius_sq(s, t, r) ** (0.5 * p)
-
 
 def _abs_u(s: SolutionFamily, t: float, r):
     return np.abs(np.asarray(s.u(t, r)))
 
 
 def _abs_du(s: SolutionFamily, t: float, r):
+    # |Du|_F = sqrt(u_r^2 + (n-1)(u/r)^2)
     return np.hypot(np.asarray(s.u_r(t, r)),
                     math.sqrt(s.params.n - 1.0) * np.asarray(s.g(t, r)))
 
@@ -237,48 +234,47 @@ def _abs_d2u(s: SolutionFamily, t: float, r):
     return np.sqrt(hessian_frobenius_sq(s, t, r))
 
 
-# k -> (|D^k u|_F^p pointwise, |D^k u|_F pointwise, its exponent at r -> 0
-# given u's, name); a regular origin (u ~ r) gives |Du|_F ~ 1 and
-# |D^2 u|_F ~ r
+# k -> (|D^k u|_F pointwise, its exponent at r -> 0 given u's, name); a
+# regular origin (u ~ r) gives |Du|_F ~ 1 and |D^2 u|_F ~ r
 _DERIVATIVES = (
-    (_abs_u_p, _abs_u, lambda e: e, ""),
-    (_abs_du_p, _abs_du, lambda e: e - 1.0 if e < 1.0 else 0.0, "grad "),
-    (_abs_d2u_p, _abs_d2u, lambda e: e - 2.0 if e < 1.0 else 1.0, "hess "),
+    (_abs_u, lambda e: e, ""),
+    (_abs_du, lambda e: e - 1.0 if e < 1.0 else 0.0, "grad "),
+    (_abs_d2u, lambda e: e - 2.0 if e < 1.0 else 1.0, "hess "),
 )
 
 
-def _derivative_integral(s: SolutionFamily, p: float, t: float, k: int):
-    """(omega, val, error): the sphere measure and the integral
-    int_0^oo |D^k u|_F^p r^(n-1) dr, k = 0, 1, 2, with its error.
+def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
+    """(value, error) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2:
+    exp((log omega + c + log val)/p), val = int_0^oo e^-c |D^k u|_F^p
+    r^(n-1) dr, raising UnderflowError below the smallest normal double.
 
-    Near a singular origin |D^k u|_F^p overflows and r^(n-1) underflows at
-    radii where the integrand is a normal double (at t = 1e-300 the
-    quadrature reaches r ~ 1e-156), so a family with small_r_exponent < 0
-    integrates exp(p log |D^k u|_F + (n-1) log r), with |Du|_F from
-    np.hypot; the exponential costs |log f| ulps, 1e-13 at worst."""
-    pointwise, modulus, origin, name = _DERIVATIVES[k]
+    The integrand is exp(p log |D^k u|_F + (n-1) log r - c), |Du|_F from
+    np.hypot: |D^k u|_F^p, r^(n-1) and their product each leave the double
+    range somewhere (near a singular origin, at deep t).  u ~ 4 mu / l, l
+    the outermost layer split, gives c = p log(4 mu) + (n-1-p(k+1)) log l,
+    so val is O(l) at every t; the exponentials cost |log f| ulps, 1e-13
+    at worst."""
+    modulus, origin, label = _DERIVATIVES[k]
     n = s.params.n
     omega = sphere_measure(n)
     alpha = p * origin(s.small_r_exponent) + n - 1.0
-    _check_origin(alpha, f"{s.kind} {name}L^{p:g}")
+    _check_origin(alpha, f"{s.kind} {label}L^{p:g}")
     decay = _integrand_tail(s, t, p, derivative_order=k)
+    if not 4.0 * s.params.mu * t >= _TINY:   # r^2/(4 mu t) has lost its digits
+        raise UnderflowError(f"{s.kind}: 4 mu t is below the smallest normal double")
+    splits = _layer_splits(s, t)
+    c = (p * math.log(4.0 * s.params.mu)
+         + (n - 1.0 - p * (k + 1.0)) * math.log(max(splits)))
 
-    if s.small_r_exponent < 0.0:
-        def f(r):
-            with np.errstate(divide="ignore"):   # log 0 where u underflows
-                return np.exp(p * np.log(modulus(s, t, r)) + (n - 1.0) * np.log(r))
-    else:
-        def f(r):
-            return pointwise(s, t, r, p) * r ** (n - 1.0)
+    def f(r):
+        with np.errstate(divide="ignore"):   # log 0 where u underflows
+            return np.exp(p * np.log(modulus(s, t, r)) + (n - 1.0) * np.log(r) - c)
 
-    return (omega, *_integral(f, alpha, decay, _layer_splits(s, t),
-                              f"{s.kind}.{name.strip()}L{p:g}"))
-
-
-def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
-    """(value, error) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2."""
-    omega, val, err = _derivative_integral(s, p, t, k)
-    return _norm(omega, p, val, err)
+    name = f"{s.kind}.{label.strip()}L{p:g}"
+    norm, err = _root(math.log(omega) + c, p, *_integral(f, alpha, decay, splits, name))
+    if not norm >= _TINY:
+        raise UnderflowError(f"{name}: {norm!r} is below the smallest normal double")
+    return norm, err
 
 
 def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
@@ -353,7 +349,9 @@ def lp_distance(s: SolutionFamily, p: float, t: float) -> float:
 def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
     """(sum over (k, c) of terms of t^-kp int r^c f^-p dr, the same sum of
     the integrals' error estimates), where f = 1 + a (4 pi mu t)^(n/2)
-    e^(r^2/4mu t) is the main example's denominator bracket."""
+    e^(r^2/4mu t) is the main example's denominator bracket.  Each integral
+    is (4 mu t)^((c+1)/2) J, J = int xi^c f^-p dxi in xi = r/sqrt(4 mu t),
+    which never underflows; the powers of t are added in logs."""
     if s.kind != "MainExample" or s.params.a <= 0.0:
         raise DomainError(f"{name} is derived only for the main example, a > 0")
     for _, c in terms:
@@ -367,30 +365,22 @@ def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
     if not 0.0 < b < math.inf:
         raise DomainError(f"{name}: b = a (4 pi mu)^(n/2) = {b!r} is not a "
                           "positive double")
+    if not t >= _TINY:
+        raise UnderflowError(f"{name}: t = {t!r} is below the smallest normal double")
+    log_t, log_4mu = math.log(t), math.log(4.0 * mu)
     value = error = 0.0
     for k, c in terms:
+        # mu' = 1/(4t) makes 4 mu' t = 1: the integral in xi
         val, err = _positive(
-            quad.layer_power_integral(c, b, p, n, mu, t, rel_tol=_REL_TOL),
+            quad.layer_power_integral(c, b, p, n, 0.25 / t, t, rel_tol=_REL_TOL),
             "layer_power_integral")
-        value += _times_power(val, t, -k * p)
-        error += _times_power(err, t, -k * p)
+        term, term_err = _root(0.5 * (c + 1.0) * (log_4mu + log_t) - k * p * log_t,
+                               1.0, val, err)
+        value += term
+        error += term_err
+    if not value >= _TINY:
+        raise UnderflowError(f"{name}: {value!r} is below the smallest normal double")
     return value, error
-
-
-def _times_power(x: float, t: float, e: float) -> float:
-    """t^e x for x >= 0, as t ** e * x wherever t ** e is a double, else
-    through logarithms, so that a finite product stays finite (inf where the
-    product itself passes the largest double)."""
-    try:
-        return t ** e * x
-    except OverflowError:
-        pass
-    if x == 0.0:
-        return 0.0
-    try:
-        return math.exp(math.log(x) + e * math.log(t))
-    except OverflowError:
-        return math.inf
 
 
 def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:
@@ -518,42 +508,37 @@ def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
 
     u(t, r) = lam u(lam^2 t, lam r) makes the norm exactly
     K t^((n-p)/(2p) - k/2), so each point takes the reference value and
-    error times (t/t_ref)^((n-p)/(2p) - k/2); a point whose integral, so
+    error times (t/t_ref)^((n-p)/(2p) - k/2); a point whose norm, so
     scaled, falls below the smallest normal double is flagged underflow.
     A divergence or non-convergence at the reference flags every point.
-    None when no reference stands for the grid (t_ref not a positive
-    double, or an integral there that underflows or overflows): the caller
-    then integrates at each t."""
+    None when t_ref is not a positive double or the norm there underflows:
+    the caller then integrates at each t."""
     t_ref = 1.0 / (4.0 * s.params.mu)
     if not 0.0 < t_ref < math.inf:
         return None
     try:
-        omega, val, err = _derivative_integral(s, p, t_ref, k)
+        v_ref, e_ref = _derivative_lp(s, p, t_ref, k)
     except DivergenceError:
         return [_flagged("divergent")] * len(ts)
     except UnderflowError:
         return None
     except NonConvergenceError:
-        val = None
+        v_ref = None
     # the per-t cores reject such a t once divergence is ruled out
     for t in ts:
         if not (t > 0.0 and math.isfinite(t)):
             raise DomainError(f"t must be positive and finite, got {t}")
-    if val is None:
+    if v_ref is None:
         return [_flagged("non-converged")] * len(ts)
-    v_ref, e_ref = _norm(omega, p, val, err)
-    if not math.isfinite(v_ref):
-        return None
     e = 0.5 * (s.params.n - p) / p - 0.5 * k
     points = []
     for t in ts:
-        ratio = t / t_ref
-        if not val * _power(ratio, p * e) >= _TINY:
-            points.append(_flagged("underflow"))
-            continue
-        scale = _power(ratio, e)
+        scale = _power(t / t_ref, e)
         v = v_ref * scale
-        points.append((v, e_ref * scale, "unbounded" if math.isinf(v) else "ok"))
+        if not v >= _TINY:
+            points.append(_flagged("underflow"))
+        else:
+            points.append((v, e_ref * scale, "unbounded" if math.isinf(v) else "ok"))
     return points
 
 
@@ -593,7 +578,8 @@ def decay_fit(report: NormReport) -> DecayFit:
     if len(ts) < 4:
         raise DegenerateFitError(f"only {len(ts)} usable points, need >= 4")
     lv = np.log(np.asarray(vs))
-    if lv.max() - lv.min() < math.log(10.0):
+    # a span of exactly one decade may round a few ulps below ln 10
+    if lv.max() - lv.min() < math.log(10.0) * (1.0 - 1e-12):
         raise DegenerateFitError("values span less than one decade")
     lt = np.log(np.asarray(ts))
     slope, intercept = np.polyfit(lt, lv, 1)

@@ -176,13 +176,21 @@ _TAIL_GROWTH = 1.6
 _TAIL_STEPS = 400
 
 
+def _layer_width(decay: tuple) -> float:
+    """w = 200 scale^2 for a Gaussian tail, else inf: a panel beside a split
+    or tail radius r spans at most w/r, 400 of the tail's decay lengths
+    scale^2/(2r) there; the outer nodes of a wider one lie so far from a
+    layer at r that the panel misses it, error estimate and all."""
+    return 200.0 * decay[1] ** 2 if decay[0] == "gaussian" else math.inf
+
+
 def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
               abs_tol: float):
-    """Extend the upper limit from radius by factors of 1.6 until the decay
-    certificate puts the tail beyond it below a tenth of the tolerance.
+    """Extend the upper limit by factors of 1.6 (or less: _layer_width) until
+    the decay certificate puts the tail beyond it below a tenth of the tolerance.
 
     The step-by-step rule probes |f| at the current radius, stops if the
-    certificate passes, and otherwise adds the panel [radius, 1.6 radius]
+    certificate passes, and otherwise adds the panel up to the next radius
     to the running total.  Here the steps run in chunks of doubling length,
     with one call of f for a chunk's probes and panels together; the
     panels kept are exactly the prefix the step-by-step rule keeps.
@@ -190,11 +198,12 @@ def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
     kept = []
     chunk = 2
     done = 0
+    w = _layer_width(f.decay)
     while done < _TAIL_STEPS:
         chunk = min(chunk, _TAIL_STEPS - done)
         radii = [radius]
         for _ in range(chunk):
-            radii.append(radii[-1] * _TAIL_GROWTH)
+            radii.append(min(radii[-1] * _TAIL_GROWTH, radii[-1] + w / radii[-1]))
         panels, absf = _gauss_kronrod(f.f, radii[:-1], radii[1:], radii[:-1])
         for k, panel in enumerate(panels):
             tail_bound = _tail_estimate(absf[k], f.decay, radii[k])
@@ -217,8 +226,8 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
 
     Stages:
 
-    1. Lay out panels over the split hints, substituting r = y^m on the
-       left-most one when the declared endpoint exponent is singular.
+    1. Lay out panels over the split hints and flanks (_layer_width), with
+       r = y^m on the left-most one when the endpoint exponent is singular.
     2. Extend the upper limit until the decay certificate puts the
        remaining tail below a tenth of the tolerance (`_truncate`); the
        final certificate is charged to the error estimate.
@@ -243,6 +252,9 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
         raise ValueError(f"power tail r^{f.decay[1]} is not integrable")
 
     splits = sorted({float(s) for s in f.splits if s > 0.0}) or [1.0]
+    w = _layer_width(f.decay)
+    splits = sorted(splits + [s - w / s for s, lo in zip(splits, [0.0] + splits)
+                              if lo < s - w / s < s])
     b1 = splits[0]
     if alpha < -0.05:
         m = min(2.0 / (1.0 + alpha), 50.0)

@@ -407,23 +407,23 @@ def _split(name, cut, far, near):
     """A formula over the core (xi,) that applies far = (core, formula) to
     the points with xi >= cut and near = (core, formula) to the others and
     to those where r^2 is subnormal (xi < 1); each core maps (t, r, xi) to
-    its formula's arguments.  On a call that reaches the near formula, a
-    value that overflows a double raises SingularityError."""
+    its formula's arguments.  A value that overflows a double raises
+    SingularityError."""
+    @np.errstate(over="ignore", invalid="ignore")
     def formula(t, r, xi):
         inner = (xi < cut) | ((r < _SQRT_TINY) & (xi < 1.0))
-        if not inner.any():
-            return far[1](t, r, *far[0](t, r, xi))
-        out = np.empty_like(r)
-        for (core, f), mask in ((far, ~inner), (near, inner)):
-            if mask.any():
-                ts, rs = _at(t, mask), r[mask]
-                with np.errstate(over="ignore", invalid="ignore"):
+        if inner.any():
+            out = np.empty_like(r)
+            for (core, f), mask in ((far, ~inner), (near, inner)):
+                if mask.any():
+                    ts, rs = _at(t, mask), r[mask]
                     out[mask] = f(ts, rs, *core(ts, rs, xi[mask]))
+        else:
+            out = far[1](t, r, *far[0](t, r, xi))
         bad = ~np.isfinite(out)
         if bad.any():
             raise SingularityError(
-                f"SelfSimilar {name} overflows a double at r = {r[bad][0]!r}, "
-                "this close to the singular origin")
+                f"SelfSimilar {name} overflows a double at r = {float(r[bad][0])!r}")
         return out
     return formula
 

@@ -216,15 +216,18 @@ def test_norms_wide_csv(tmp_path):
 
 
 def test_norms_flags_underflow(tmp_path):
-    # per-point flag, exit code 0 as for the other flags; these rows printed
-    # 0.0,0.0,ok
+    # per-point flag, exit code 0 as for the other flags; the norm at
+    # t = 1e-8 (1.8e-461) underflows, the one at 1e-5 (1.2638323619997687e-253,
+    # 50-digit mpmath) does not, though its square does; these rows printed
+    # 0.0,0.0,ok before either was flagged
     out = tmp_path / "norms.csv"
     rc = main(["norms", "--family", "MainExample", "--kind", "lp", "--n", "300",
                "--t-grid", "1e-2:1e-8:3", "--out", str(out)])
     assert rc == 0
     _, _, rows = _read_csv(out)
-    assert [row[3] for row in rows] == ["ok", "underflow", "underflow"]
-    assert [row[1:3] for row in rows[1:]] == [["nan", "0.0"]] * 2
+    assert [row[3] for row in rows] == ["ok", "ok", "underflow"]
+    assert float(rows[1][1]) == pytest.approx(1.2638323619997687e-253, rel=1e-12)
+    assert rows[2][1:3] == ["nan", "0.0"]
 
 
 def test_decay_self_similar_slope_json(tmp_path):

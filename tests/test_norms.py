@@ -4,6 +4,7 @@ identities, divergence power counting, sup-norm search, and decay fits."""
 import dataclasses
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -77,6 +78,83 @@ def test_lp_norm_matches_polylog_at_deep_t(t):
         eta = -mp.log((mp.pi * four_mu_t) ** mp.mpf(1.5))
         want = 4 * mp.pi * four_mu_t ** 2 / (2 * mp.mpf(t)) * -mp.polylog(2, -mp.exp(eta))
     assert lp_norm(MAIN, NormSpec("lp", p=1.0), t) == approx(float(want), rel=1e-12)
+
+
+DEEP_T = (1e-2, 1e-30, 1e-75, 1e-150, 1e-200, 1e-225, 1e-300)
+
+
+def _log_layer(g, eta):
+    """log int_0^oo g(x, iD, sigma) dx by the trapezoid rule in log domain,
+    with iD = 1/f and sigma = 1 - iD for f = 1 + e^(x^2 - eta), on a grid
+    dense across the layer at x^2 = eta."""
+    x0 = math.sqrt(max(eta, 1.0))
+    x = np.concatenate([np.linspace(1e-300, x0 - 1.0, 6000, endpoint=False),
+                        np.linspace(x0 - 1.0, x0 + 1.0, 6000, endpoint=False),
+                        np.linspace(x0 + 1.0, math.sqrt(eta + 80.0) + 1.0, 6000)])
+    lse = np.logaddexp(0.0, x * x - eta)
+    logs = g(np.log(x), x * x, -lse, x * x - eta - lse)
+    top = logs.max()
+    return top + math.log(np.trapezoid(np.exp(logs - top), x))
+
+
+def _deep_reference(kind, n, p, t, mu=0.1):
+    """log of the main example's (a = 1) norm or bound from integrals in
+    xi = r/sqrt(4 mu t), independent of the family evaluators and of the
+    quadrature; each g maps (log x, x^2, log iD, log sigma) to the log of
+    its integrand."""
+    eta = -0.5 * n * math.log(4.0 * math.pi * mu * t)
+    l4mt = math.log(4.0 * mu) + math.log(t)
+    lw = math.log(sphere_measure(n))
+    if kind == "lp":
+        return (lw - p * math.log(t) + 0.5 * (p + n) * l4mt + _log_layer(
+            lambda lx, x2, liD, ls: (p + n - 1.0) * lx + p * liD, eta)) / p
+    if kind == "grad_lp":   # t |Du|_F = iD sqrt((1 - 2 x^2 sigma)^2 + n - 1)
+        return (lw - p * math.log(t) + 0.5 * n * l4mt + _log_layer(
+            lambda lx, x2, liD, ls: (n - 1.0) * lx + p * liD + 0.5 * p * np.log(
+                (1.0 - 2.0 * x2 * np.exp(ls)) ** 2 + n - 1.0), eta)) / p
+    return float(np.logaddexp.reduce([
+        -k * p * math.log(t) + 0.5 * (c + 1.0) * l4mt
+        + _log_layer(lambda lx, x2, liD, ls: c * lx + p * liD, eta)
+        for k, c in ((1, n - p - 1.0), (2, p + n - 1.0), (3, 3.0 * p + n - 1.0))]))
+
+
+def test_deep_t_norms_are_ok_exactly_where_normal(capsys):
+    """MainExample lp, grad_lp and hess_bound_lp for n = 2..7 down to
+    t = 1e-300: no RuntimeWarning and no non-convergence; flagged ok
+    exactly where the value is a normal double (against a log-domain
+    trapezoid reference in xi), and then within 1e-6 of it.  Where only
+    the p-th power underflowed these were flagged underflow, or unbounded
+    where |Du|^p overflowed; the layer's fall between two panel nodes cost
+    up to 3e-3 (n = 7, hess, t = 1e-300) under an error estimate of 1e-10."""
+    lo, hi = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, kind, p in itertools.product(range(2, 8), ("lp", "grad_lp", "hess_bound_lp"),
+                                            (1.0, 2.0)):
+            rep = norm_sweep(main_example(Params(n, 0.1, a=1.0)), NormSpec(kind, p=p), DEEP_T)
+            if kind == "hess_bound_lp" and p >= n:    # r^(n-p-1) at 0
+                assert rep.flags == ("divergent",) * len(DEEP_T)
+                continue
+            for t, v, flag in zip(DEEP_T, rep.values, rep.flags):
+                want = _deep_reference(kind, n, p, t)
+                assert min(abs(want - lo), abs(want - hi)) > 1e-3
+                where = (n, kind, p, t)
+                assert flag == ("ok" if lo < want < hi else
+                                "underflow" if want <= lo else "unbounded"), where
+                if flag == "ok":
+                    assert math.log(v) == approx(want, abs=1e-6), where
+    # 40-digit mpmath: (omega t^-p (4 mu t)^((p+n)/2) quad(lambda x:
+    # x**(p+n-1) / (1 + b t^(n/2) exp(x**2))**p, [0, ..., inf]))^(1/p)
+    five = main_example(Params(5, 0.1, a=1.0))
+    for t, want in ((1e-225, 1.9358019056445437e-164), (1e-300, 1.8019131512604294e-220)):
+        assert lp_norm(five, NormSpec("lp", p=2.0), t) == approx(want, rel=1e-12)
+    # the same with the integrand x**(n-1) f**-2 ((1 - 2 x**2 (f-1)/f)**2
+    # + n - 1) for |Du|_F^2; this argv printed inf,nan,unbounded at 1e-200
+    assert main(["norms", "--family", "MainExample", "--kind", "grad_lp", "--p", "2",
+                 "--t-grid", "1e-150:1e-200:2"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[0] == "1e-200" and row[3] == "ok"
+    assert float(row[1]) == approx(3.6432772586779806e+53, rel=1e-12)
 
 
 def test_self_similar_norms_scale_exactly():
@@ -204,12 +282,26 @@ def test_grad_divergent_for_strong_singularity():
         grad_lp_norm(SS, 2.0, 1e-3)
 
 
+def _xi_hess_terms(t, p):
+    """[(term, error)] of the three Hessian bound terms t^-kp int r^c f^-p
+    dr of MAIN as the bound core forms them: (4 mu t)^((c+1)/2) J in logs,
+    J the integral in xi = r/sqrt(4 mu t); each term also against the
+    integral in r at rel 1e-13."""
+    b = (4.0 * math.pi * 0.1) ** 1.5
+    out = []
+    for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0)):
+        j = layer_power_integral(c, b, p, 3, 0.25 / t, t, rel_tol=1e-10)
+        term = math.exp(0.5 * (c + 1.0) * (math.log(4.0 * 0.1) + math.log(t))
+                        - k * p * math.log(t) + math.log(j.value))
+        in_r = layer_power_integral(c, b, p, 3, 0.1, t, rel_tol=1e-10).value
+        assert term == approx(t ** (-k * p) * in_r, rel=1e-13)
+        out.append((term, term * (j.abs_error_estimate / j.value)))
+    return out
+
+
 def test_hess_bound_terms_positive_and_restricted():
     t, p = 1e-4, 1.5
-    b = (4.0 * math.pi * 0.1) ** 1.5
-    terms = [t ** (-k * p) * layer_power_integral(c, b, p, 3, 0.1, t,
-                                                  rel_tol=1e-10).value
-             for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0))]
+    terms = [term for term, _ in _xi_hess_terms(t, p)]
     assert all(term > 0.0 for term in terms)
     value, err = hess_bound_lp(MAIN, p, t)
     assert value == terms[0] + terms[1] + terms[2]
@@ -223,7 +315,8 @@ def test_hess_bound_terms_positive_and_restricted():
 def test_bound_integrals_past_the_largest_power_of_t(capsys):
     # t^(-kp) passes the largest double (t^-4 = 1e320 at t = 1e-80) while
     # the term t^(-kp) int r^c f^-p dr is still a double: the bound is the
-    # finite sum, and deeper in t a typed error, never an OverflowError
+    # finite sum, never an OverflowError, and where the integral in r
+    # underflows (raised UnderflowError) the integral in xi gives the bound
     t, p = 1e-80, 2.0
     b = (4.0 * math.pi * 0.1) ** 1.5
     ints = [layer_power_integral(c, b, p, 3, 0.1, t, rel_tol=1e-10).value
@@ -234,15 +327,18 @@ def test_bound_integrals_past_the_largest_power_of_t(capsys):
     value, err = grad_bound_integrals(MAIN, p, t)
     assert value == approx(want, rel=1e-13)
     assert 0.0 < err <= 1e-8 * value
-    with pytest.raises(UnderflowError):
-        grad_bound_integrals(main_example(Params(3, 0.1)), 2.0, 1e-200)
-    with pytest.raises(UnderflowError):
-        hess_bound_lp(MAIN, 2.0, 1e-80)
+    # 40-digit mpmath: the sum over the terms (k, c) of t^-kp (4 mu t)^((c+1)/2)
+    # quad(lambda x: x**c / (1 + b t^(3/2) exp(x**2))**p, [0, ..., inf])
+    grad = grad_bound_integrals(main_example(Params(3, 0.1)), 2.0, 1e-200)[0]
+    assert grad == approx(4.9757247576408335e+107, rel=1e-12)
+    assert hess_bound_lp(MAIN, 2.0, 1e-80)[0] == approx(1.7059327141882416e+128,
+                                                          rel=1e-12)
     rc = main(["norms", "--family", "MainExample", "--kind", "hess_bound_lp",
                "--p", "2", "--t-grid", "1e-80:1e-100:2"])
     rows = capsys.readouterr().out.splitlines()[2:]
     assert rc == 0
-    assert [row.split(",")[-1] for row in rows] == ["underflow", "underflow"]
+    assert [row.split(",")[-1] for row in rows] == ["ok", "ok"]
+    assert float(rows[0].split(",")[1]) == approx(1.7059327141882416e+128, rel=1e-12)
 
 
 def test_frobenius_formulas_match_cartesian_tensors():
@@ -445,24 +541,23 @@ def test_norm_sweep_grad_and_hess_error_columns():
     for rep in (grad, hess):
         assert rep.flags == ("ok", "ok")
         assert all(0.0 < e <= 1e-8 * v for v, e in zip(rep.values, rep.quad_errors))
-    b = (4.0 * math.pi * 0.1) ** 1.5
     for t, v, e in zip(ts, hess.values, hess.quad_errors):
-        want = sum(t ** (-k * p) * layer_power_integral(
-            c, b, p, 3, 0.1, t, rel_tol=1e-10).abs_error_estimate
-            for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0)))
-        assert e == approx(want, rel=1e-12)
+        assert e == approx(sum(err for _, err in _xi_hess_terms(t, p)), rel=1e-12)
         assert v == hess_bound_lp(MAIN, p, t)[0]
     for t, v in zip(ts, grad.values):
         assert v == grad_lp_norm(MAIN, p, t)
 
 
 def test_norm_sweep_flags_underflow():
-    # the integrals fall below the smallest normal double; these points
-    # printed 0.0 with error 0.0 flagged ok
+    # the norm falls below the smallest normal double at t = 1e-8 (1.8e-461)
+    # but not at 1e-5, where only its square did and the point was flagged
+    # underflow (50-digit mpmath: 1.2638323619997687e-253); these points
+    # printed 0.0 with error 0.0 flagged ok before that
     big = main_example(Params(300, 0.1, a=1.0))
     rep = norm_sweep(big, NormSpec("lp", p=2.0), (1e-2, 1e-5, 1e-8))
-    assert rep.flags == ("ok", "underflow", "underflow")
-    assert rep.values[0] > 0.0 and all(math.isnan(v) for v in rep.values[1:])
+    assert rep.flags == ("ok", "ok", "underflow")
+    assert rep.values[1] == approx(1.2638323619997687e-253, rel=1e-12)
+    assert rep.values[0] > 0.0 and math.isnan(rep.values[2])
     tiny_mu = main_example(Params(3, 1e-300, a=1.0))
     rep = norm_sweep(tiny_mu, NormSpec("lp", p=1.0), (1e-2, 1e-8))
     assert rep.flags == ("underflow", "underflow")
@@ -600,3 +695,14 @@ def test_decay_fit_rejects_degenerate_input():
                         flags=("ok", "ok", "divergent", "divergent"))
     with pytest.raises(DegenerateFitError):
         decay_fit(sparse)
+
+
+def test_decay_fit_accepts_an_exact_decade():
+    # 3 t^(1/4) over t = 1e-2..1e-6 spans exactly one decade, but its log
+    # span rounds an ulp below ln 10, which raised DegenerateFitError
+    ts = np.geomspace(1e-2, 1e-6, 5)
+    vs = 3.0 * ts ** 0.25
+    assert np.log(vs).max() - np.log(vs).min() < math.log(10.0)
+    rep = NormReport(family="x", spec=NormSpec("lp", p=2.0), t_grid=tuple(ts),
+                     values=tuple(vs), quad_errors=(0.0,) * 5, flags=("ok",) * 5)
+    assert decay_fit(rep).slope == approx(0.25, rel=1e-12)

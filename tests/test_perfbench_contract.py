@@ -11,6 +11,7 @@ layer it reads to have seen work.
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 from cole_lab import acceptance, cli
@@ -67,3 +68,28 @@ def test_criterion_9_stacks_its_marches():
     metrics = tracer_mod.layer_metrics(tracer.take())
     assert metrics["pdesolver.steps"] == 1550
     assert metrics["pdesolver.boundary_calls"] == 7
+
+
+def test_norm_sweep_work_counts():
+    # one round of the benchmark's norm-sweep workload: a rescaled or
+    # reshaped integrand must not add refinement
+    path = _TRACER.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for op in workloads.NORM_SWEEP:
+                assert cli.main(list(op.argv)) == op.rc, op.argv
+    finally:
+        tracer.uninstall()
+        del sys.modules[spec.name]
+    metrics = tracer_mod.layer_metrics(tracer.take())
+    assert metrics["quadrature.integrals"] <= 227
+    assert metrics["quadrature.panels"] <= 2719
+    assert metrics["quadrature.integrand_calls"] <= 1241

@@ -212,3 +212,17 @@ def test_layer_integral_relative_below_1e_290(t):
     reduced = 0.5 * (4.0 * mu) ** 1.5 * lemma1_I(q=1.5, k=0.5, b=b, l=l, n=n, t=t)
     assert direct == pytest.approx(reduced, rel=1e-13)
     assert lemma2_J(d=0.0, c=c, b=b, l=l, n=n, mu=mu, t=t) == direct
+
+
+def test_sharp_layer_is_not_missed():
+    # int_0^oo x / (1 + B e^(x^2)) dx = log(1 + 1/B)/2 exactly; at
+    # B = b t^(7/2) ~ e^-2417 the nodes of the panel below the layer and of
+    # the first tail step lay so far from it that the result was 2.9e-4 off
+    # under an error estimate of 5e-13
+    n, t = 7, 1e-300
+    b = (4.0 * math.pi * 0.1) ** (0.5 * n)
+    offset = math.log(b) + 0.5 * n * math.log(t)
+    res = layer_power_integral(1.0, b, 1.0, n, 0.25 / t, t)   # 4 mu t = 1
+    want = 0.5 * (-offset + math.log1p(math.exp(offset)))
+    assert res.value == pytest.approx(want, rel=1e-13)
+    assert abs(res.value - want) <= res.abs_error_estimate

@@ -339,6 +339,17 @@ def test_self_similar_tiny_r_values():
             assert math.isfinite(SS.u_t(1e-3, r))
 
 
+def test_self_similar_direct_branch_overflow_raises():
+    # values that pass the largest double above the near-origin switch
+    # returned inf (NaN for u_t) after RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, t, r in (("W", 1e-3, 1e-60), ("u_rr", 1e-100, 1e-105),
+                        ("u_t", 1e-300, 1e-150)):
+            with pytest.raises(SingularityError, match="overflows"):
+                getattr(SS, q)(t, r)
+
+
 def test_self_similar_near_origin_arrays_equal_scalar_calls():
     # an array that mixes near-origin and direct points, with array t,
     # gives each element the bits of its scalar call; u_r and g overflow
