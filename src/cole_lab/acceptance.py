@@ -259,7 +259,7 @@ def criterion_10():
     rng = np.random.default_rng(_SEED + 1)
     p = Params(n=3, mu=0.1, a=1.0)
     fam = main_example(p)
-    ch = cole_hopf(gaussian_heat_function(p), p.mu, n=p.n, params=p)
+    ch = cole_hopf(gaussian_heat_function(p), p)
     ts, rs = [], []
     for _ in range(1000):
         t = 10.0 ** rng.uniform(-6.0, 0.0)

@@ -2,7 +2,8 @@
 residual checks, solver runs, and the full verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical non-convergence or instability.  Output is deterministic for a
+3 numerical failure (non-convergence, instability, underflow, or a value
+that overflows a double).  Output is deterministic for a
 fixed command line: fixed seeds, fixed grids, no wall-clock content.
 """
 
@@ -24,9 +25,9 @@ from . import norms as N
 from . import pdesolver as P
 from . import residual as R
 from .quadrature import NonConvergenceError
-from .solutions import (EvaluationError, Params, SolutionFamily, grid_blocks,
-                        main_example, nonstationary_erf, self_similar,
-                        stationary)
+from .solutions import (EvaluationError, Params, SingularityError,
+                        SolutionFamily, grid_blocks, main_example,
+                        nonstationary_erf, self_similar, stationary)
 from .specfun import DomainError
 
 __all__ = ["main", "build_parser"]
@@ -447,7 +448,8 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"cole-lab: config error: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergenceError, P.StabilityError, N.UnderflowError) as exc:
+    except (NonConvergenceError, P.StabilityError, N.UnderflowError,
+            SingularityError) as exc:
         print(f"cole-lab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except N.DivergenceError as exc:

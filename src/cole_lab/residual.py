@@ -115,7 +115,7 @@ def _derivatives(s: SolutionFamily, t, r: np.ndarray,
             raise ValueError("finite-difference residual needs h_r and h_t")
         u = s.u(t, r)
         return (u, *fd_central(lambda x: s.u(t, x), r, h_r, u),
-                fd_derivative(lambda tau: s.u(tau, r), t, h_t, 1))
+                fd_derivative(lambda tau: s.u(tau, r), t, h_t))
     raise ValueError(f"unknown derivative source {derivative_source!r}")
 
 

@@ -394,8 +394,13 @@ def self_similar(p: Params) -> SolutionFamily:
     cuts = {q: xi_tiny for q in far}
     cuts["u_t"] = max(xi_tiny, 1e-3)
 
+    # xi past the largest double is inf, where u and g are 0
+    @np.errstate(over="ignore", divide="ignore")
+    def core(t, r):
+        return (r * r / (4.0 * mu * t),)
+
     return _family(
-        "SelfSimilar", p, lambda t, r: (r * r / (4.0 * mu * t),),
+        "SelfSimilar", p, core,
         {q: _split(q, cuts[q], (direct, far[q]), (near_origin, near[q]))
          for q in far},
         positive=True, origin_regular=False, small_r_exponent=-1.0,
@@ -409,7 +414,7 @@ def _split(name, cut, far, near):
     to those where r^2 is subnormal (xi < 1); each core maps (t, r, xi) to
     its formula's arguments.  A value that overflows a double raises
     SingularityError."""
-    @np.errstate(over="ignore", invalid="ignore")
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def formula(t, r, xi):
         inner = (xi < cut) | ((r < _SQRT_TINY) & (xi < 1.0))
         if inner.any():
@@ -589,18 +594,13 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
 # Cole-Hopf transform of a positive heat function
 # ---------------------------------------------------------------------------
 
-# relative step of the finite differences that stand in for missing
-# theta-derivatives
-_FD_STEP = 1e-5
-
-
 @dataclass(frozen=True)
 class HeatFunction:
     """theta(t,r) > 0 solving theta_t = mu (theta_rr + (n-1)/r theta_r).
 
-    theta and theta_r are required; the higher evaluators are optional and
-    finite differences with relative step _FD_STEP stand in for any that are
-    missing.
+    theta and theta_r are required and give u and g.  cole_hopf builds
+    every other quantity from the higher derivatives by the quotient rule;
+    one that needs a field left at None raises DomainError.
     """
 
     theta: Callable
@@ -611,27 +611,14 @@ class HeatFunction:
     theta_rt: Optional[Callable] = None
 
 
-def fd_derivative(f: Callable, x, h, order: int = 1, forward: bool = False):
-    """5-point central difference, O(h^4), for order in {1, 2}; forward=True
-    takes the one-sided O(h^4) stencil on x, x + h, ..., x + (order + 3) h
-    instead, for points closer than 2h to the lower end of f's domain.
+def fd_derivative(f: Callable, x, h):
+    """5-point central first derivative, O(h^4).
 
     x and h may be numpy arrays (broadcast together): the stencil only forms
     x + k h, so f is called once per stencil offset on the whole array, and
     each element gets the same arithmetic as a scalar call.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if forward:
-        f0, f1, f2, f3, f4 = (f(x + k * h) for k in range(5))
-        if order == 1:
-            return (-25.0 * f0 + 48.0 * f1 - 36.0 * f2 + 16.0 * f3 - 3.0 * f4) / (12.0 * h)
-        f5 = f(x + 5 * h)
-        return (45.0 * f0 - 154.0 * f1 + 214.0 * f2 - 156.0 * f3 + 61.0 * f4
-                - 10.0 * f5) / (12.0 * h * h)
-    if order == 1:
-        return _central_first(f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h), h)
-    return fd_central(f, x, h, f(x))[1]
+    return _central_first(f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h), h)
 
 
 def _central_first(fm2, fm1, fp1, fp2, h):
@@ -665,18 +652,16 @@ def grid_blocks(t, r):
         yield t_block, np.broadcast_to(r, (len(t_block), len(r)))
 
 
-def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
-              params: Optional[Params] = None) -> SolutionFamily:
-    """u = -2 mu theta_r / theta, with derivatives by quotient rule when the
-    theta-derivatives are supplied and by O(h^4) finite differences of u
-    otherwise (step = _FD_STEP * max(|r|, sqrt(4 mu t)); one-sided stencils
-    within two steps of r = 0).
+def cole_hopf(theta: HeatFunction, params: Params) -> SolutionFamily:
+    """u = -2 mu theta_r / theta with mu = params.mu; every derivative by the
+    quotient rule on theta's own derivatives.
 
     Raises EvaluationError if theta <= 0 is encountered at a query point,
-    and SingularityError for g, g_r, P and W at r = 0.
+    DomainError from a quantity whose formula needs a theta-derivative the
+    heat function leaves at None, and SingularityError for g, g_r, P and W
+    at r = 0.
     """
-    if params is None:
-        params = Params(n=n, mu=mu, a=0.0, C=0.0)
+    mu = params.mu
 
     def core(t, r):
         th = np.asarray(theta.theta(t, r), dtype=float)
@@ -684,52 +669,29 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
             raise EvaluationError("cole_hopf: theta <= 0 (or non-finite) at a query point")
         return (th,)
 
-    def over(f, t, r, th):
+    def over(name, t, r, th):
+        f = getattr(theta, name)
+        if f is None:
+            raise DomainError(f"cole_hopf: the heat function has no {name}")
         return np.asarray(f(t, r), dtype=float) / th
 
     def u(t, r, th):
         return -2.0 * mu * np.asarray(theta.theta_r(t, r), dtype=float) / th
 
     def u_r(t, r, th):
-        q1 = over(theta.theta_r, t, r, th)
-        return -2.0 * mu * (over(theta.theta_rr, t, r, th) - q1 * q1)
+        q1 = over("theta_r", t, r, th)
+        return -2.0 * mu * (over("theta_rr", t, r, th) - q1 * q1)
 
     def u_rr(t, r, th):
-        q1 = over(theta.theta_r, t, r, th)
-        q2 = over(theta.theta_rr, t, r, th)
-        q3 = over(theta.theta_rrr, t, r, th)
+        q1 = over("theta_r", t, r, th)
+        q2 = over("theta_rr", t, r, th)
+        q3 = over("theta_rrr", t, r, th)
         return -2.0 * mu * (q3 - 3.0 * q1 * q2 + 2.0 * q1 ** 3)
 
     def u_t(t, r, th):
-        q1 = over(theta.theta_r, t, r, th)
-        qt = over(theta.theta_t, t, r, th)
-        return -2.0 * mu * (over(theta.theta_rt, t, r, th) - q1 * qt)
-
-    # the finite-difference fallbacks difference the finished family's u,
-    # fam; each radius takes its own step, so arrays match scalar calls
-    def fd_r(order):
-        def formula(t, r, th):
-            h = _FD_STEP * np.maximum(r, _sqrt(4.0 * mu * t))
-            # within 2h of the origin the central stencil would leave r >= 0
-            near = r < 2.0 * h
-            out = np.empty_like(r)
-            for side, forward in ((near, True), (~near, False)):
-                if side.any():
-                    ts = _at(t, side)
-                    out[side] = fd_derivative(lambda x: fam.u(ts, x), r[side],
-                                              h[side], order, forward=forward)
-            return out
-        return formula
-
-    def fd_t(t, r, th):
-        return fd_derivative(lambda tau: fam.u(tau, r), t, _FD_STEP * t, 1)
-
-    if theta.theta_rr is None:
-        u_r = fd_r(1)
-    if theta.theta_rr is None or theta.theta_rrr is None:
-        u_rr = fd_r(2)
-    if theta.theta_t is None or theta.theta_rt is None:
-        u_t = fd_t
+        q1 = over("theta_r", t, r, th)
+        qt = over("theta_t", t, r, th)
+        return -2.0 * mu * (over("theta_rt", t, r, th) - q1 * qt)
 
     # u/r has no origin limit this code could evaluate for a generic heat
     # function, so the shape functions treat r = 0 as a singularity
@@ -744,12 +706,11 @@ def cole_hopf(theta: HeatFunction, mu: float, n: int = 3,
     formulas = _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t})
     for q in ("g", "g_r", "P", "W"):
         formulas[q] = off_origin(formulas[q])
-    fam = _family(
+    return _family(
         "ColeHopfOf", params, core, formulas,
         positive=False, origin_regular=False, small_r_exponent=0.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None)
-    return fam
 
 
 def gaussian_heat_function(p: Params) -> HeatFunction:

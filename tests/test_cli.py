@@ -293,6 +293,20 @@ def test_residual_of_underflowed_terms_exits_3(capsys):
     assert out.out == "" and "numerical failure" in out.err and "underflow" in out.err
 
 
+def test_amplitude_overflow_exits_3(capsys):
+    # mu = 1e300 is a valid parameter, but the SelfSimilar u passes the
+    # largest double inside the norm's range: a numerical failure, which
+    # exited 2 as a config error.  The other SingularityError, r = 0 on a
+    # singular family, is not reachable from here: residual drops r = 0, and
+    # solve rejects r_min = 0 for a singular family as a config error.
+    rc = main(["norms", "--family", "SelfSimilar", "--mu", "1e300",
+               "--kind", "lp", "--p", "2"])
+    assert rc == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "numerical failure" in out.err and "overflows a double" in out.err
+
+
 def test_solve_stability_failure_exits_3(capsys):
     # small mu lets the diffusion-based dt grow while the layer peak stays
     # steep, so the advective CFL lands far above 1

@@ -14,7 +14,8 @@ from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                origin_limit_check, radial_residual,
                                residual_pointwise)
 from cole_lab.solutions import (GRID_BLOCK_POINTS, HeatFunction, Params,
-                                cartesian_components, cole_hopf, fd_derivative,
+                                cartesian_components, cole_hopf, fd_central,
+                                fd_derivative,
                                 main_example, nonstationary_erf, self_similar,
                                 stationary)
 
@@ -93,9 +94,9 @@ def test_finite_difference_residual_equals_per_radius_loop(name, fam, r_range,
         h_t = t * h / r_range[1]
         got = residual_pointwise(fam, t, r, form, "finite-difference",
                                  h_r=h, h_t=h_t)
-        ur = [fd_derivative(lambda x: fam.u(t, x), ri, h, 1) for ri in r]
-        urr = [fd_derivative(lambda x: fam.u(t, x), ri, h, 2) for ri in r]
-        ut = [fd_derivative(lambda tau: fam.u(tau, ri), t, h_t, 1) for ri in r]
+        ur = [fd_derivative(lambda x: fam.u(t, x), ri, h) for ri in r]
+        urr = [fd_central(lambda x: fam.u(t, x), ri, h, fam.u(t, ri))[1] for ri in r]
+        ut = [fd_derivative(lambda tau: fam.u(tau, ri), t, h_t) for ri in r]
         want = _scaled(fam, t, r, form, fam.u(t, r), np.array(ur),
                        np.array(urr), np.array(ut))
         assert np.array_equal(got, want), t
@@ -103,7 +104,7 @@ def test_finite_difference_residual_equals_per_radius_loop(name, fam, r_range,
 
 def _per_slice_report(fam, grid, form, source):
     """The grid report from one evaluation per time slice, with the
-    stencils of fd_derivative: the loop the whole-grid residual replaced."""
+    stencils of fd_derivative and fd_central: the loop the whole-grid residual replaced."""
     r = grid.radii()
     r = r[r > 0.0]
     if source == "finite-difference":
@@ -115,9 +116,10 @@ def _per_slice_report(fam, grid, form, source):
             d = (fam.u(t, r), fam.u_r(t, r), fam.u_rr(t, r), fam.u_t(t, r))
         else:
             h_t = t * h / grid.r_max
-            d = (fam.u(t, r), fd_derivative(lambda x: fam.u(t, x), r, h, 1),
-                 fd_derivative(lambda x: fam.u(t, x), r, h, 2),
-                 fd_derivative(lambda tau: fam.u(tau, r), t, h_t, 1))
+            u = fam.u(t, r)
+            d = (u, fd_derivative(lambda x: fam.u(t, x), r, h),
+                 fd_central(lambda x: fam.u(t, x), r, h, u)[1],
+                 fd_derivative(lambda tau: fam.u(tau, r), t, h_t))
         a = np.abs(_scaled(fam, t, r, form, *d))
         i = int(np.argmax(a))
         if a[i] > worst:
@@ -227,7 +229,7 @@ def test_zero_solution_residual_is_zero():
     const = HeatFunction(theta=lambda t, r: np.ones_like(np.asarray(r, dtype=float)),
                          theta_r=zeros, theta_rr=zeros, theta_rrr=zeros,
                          theta_t=zeros, theta_rt=zeros)
-    fam = cole_hopf(const, mu=0.1, n=3)
+    fam = cole_hopf(const, Params(3, 0.1))
     rep = radial_residual(fam, Grid1D(0.1, 1.0, 32, (0.5,)))
     assert rep.max_abs_scaled == 0.0
 

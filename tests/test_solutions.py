@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from cole_lab.solutions import (_FD_STEP, EvaluationError, HeatFunction,
-                                Params, SingularityError, cartesian_components,
-                                cole_hopf, fd_derivative,
+from cole_lab.solutions import (EvaluationError, HeatFunction, Params,
+                                SingularityError, cartesian_components,
+                                cole_hopf, fd_central, fd_derivative,
                                 gaussian_heat_function, main_example,
                                 nonstationary_erf, self_similar, stationary)
 from cole_lab.specfun import DomainError, erf
@@ -43,7 +43,7 @@ EVALUATORS = ("u", "u_r", "u_rr", "u_t", "g", "g_r", "P", "W")
 # r = 0 without being origin-regular
 CONTRACT = FAMILIES + [
     ("cole-hopf", cole_hopf(gaussian_heat_function(Params(3, 0.1, a=1.0)),
-                            mu=0.1, n=3)),
+                            Params(3, 0.1, a=1.0))),
 ]
 
 
@@ -164,11 +164,11 @@ def test_derivatives_match_finite_differences(name, fam):
     t = 0.37
     r = 1.3 * math.sqrt(4.0 * fam.params.mu * t)
     h = 1e-3 * r
-    assert fd_derivative(lambda x: fam.u(t, x), r, h, 1) == approx(
+    assert fd_derivative(lambda x: fam.u(t, x), r, h) == approx(
         fam.u_r(t, r), rel=1e-7, abs=1e-9)
-    assert fd_derivative(lambda x: fam.u(t, x), r, h, 2) == approx(
+    assert fd_central(lambda x: fam.u(t, x), r, h, fam.u(t, r))[1] == approx(
         fam.u_rr(t, r), rel=1e-6, abs=1e-8)
-    assert fd_derivative(lambda tau: fam.u(tau, r), t, 1e-3 * t, 1) == approx(
+    assert fd_derivative(lambda tau: fam.u(tau, r), t, 1e-3 * t) == approx(
         fam.u_t(t, r), rel=1e-7, abs=1e-12)
 
 
@@ -178,9 +178,9 @@ def test_nst_series_seam_consistency():
     t, mu = 0.37, 0.1
     r = 0.35 * math.sqrt(4.0 * mu * t)
     h = 1e-3 * r
-    assert fd_derivative(lambda x: NST.u(t, x), r, h, 1) == approx(
+    assert fd_derivative(lambda x: NST.u(t, x), r, h) == approx(
         NST.u_r(t, r), rel=1e-7)
-    assert fd_derivative(lambda x: NST.u(t, x), r, h, 2) == approx(
+    assert fd_central(lambda x: NST.u(t, x), r, h, NST.u(t, r))[1] == approx(
         NST.u_rr(t, r), rel=1e-6)
 
 
@@ -192,9 +192,9 @@ def test_shape_functions_are_consistent(name, fam):
     assert g == approx(fam.u(t, r) / r, rel=2e-12)
     assert fam.P(t, r) == approx(fam.g_r(t, r) / r, rel=2e-11, abs=1e-13)
     h = 1e-3 * r
-    assert fd_derivative(lambda x: fam.g(t, x), r, h, 1) == approx(
+    assert fd_derivative(lambda x: fam.g(t, x), r, h) == approx(
         fam.g_r(t, r), rel=1e-6, abs=1e-9)
-    assert fd_derivative(lambda x: fam.P(t, x), r, h, 1) / r == approx(
+    assert fd_derivative(lambda x: fam.P(t, x), r, h) / r == approx(
         fam.W(t, r), rel=1e-5, abs=1e-7)
 
 
@@ -350,6 +350,24 @@ def test_self_similar_direct_branch_overflow_raises():
                 getattr(SS, q)(t, r)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_self_similar_xi_overflow_is_silent():
+    # r^2 / 4 mu t = 1e6 / 4e-308 overflows a double: u and g are 0 there,
+    # and no evaluator warns; they warned "overflow encountered in divide"
+    fam = self_similar(Params(3, 1e-8))
+    for r in (1e3, np.array([1e3, 2e3])):
+        assert np.all(fam.u(1e-300, r) == 0.0)
+        assert np.all(fam.g(1e-300, r) == 0.0)
+        for q in ("u_r", "u_rr", "u_t", "g_r", "P", "W"):
+            try:
+                assert np.all(np.isfinite(getattr(fam, q)(1e-300, r))), q
+            except SingularityError:
+                pass
+    # W ~ 1/r^5 passes the largest double where r^4 underflows to 0
+    with pytest.raises(SingularityError, match="overflows"):
+        fam.W(1e-240, 1.4e-137)
+
+
 def test_self_similar_near_origin_arrays_equal_scalar_calls():
     # an array that mixes near-origin and direct points, with array t,
     # gives each element the bits of its scalar call; u_r and g overflow
@@ -368,71 +386,59 @@ def test_self_similar_near_origin_arrays_equal_scalar_calls():
 # Cole-Hopf: u = -2 mu theta_r / theta
 # ---------------------------------------------------------------------------
 
+def _assert_cole_hopf_is_main_example(p, ts):
+    """cole_hopf(a + G_n, p) against main_example(p) in u and every
+    derivative, with no floating-point exception."""
+    ch, main = cole_hopf(gaussian_heat_function(p), p), main_example(p)
+    assert ch.params == p
+    with np.errstate(all="raise"):
+        for t in ts:
+            for z in (0.3, 1.0, 3.0):
+                r = z * math.sqrt(4.0 * p.mu * t)
+                floor = abs(main.u(t, r)) / r
+                assert ch.u(t, r) == approx(main.u(t, r), rel=1e-13)
+                assert ch.u_r(t, r) == approx(main.u_r(t, r), rel=1e-11,
+                                              abs=1e-12 * floor)
+                assert ch.u_rr(t, r) == approx(main.u_rr(t, r), rel=1e-10,
+                                               abs=1e-11 * floor / r)
+                assert ch.u_t(t, r) == approx(main.u_t(t, r), rel=1e-11,
+                                              abs=1e-12 * floor * r / t)
+
+
 def test_cole_hopf_reproduces_main_example():
-    p = Params(3, 0.1, a=1.0)
-    ch = cole_hopf(gaussian_heat_function(p), mu=p.mu, n=p.n)
-    for t in (1e-4, 0.37):
-        for z in (0.3, 1.0, 3.0):
-            r = z * math.sqrt(4.0 * p.mu * t)
-            floor = abs(MAIN.u(t, r)) / r
-            assert ch.u(t, r) == approx(MAIN.u(t, r), rel=1e-13)
-            assert ch.u_r(t, r) == approx(MAIN.u_r(t, r), rel=1e-11,
-                                          abs=1e-12 * floor)
-            assert ch.u_rr(t, r) == approx(MAIN.u_rr(t, r), rel=1e-10,
-                                           abs=1e-11 * floor / r)
-            assert ch.u_t(t, r) == approx(MAIN.u_t(t, r), rel=1e-11,
-                                          abs=1e-12 * floor * r / t)
+    _assert_cole_hopf_is_main_example(Params(3, 0.1, a=1.0), (1e-4, 0.37))
 
 
 def test_cole_hopf_degenerate_is_linear_profile():
     p = Params(3, 0.1, a=0.0)
-    ch = cole_hopf(gaussian_heat_function(p), mu=p.mu, n=p.n)
+    ch = cole_hopf(gaussian_heat_function(p), p)
     for t, r in ((0.1, 0.05), (2.0, 1.3)):
         assert ch.u(t, r) == approx(r / t, rel=1e-14)
 
 
-def test_cole_hopf_finite_difference_fallback():
-    # only theta and theta_r supplied: derivative evaluators fall back to
-    # five-point stencils of u and must track the analytic family
-    full = gaussian_heat_function(Params(3, 0.1, a=1.0))
-    bare = HeatFunction(theta=full.theta, theta_r=full.theta_r)
-    ch = cole_hopf(bare, mu=0.1, n=3)
-    t = 0.37
-    for z in (0.6, 1.7):
-        r = z * math.sqrt(4.0 * 0.1 * t)
-        assert ch.u(t, r) == approx(MAIN.u(t, r), rel=1e-13)
-        assert ch.u_r(t, r) == approx(MAIN.u_r(t, r), rel=1e-7)
-        assert ch.u_rr(t, r) == approx(MAIN.u_rr(t, r), rel=1e-4)
-        assert ch.u_t(t, r) == approx(MAIN.u_t(t, r), rel=1e-6)
+def test_cole_hopf_reads_mu_from_params():
+    # the formulas take mu from params, so a mu other than 0.1 gives the
+    # main example of the same Params
+    _assert_cole_hopf_is_main_example(Params(4, 0.37, a=2.0), (1e-3, 0.3))
 
 
-def test_cole_hopf_finite_difference_fallback_at_origin():
-    # within two steps of r = 0 the fallback switches to one-sided stencils;
-    # u_rr vanishes at the origin, so it is compared on its natural scale
-    # u_r(t, 0) / sqrt(4 mu t)
-    full = gaussian_heat_function(Params(3, 0.1, a=1.0))
-    bare = cole_hopf(HeatFunction(theta=full.theta, theta_r=full.theta_r), mu=0.1, n=3)
-    exact = cole_hopf(full, mu=0.1, n=3)
-    t = 0.37
-    width = math.sqrt(4.0 * 0.1 * t)
-    h = _FD_STEP * width
-    scale = exact.u_r(t, 0.0) / width
+def test_cole_hopf_needs_the_derivatives_it_uses():
+    # theta and theta_r give u and g; every other quantity needs a higher
+    # theta-derivative and raises DomainError without it
+    p = Params(3, 0.1, a=1.0)
+    full = gaussian_heat_function(p)
+    bare = cole_hopf(HeatFunction(theta=full.theta, theta_r=full.theta_r), p)
+    t, r = 0.37, 0.2
     with np.errstate(all="raise"):
-        for r in (0.0, h):
-            assert bare.u_r(t, r) == approx(exact.u_r(t, r), rel=1e-7)
-            assert bare.u_rr(t, r) == approx(exact.u_rr(t, r), abs=1e-4 * scale)
-        got = bare.u_r(t, np.array([0.0, h, 0.5]))
-        assert got == approx(exact.u_r(t, np.array([0.0, h, 0.5])), rel=1e-7)
-    # arrays mixing one-sided and central stencils give the scalar calls'
-    # bits: each radius takes its own step
-    r = np.array([0.0, h, 0.1, 2.0])
-    for q in ("u_r", "u_rr", "u_t"):
-        f = getattr(bare, q)
-        assert np.array_equal(f(t, r), [f(t, x) for x in r.tolist()]), q
+        assert bare.u(t, r) == approx(MAIN.u(t, r), rel=1e-13)
+        assert bare.g(t, r) == approx(MAIN.g(t, r), rel=1e-13)
+        for q in ("u_r", "u_rr", "u_t", "g_r", "P", "W"):
+            with pytest.raises(DomainError, match="theta_"):
+                getattr(bare, q)(t, r)
 
 
 def test_cole_hopf_shape_functions_singular_at_origin():
-    ch = cole_hopf(gaussian_heat_function(Params(3, 0.1)), 0.1)
+    ch = cole_hopf(gaussian_heat_function(Params(3, 0.1)), Params(3, 0.1))
     with np.errstate(all="raise"):
         assert ch.u(0.37, 0.0) == 0.0
         for q in ("g", "g_r", "P", "W"):
@@ -441,19 +447,6 @@ def test_cole_hopf_shape_functions_singular_at_origin():
             with pytest.raises(SingularityError):
                 getattr(ch, q)(0.37, np.array([0.1, 0.0]))
             assert math.isfinite(getattr(ch, q)(0.37, 0.1))
-
-
-def test_fd_derivative_forward_stencil_order():
-    # one-sided stencils are exact on quartics (first derivative) and
-    # quintics (second derivative), like the central ones
-    f = lambda x: x ** 5 - 2.0 * x ** 4 + x
-    x, h = 0.3, 0.01
-    assert fd_derivative(lambda y: f(y) - y ** 5, x, h, 1, forward=True) == approx(
-        -8.0 * x ** 3 + 1.0, rel=1e-10)
-    assert fd_derivative(f, x, h, 2, forward=True) == approx(
-        20.0 * x ** 3 - 24.0 * x ** 2, rel=1e-8)
-    with pytest.raises(ValueError):
-        fd_derivative(f, x, h, 3, forward=True)
 
 
 def test_cole_hopf_of_erf_monopole_matches_nst():
@@ -473,7 +466,7 @@ def test_cole_hopf_of_erf_monopole_matches_nst():
         return (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / (s * rr) \
             - erf(z) / rr ** 2
 
-    ch = cole_hopf(HeatFunction(theta=theta, theta_r=theta_r), mu=mu, n=3)
+    ch = cole_hopf(HeatFunction(theta=theta, theta_r=theta_r), Params(3, mu))
     t = 0.37
     for z in (0.5, 2.0, 8.0):
         r = z * math.sqrt(4.0 * mu * t)
@@ -483,7 +476,7 @@ def test_cole_hopf_of_erf_monopole_matches_nst():
 def test_cole_hopf_rejects_nonpositive_theta():
     bad = HeatFunction(theta=lambda t, r: np.asarray(r, dtype=float) * 0.0 - 1.0,
                        theta_r=lambda t, r: np.asarray(r, dtype=float) * 0.0)
-    ch = cole_hopf(bad, mu=0.1, n=3)
+    ch = cole_hopf(bad, Params(3, 0.1))
     with pytest.raises(EvaluationError):
         ch.u(0.1, 0.5)
 
@@ -639,17 +632,12 @@ ARRAY_T = np.concatenate([np.geomspace(1e-8, 1.0, 30),
                            0.9736618413824724, 0.9255293604448043,
                            0.7727630591594365]])
 _FULL_HEAT = gaussian_heat_function(Params(3, 0.1, a=1.0))
-ARRAY_T_CASES = CONTRACT + [
-    ("cole-hopf-fd", cole_hopf(HeatFunction(theta=_FULL_HEAT.theta,
-                                            theta_r=_FULL_HEAT.theta_r),
-                               mu=0.1, n=3)),
-]
 HEAT_EVALUATORS = ("theta", "theta_r", "theta_rr", "theta_rrr", "theta_t",
                    "theta_rt")
 # (label, mu, {evaluator name: evaluator})
 _ARRAY_T_EVALUATORS = [
     (name, fam.params.mu, {q: getattr(fam, q) for q in EVALUATORS})
-    for name, fam in ARRAY_T_CASES
+    for name, fam in CONTRACT
 ] + [("gaussian-heat", 0.1, {q: getattr(_FULL_HEAT, q) for q in HEAT_EVALUATORS})]
 
 
@@ -671,7 +659,7 @@ def test_array_t_matches_scalar_calls(label, mu, evaluators):
 
 
 def test_array_t_g0_matches_scalar_calls():
-    for name, fam in ARRAY_T_CASES:
+    for name, fam in CONTRACT:
         if fam.g0 is not None:
             want = np.array([fam.g0(float(ti)) for ti in ARRAY_T])
             assert np.array_equal(fam.g0(ARRAY_T), want), name
@@ -692,7 +680,7 @@ def test_array_t_broadcasts_against_r():
 def test_column_t_against_row_r_matches_scalar_calls(label, mu, evaluators):
     # the (t, r) grid of a figure or residual run: t reaches the formulas
     # unbroadcast, and is broadcast only at masked branches (the erf series,
-    # the self-similar near-origin u_t, the one-sided Cole-Hopf stencils)
+    # the self-similar near-origin u_t)
     t = np.geomspace(1e-6, 1.0, 7)[:, None]
     r = np.geomspace(1e-3, 1.0, 13)
     for q, f in evaluators.items():
