@@ -233,12 +233,22 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _sweeps(fam, kind: str, ps, ts):
+    """(p, NormReport) per p, each sweep run when it is reached; linf does
+    not depend on p, so its one sweep serves every p."""
+    report = None
+    for p in ps:
+        if report is None or kind != "linf":
+            report = N.norm_sweep(fam, N.NormSpec(kind, p=p), ts)
+        yield p, report
+
+
 def cmd_norms(args) -> int:
     fam = _build_family(args)
     ps = _parse_p_list(args.p)
     ts = _parse_t_grid(args.t_grid)
     kind = args.kind
-    reports = [N.norm_sweep(fam, N.NormSpec(kind, p=p), ts) for p in ps]
+    reports = [rep for _, rep in _sweeps(fam, kind, ps, ts)]
     header = ["t"]
     for p in ps:
         header += [f"value[p={p:g}]", f"error[p={p:g}]", f"flags[p={p:g}]"]
@@ -267,9 +277,9 @@ def cmd_decay(args) -> int:
     kind = args.kind
     rows = []
     fits = []
-    for p in ps:
+    for p, report in _sweeps(fam, kind, ps, ts):
         try:
-            fit = N.decay_fit(N.norm_sweep(fam, N.NormSpec(kind, p=p), ts))
+            fit = N.decay_fit(report)
         except N.DegenerateFitError as exc:
             return _fail(f"decay fit failed for p={p:g}: {exc}")
         fits.append(fit)
@@ -410,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         common(p, t_grid=True)
         p.add_argument("--kind", default="lp", choices=N.KINDS)
-        p.add_argument("--p", default="2", help="comma-separated exponents")
+        p.add_argument("--p", default="2",
+                       help="comma-separated exponents (linf ignores p: its "
+                            "one sweep is reported under each)")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("residual", help="PDE residual report on a grid")

@@ -1,16 +1,22 @@
 """Norm functionals over solution families: L^p, gradient and Hessian
 Sobolev quantities, L^infinity, and decay-exponent fits.
 
-Each kind of KINDS has one core (s, p, t) -> (value, error) in _CORES,
-which norm_sweep looks up: one L^p core serves u, Du and D^2 u, and one
-bound core the main example's bound integrals.  A kind that is not defined
-for a family (a distance off the erf family, a bound off the main example)
-raises DomainError.
+Each kind of KINDS has one sweep (s, p, ts) -> points in _SWEEPS, which
+norm_sweep looks up: one L^p core serves u, Du and D^2 u, and one bound
+core the main example's bound integrals, each run at every t.  A kind that
+is not defined for a family (a distance off the erf family, a bound off the
+main example) raises DomainError.
 
 A family that declares self_similar has ||D^k u(t)||_p = K t^((n-p)/(2p)
 - k/2) exactly, so its lp and grad_lp sweeps compute one integral per
 (p, k), at t_ref = 1/(4 mu) where sqrt(4 mu t) = 1, and scale it to every
 grid point; lp_norm and grad_lp_norm still integrate at their own t.
+
+L^infinity does not depend on p.  Its sweep is one call of linf_norm on
+the whole t-grid, which searches every point's bracket in lockstep: each
+step is one array call of the evaluator for all points, and each point
+gets the bits of its own float-t search.  A point that cannot be bracketed
+is flagged non-converged without stopping the others.
 
 All L^p values are full R^n norms: (omega_{n-1} int_0^oo |u|^p r^(n-1)
 dr)^(1/p) with omega_{n-1} = 2 pi^(n/2) / Gamma(n/2).  Values are the
@@ -37,7 +43,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .quadrature import Integrand, NonConvergenceError
-from .solutions import SolutionFamily
+from .solutions import SingularityError, SolutionFamily
 from .specfun import DomainError, erf
 
 __all__ = [
@@ -231,7 +237,20 @@ def _abs_du(s: SolutionFamily, t: float, r):
 
 
 def _abs_d2u(s: SolutionFamily, t: float, r):
-    return np.sqrt(hessian_frobenius_sq(s, t, r))
+    # |D^2 u|_F = r m sqrt(a^2 + 6ab + 3(n+2) b^2) with A = W r^2,
+    # m = max(|A|, |P|), a = A/m, b = P/m: scaled before squaring, so it
+    # is a double wherever W and P are (W^2 r^6 passed the largest double
+    # from t ~ 1e-52 at mu = 0.1)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        W, P = np.asarray(s.W(t, r)), np.asarray(s.P(t, r))
+    if not (np.isfinite(W).all() and np.isfinite(P).all()):
+        raise SingularityError(
+            f"{s.kind}: W or P overflows a double at t = {t!r}")
+    A = W * r * r
+    m = np.maximum(np.abs(A), np.abs(P))
+    a, b = (x / np.where(m > 0.0, m, 1.0) for x in (A, P))
+    return r * m * np.sqrt(a * a + 6.0 * a * b + 3.0 * (s.params.n + 2.0) * b * b)
 
 
 # k -> (|D^k u|_F pointwise, its exponent at r -> 0 given u's, name); a
@@ -295,14 +314,10 @@ def grad_lp_norm(s: SolutionFamily, p: float, t: float) -> float:
 
 
 def hessian_frobenius_sq(s: SolutionFamily, t: float, r):
-    """|D^2 u|_F^2 = W^2 r^6 + 6 W P r^4 + 3(n+2) P^2 r^2 pointwise."""
-    r = np.asarray(r, dtype=float)
-    n = s.params.n
-    W = np.asarray(s.W(t, r))
-    P = np.asarray(s.P(t, r))
-    r2 = r * r
-    return (W * W * r2 ** 3 + 6.0 * W * P * r2 * r2
-            + 3.0 * (n + 2.0) * P * P * r2)
+    """|D^2 u|_F^2 = W^2 r^6 + 6 W P r^4 + 3(n+2) P^2 r^2 pointwise, the
+    square of |D^2 u|_F formed without squaring W or P; SingularityError
+    where W or P is not a finite double."""
+    return _abs_d2u(s, t, r) ** 2
 
 
 def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
@@ -412,73 +427,108 @@ def hess_bound_lp(s: SolutionFamily, p: float, t: float) -> tuple:
 # points per bracket-refinement pass of linf_norm: each pass keeps 2 of the
 # 16 intervals, so the bracket shrinks eightfold per call of u
 _LINF_NODES = 17
+# the bracketing grid, in units of sqrt(4 mu t)
+_LINF_GRID = np.geomspace(1e-2, 1e2, 81)
 
 
-def linf_norm(s: SolutionFamily, t: float):
-    """(sup_r |u(t,r)|, argmax r) by bracket refinement.
+def linf_norm(s: SolutionFamily, t):
+    """(sup_r |u(t,r)|, argmax r) by bracket refinement: two floats for a
+    float t, two arrays for a 1-D array of t, whose rows are searched in
+    lockstep.
 
-    An 81-point geometric grid around sqrt(4 mu t) (widened up to three
-    times) brackets an interior maximum; u_r must change sign across the
-    bracket.  Each refinement pass then evaluates u on 17 equispaced nodes
-    of [lo, hi] in one array call and keeps the argmax's two neighbours,
-    until hi - lo <= 1e-12 hi; about 13 passes from the grid's bracket.
+    Per row, an 81-point geometric grid around sqrt(4 mu t) (widened up to
+    three times) brackets an interior maximum; u_r must change sign across
+    the bracket.  Each refinement pass then evaluates u on 17 equispaced
+    nodes of [lo, hi] and keeps the argmax's two neighbours; a row drops
+    out once hi - lo <= 1e-12 hi, about 13 passes from the grid's bracket.
+    Every step (the grid, a widening, the sign check, a pass, the final
+    value) is one array call of u or u_r, a column of the rows' t against
+    their nodes, so a t-grid costs the calls of its slowest row; a row gets
+    the bits of its own float-t search.
 
     Families certified unbounded by their endpoint data return (inf, 0) for
-    an origin singularity and (inf, inf) for non-decaying tails, without
-    searching.  A profile whose derivative does not change sign across the
-    sampled bracket raises BracketingError rather than guessing."""
-    t = float(t)
-    if s.small_r_exponent < 0.0:
-        return math.inf, 0.0
-    kind, par = s.tail(t)
-    if kind == "power" and par >= 0.0:
-        return math.inf, math.inf
-    scale = math.sqrt(4.0 * s.params.mu * t)
-    grid = scale * np.geomspace(1e-2, 1e2, 81)
-    for _ in range(3):
-        vals = np.abs(np.asarray(s.u(t, grid)))
-        i = int(np.argmax(vals))
-        if 0 < i < len(grid) - 1:
+    an origin singularity and (inf, inf) for non-decaying tails, per row
+    and without searching.  A profile whose derivative does not change sign
+    across the sampled bracket raises BracketingError for a float t rather
+    than guessing; in an array t that row is NaN in both arrays and the
+    other rows are unaffected."""
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    value, r_star = np.full(len(ts), math.inf), np.zeros(len(ts))
+    why = None
+    if s.small_r_exponent >= 0.0:
+        for i, x in enumerate(ts.tolist()):
+            kind, par = s.tail(x)
+            if kind == "power" and par >= 0.0:
+                r_star[i] = math.inf
+        rows = np.flatnonzero(r_star == 0.0)      # the rows that decay
+        if rows.size:
+            value[rows], r_star[rows], why = _sup_search(s, ts[rows])
+    if np.ndim(t):
+        return value, r_star
+    if why is not None:
+        raise BracketingError(why)
+    return float(value[0]), float(r_star[0])
+
+
+def _sup_search(s: SolutionFamily, t: np.ndarray):
+    """(sup, argmax, reason) of linf_norm's search over the 1-D array t:
+    NaN in both arrays where a row cannot be bracketed, and the reason of
+    the last such row, else None."""
+    bad = ~((t > 0.0) & np.isfinite(t))
+    if bad.any():
+        raise DomainError(f"t must be positive and finite, got {t[bad][0]}")
+    col, scale = t[:, None], np.sqrt(4.0 * s.params.mu * t)
+    lo, hi = np.full(len(t), math.nan), np.full(len(t), math.nan)
+    why = None
+    rows, grid = np.arange(len(t)), scale[:, None] * _LINF_GRID
+    for widening in range(3):
+        if widening:
+            sc = scale[rows]
+            grid = sc[:, None] * np.geomspace(grid[:, 0] / sc / 10.0,
+                                              grid[:, -1] / sc * 10.0,
+                                              grid.shape[1] + 40, axis=1)
+        i = np.argmax(np.abs(s.u(col[rows], grid)), axis=1)
+        inside = (0 < i) & (i < grid.shape[1] - 1)
+        k = np.flatnonzero(inside)
+        lo[rows[k]], hi[rows[k]] = grid[k, i[k] - 1], grid[k, i[k] + 1]
+        rows, grid = rows[~inside], grid[~inside]
+        if not rows.size:
             break
-        grid = scale * np.geomspace(grid[0] / scale / 10.0,
-                                    grid[-1] / scale * 10.0, len(grid) + 40)
     else:
-        raise BracketingError("no interior maximum found over the sampled range")
-    lo, hi = grid[i - 1], grid[i + 1]
-    if not (s.u_r(t, lo) > 0.0 and s.u_r(t, hi) < 0.0):
-        raise BracketingError(
-            f"u_r does not change sign over [{lo:g}, {hi:g}]; profile not unimodal?")
-    last = _LINF_NODES - 1
-    while hi - lo > 1e-12 * hi:
-        nodes = np.linspace(lo, hi, _LINF_NODES)
-        i = int(np.argmax(np.abs(np.asarray(s.u(t, nodes)))))
-        lo, hi = float(nodes[max(i - 1, 0)]), float(nodes[min(i + 1, last)])
+        why = "no interior maximum found over the sampled range"
+    rows = np.flatnonzero(~np.isnan(lo))
+    if rows.size:
+        u_r = s.u_r(col[rows], np.stack([lo[rows], hi[rows]], axis=1))
+        for j in rows[~((u_r[:, 0] > 0.0) & (u_r[:, 1] < 0.0))].tolist():
+            why = (f"u_r does not change sign over [{lo[j]:g}, {hi[j]:g}]; "
+                   "profile not unimodal?")
+            lo[j] = hi[j] = math.nan
+    found = np.flatnonzero(~np.isnan(lo))
+    rows = found[hi[found] - lo[found] > 1e-12 * hi[found]]
+    while rows.size:
+        nodes = np.linspace(lo[rows], hi[rows], _LINF_NODES, axis=1)
+        i = np.argmax(np.abs(s.u(col[rows], nodes)), axis=1)
+        k = np.arange(len(rows))
+        lo[rows] = nodes[k, np.maximum(i - 1, 0)]
+        hi[rows] = nodes[k, np.minimum(i + 1, _LINF_NODES - 1)]
+        rows = rows[hi[rows] - lo[rows] > 1e-12 * hi[rows]]
     r_star = 0.5 * (lo + hi)
-    return abs(float(s.u(t, r_star))), float(r_star)
+    sup = np.full(len(t), math.nan)
+    if found.size:
+        sup[found] = np.abs(s.u(col[found], r_star[found, None]))[:, 0]
+    return sup, r_star, why
 
 
 # ---------------------------------------------------------------------------
 # sweeps and decay fits
 # ---------------------------------------------------------------------------
 
-def _lp_kind(k: int):
-    return (lambda s, p, t: _derivative_lp(s, p, t, k)), k
-
-
-# kind -> (core (s, p, t) -> (value, error), the k of an L^p norm of
-# |D^k u|_F, else None).  hess_bound_lp and linf_norm are called through
-# their module names, which perfbench's tracer rebinds.
-_CORES = {
-    "lp": _lp_kind(0),
-    "grad_lp": _lp_kind(1),
-    "hess_bound_lp": (lambda s, p, t: hess_bound_lp(s, p, t), None),
-    "linf": (lambda s, p, t: (linf_norm(s, t)[0], 0.0), None),
-    "distance": (_distance_core, None),
-}
-KINDS = tuple(_CORES)
-
 def _flagged(flag: str) -> tuple:
     return math.nan, 0.0, flag
+
+
+def _valued(v: float, e: float) -> tuple:
+    return v, e, "unbounded" if math.isinf(v) else "ok"
 
 
 def _point(core, s: SolutionFamily, p: float, t: float) -> tuple:
@@ -488,11 +538,48 @@ def _point(core, s: SolutionFamily, p: float, t: float) -> tuple:
         v, e = core(s, p, t)
     except DivergenceError:
         return _flagged("divergent")
-    except (NonConvergenceError, BracketingError):
+    except NonConvergenceError:
         return _flagged("non-converged")
     except UnderflowError:
         return _flagged("underflow")
-    return float(v), float(e), "unbounded" if math.isinf(v) else "ok"
+    return _valued(float(v), float(e))
+
+
+def _each_t(core):
+    """The sweep that runs core (s, p, t) -> (value, error) at each t."""
+    return lambda s, p, ts: [_point(core, s, p, t) for t in ts]
+
+
+def _lp_sweep(k: int):
+    """The sweep of the L^p norm of |D^k u|_F: scaled from one integral
+    over a family that declares self_similar (_scaled_points), else
+    integrated at each t."""
+    each = _each_t(lambda s, p, t: _derivative_lp(s, p, t, k))
+
+    def sweep(s, p, ts):
+        points = _scaled_points(s, p, k, ts) if s.self_similar and ts else None
+        return each(s, p, ts) if points is None else points
+    return sweep
+
+
+def _linf_sweep(s: SolutionFamily, p: float, ts) -> list:
+    """One lockstep linf_norm search over the whole grid, whatever p; a
+    row it cannot bracket (NaN) is flagged non-converged."""
+    return [_flagged("non-converged") if math.isnan(v) else _valued(v, 0.0)
+            for v in linf_norm(s, np.asarray(ts, dtype=float))[0].tolist()]
+
+
+# kind -> sweep (s, p, ts) -> [(value, error, flag) per t].  hess_bound_lp
+# and linf_norm are called through their module names, which perfbench's
+# tracer rebinds.
+_SWEEPS = {
+    "lp": _lp_sweep(0),
+    "grad_lp": _lp_sweep(1),
+    "hess_bound_lp": _each_t(lambda s, p, t: hess_bound_lp(s, p, t)),
+    "linf": _linf_sweep,
+    "distance": _each_t(_distance_core),
+}
+KINDS = tuple(_SWEEPS)
 
 
 def _power(x: float, y: float) -> float:
@@ -535,10 +622,8 @@ def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
     for t in ts:
         scale = _power(t / t_ref, e)
         v = v_ref * scale
-        if not v >= _TINY:
-            points.append(_flagged("underflow"))
-        else:
-            points.append((v, e_ref * scale, "unbounded" if math.isinf(v) else "ok"))
+        points.append(_valued(v, e_ref * scale) if v >= _TINY
+                      else _flagged("underflow"))
     return points
 
 
@@ -551,15 +636,11 @@ def norm_sweep(s: SolutionFamily, spec: NormSpec,
 
     An L^p sweep of u or Du over a family that declares self_similar
     computes one integral per (p, k) and scales it to every t
-    (_scaled_points); every other sweep integrates at each t."""
+    (_scaled_points); an L^infinity sweep is one lockstep linf_norm search
+    over the whole grid; every other sweep integrates at each t."""
     ts = [float(t) for t in
           (default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float))]
-    core, k = _CORES[spec.kind]
-    points = None
-    if s.self_similar and k is not None and ts:
-        points = _scaled_points(s, spec.p, k, ts)
-    if points is None:
-        points = [_point(core, s, spec.p, t) for t in ts]
+    points = _SWEEPS[spec.kind](s, spec.p, ts)
     values, errors, flags = zip(*points) if points else ((), (), ())
     return NormReport(family=s.label(), spec=spec, t_grid=tuple(ts),
                       values=values, quad_errors=errors, flags=flags)

@@ -394,7 +394,7 @@ def self_similar(p: Params) -> SolutionFamily:
     cuts = {q: xi_tiny for q in far}
     cuts["u_t"] = max(xi_tiny, 1e-3)
 
-    # xi past the largest double is inf, where u and g are 0
+    # xi past the largest double is inf, where every quantity is 0 (_split)
     @np.errstate(over="ignore", divide="ignore")
     def core(t, r):
         return (r * r / (4.0 * mu * t),)
@@ -412,8 +412,9 @@ def _split(name, cut, far, near):
     """A formula over the core (xi,) that applies far = (core, formula) to
     the points with xi >= cut and near = (core, formula) to the others and
     to those where r^2 is subnormal (xi < 1); each core maps (t, r, xi) to
-    its formula's arguments.  A value that overflows a double raises
-    SingularityError."""
+    its formula's arguments.  Where xi is inf the value is 0, which every
+    quantity's factor e^-xi makes it; a value that overflows a double
+    raises SingularityError."""
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def formula(t, r, xi):
         inner = (xi < cut) | ((r < _SQRT_TINY) & (xi < 1.0))
@@ -426,6 +427,9 @@ def _split(name, cut, far, near):
         else:
             out = far[1](t, r, *far[0](t, r, xi))
         bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad & np.isinf(xi)] = 0.0    # e^-xi underflows every quantity
+            bad = ~np.isfinite(out)
         if bad.any():
             raise SingularityError(
                 f"SelfSimilar {name} overflows a double at r = {float(r[bad][0])!r}")

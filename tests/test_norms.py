@@ -21,9 +21,9 @@ from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             linf_norm, lp_distance, lp_norm, norm_sweep,
                             sphere_measure, _derivative_lp)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
-from cole_lab.solutions import (Params, SolutionFamily, cartesian_components,
-                                main_example, nonstationary_erf, self_similar,
-                                stationary)
+from cole_lab.solutions import (Params, SingularityError, SolutionFamily,
+                                cartesian_components, main_example,
+                                nonstationary_erf, self_similar, stationary)
 from cole_lab.specfun import DomainError
 
 MAIN = main_example(Params(3, 0.1, a=1.0))
@@ -361,6 +361,30 @@ def test_hessian_exact_norm_finite_for_main():
     assert math.isfinite(v) and v > 0.0
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_hessian_exact_norm_at_deep_t(n):
+    """||D^2 u_a(lam^2 t)||_p = lam^(n/p - 3) ||D^2 u_(a lam^n)(t)||_p
+    (theta = a + G_n scales so), lam = 1e-10: both sides integrate at
+    different depths with different a.  W^2 r^6 overflowed a double from
+    t ~ 1e-52, so every point here returned inf after RuntimeWarnings;
+    past the depth where W itself overflows (t ~ 1e-103) the norm raises
+    SingularityError, where it returned NaN or raised NonConvergenceError.
+    Underflow of iD in the Gaussian tail is legitimate, so it is not
+    trapped."""
+    lam = 1e-10
+    fam = main_example(Params(n, 0.1))
+    scaled = main_example(Params(n, 0.1, a=lam ** n))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for p, t in itertools.product((1.0, 2.0), (1e-60, 1e-80, 1e-100)):
+            v = hessian_frobenius_lp(fam, p, t)
+            want = lam ** (n / p - 3.0) * hessian_frobenius_lp(scaled, p, t / lam ** 2)
+            assert 0.0 < v < math.inf
+            assert v == approx(want, rel=1e-12), (p, t)
+        for t in (1e-103, 1e-110, 1e-300):
+            with pytest.raises(SingularityError, match="overflows"):
+                hessian_frobenius_lp(fam, 2.0, t)
+
+
 def _mp_main_seminorms(n, p, t, mu=0.1, a=1.0):
     """R^n L^p norms of |Du|_F and |D^2u|_F for the main example by 30-digit
     mpmath quadrature, from g = u/r = 1/(t (1 + a (4 pi mu t)^(n/2)
@@ -483,6 +507,119 @@ def test_linf_bracketing_failure():
         small_r_exponent=0.0, tail=lambda t: ("gaussian", 1.0))
     with pytest.raises(BracketingError):
         linf_norm(flat, 0.1)
+
+
+
+def _assert_rows_are_scalar_searches(fam, ts):
+    """linf_norm over the array ts gives each row the bits of its float-t
+    search, value and argmax; returns the arrays."""
+    values, r_star = linf_norm(fam, np.asarray(ts))
+    assert values.shape == r_star.shape == (len(ts),)
+    for t, v, r in zip(np.asarray(ts).tolist(), values.tolist(), r_star.tolist()):
+        assert (v, r) == linf_norm(fam, t), t
+    return values, r_star
+
+
+_LINF_FAMILIES = [main_example(Params(n, 0.1)) for n in range(2, 8)] + [NST]
+
+
+@pytest.mark.parametrize("fam", _LINF_FAMILIES, ids=[f.label() for f in _LINF_FAMILIES])
+@pytest.mark.parametrize("ts", [default_t_grid(), np.geomspace(1e-2, 1e-300, 12)],
+                         ids=["default", "deep"])
+def test_linf_lockstep_rows_are_scalar_searches(fam, ts):
+    values, _ = _assert_rows_are_scalar_searches(fam, ts)
+    assert np.all(np.isfinite(values) & (values > 0.0))
+
+
+def test_linf_lockstep_call_count():
+    # every step is one array call for all rows, so the 13-point grid takes
+    # the calls of one t (it took 13 times as many, and 39 scalar u_r and u)
+    calls = []
+
+    def counted(name):
+        def call(t, r):
+            calls.append((name, np.shape(r)))
+            return getattr(MAIN, name)(t, r)
+        return call
+
+    fam = dataclasses.replace(MAIN, u=counted("u"), u_r=counted("u_r"))
+    linf_norm(fam, default_t_grid())
+    assert len(calls) <= 25
+    assert all(len(shape) == 2 for _, shape in calls)
+    assert sum(name == "u_r" for name, _ in calls) == 1
+
+
+def test_linf_lockstep_widens_only_the_row_that_needs_it():
+    # MAIN stretched tenfold in r: its sup lies at about 20 sqrt(4 mu t) at
+    # t = 1e-2 but 320 sqrt(4 mu t) at t = 1e-300, past the bracketing
+    # grid's 100, so only that row widens
+    k = 10.0
+    wide = dataclasses.replace(MAIN, u=lambda t, r: MAIN.u(t, np.divide(r, k)),
+                               u_r=lambda t, r: MAIN.u_r(t, np.divide(r, k)) / k)
+    ts = np.array([1e-2, 1e-300, 1e-5])
+    values, r_star = _assert_rows_are_scalar_searches(wide, ts)
+    scaled = r_star / np.sqrt(4.0 * 0.1 * ts)
+    assert scaled[1] > 100.0 and scaled[0] < 100.0 and scaled[2] < 100.0
+    assert values == approx(linf_norm(MAIN, ts)[0], rel=1e-13)
+
+
+def test_linf_lockstep_unbracketed_row_is_flagged_alone():
+    # flat (no interior maximum) at t >= 1e-3 only: that row is NaN in the
+    # arrays and non-converged in the sweep, the others keep their values
+    def u(t, r):
+        return np.where(np.asarray(t) >= 1e-3, 1.0, MAIN.u(t, r))
+
+    part = dataclasses.replace(MAIN, u=u)
+    ts = np.array([1e-2, 1e-3, 1e-5, 1e-300])
+    values, r_star = linf_norm(part, ts)
+    assert np.isnan(values[:2]).all() and np.isnan(r_star[:2]).all()
+    for t, v, r in zip(ts[2:].tolist(), values[2:].tolist(), r_star[2:].tolist()):
+        assert (v, r) == linf_norm(MAIN, t)
+    with pytest.raises(BracketingError, match="no interior maximum"):
+        linf_norm(part, 1e-2)
+    rep = norm_sweep(part, NormSpec("linf"), ts)
+    assert rep.flags == ("non-converged", "non-converged", "ok", "ok")
+    assert rep.values[2:] == tuple(values[2:].tolist())
+
+
+@pytest.mark.parametrize("fam,r_star", [(SS, 0.0), (ST0, 0.0), (ST1, 0.0),
+                                        (MAIN0, math.inf)])
+def test_linf_lockstep_shortcuts_every_row(fam, r_star):
+    def refuse(t, r):
+        raise AssertionError("an unbounded family is not searched")
+
+    fam = dataclasses.replace(fam, u=refuse, u_r=refuse)
+    values, argmax = linf_norm(fam, default_t_grid())
+    assert values.tolist() == [math.inf] * 13 and argmax.tolist() == [r_star] * 13
+    assert linf_norm(fam, 1e-3) == (math.inf, r_star)
+    rep = norm_sweep(fam, NormSpec("linf"))
+    assert rep.flags == ("unbounded",) * 13 and rep.values == (math.inf,) * 13
+
+
+def test_linf_lockstep_empty_grid():
+    values, r_star = linf_norm(MAIN, np.array([]))
+    assert values.shape == r_star.shape == (0,)
+    assert norm_sweep(MAIN, NormSpec("linf"), ()).flags == ()
+
+
+@pytest.mark.parametrize("cmd", ["norms", "decay"])
+@pytest.mark.parametrize("family", ["MainExample", "NonStationaryErf"])
+def test_linf_multi_p_is_the_single_p_runs(capsys, cmd, family):
+    # linf does not depend on p: one sweep, reported under each p, in the
+    # bytes two single-p runs give
+    def run(p):
+        assert main([cmd, "--family", family, "--kind", "linf", "--p", p]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    both, one, two = run("1,2"), run("1"), run("2")
+    assert both[0] == one[0].replace("p=1 |", "p=1,2 |")
+    if cmd == "norms":
+        assert both[1] == one[1] + "," + two[1].split(",", 1)[1]
+        assert both[2:] == [a + "," + b.split(",", 1)[1]
+                            for a, b in zip(one[2:], two[2:])]
+    else:
+        assert both[1] == one[1] == two[1]
+        assert both[2:] == one[2:] + [",".join(["2.0"] + two[2].split(",")[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,10 @@ def test_criterion_9_stacks_its_marches():
 
 def test_norm_sweep_work_counts():
     # one round of the benchmark's norm-sweep workload: a rescaled or
-    # reshaped integrand must not add refinement
+    # reshaped integrand must not add refinement.  Each linf sweep is one
+    # lockstep search over its grid, through the name norms.linf_norm, and
+    # runs once per argv whatever its p list: 5 sweeps, not 9, where each
+    # point made three one-point calls of u and u_r (195) and 1955 array calls
     path = _TRACER.parent / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -93,3 +96,7 @@ def test_norm_sweep_work_counts():
     assert metrics["quadrature.integrals"] <= 227
     assert metrics["quadrature.panels"] <= 2719
     assert metrics["quadrature.integrand_calls"] <= 1241
+    assert metrics["norms.points"] == 429
+    assert metrics["norms.linf_ms"] > 0
+    assert metrics["solutions.scalar_calls"] == 0
+    assert metrics["solutions.vector_calls"] == 1093

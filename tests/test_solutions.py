@@ -368,6 +368,20 @@ def test_self_similar_xi_overflow_is_silent():
         fam.W(1e-240, 1.4e-137)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_self_similar_is_zero_where_xi_overflows():
+    # xi = r^2 / 4 mu t is inf, so every quantity carries the factor
+    # e^-xi = 0: u_r, u_rr, u_t, g_r, P and W raised SingularityError
+    # ("overflows a double") there, while u and g returned 0
+    fam = self_similar(Params(3, 1e-8))
+    for q in ("u", "u_r", "u_rr", "u_t", "g", "g_r", "P", "W"):
+        fn = getattr(fam, q)
+        assert fn(1e-300, 1e3) == 0.0, q
+        # in an array, only the point where xi is inf is 0
+        got = fn(np.array([1e-300, 1e-3]), np.array([1e3, 1e-4]))
+        assert got[0] == 0.0 and got[1] == fn(1e-3, 1e-4) != 0.0, q
+
+
 def test_self_similar_near_origin_arrays_equal_scalar_calls():
     # an array that mixes near-origin and direct points, with array t,
     # gives each element the bits of its scalar call; u_r and g overflow
