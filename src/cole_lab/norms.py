@@ -3,9 +3,17 @@ Sobolev quantities, L^infinity, and decay-exponent fits.
 
 Each kind of KINDS has one sweep (s, p, ts) -> points in _SWEEPS, which
 norm_sweep looks up: one L^p core serves u, Du and D^2 u, and one bound
-core the main example's bound integrals, each run at every t.  A kind that
-is not defined for a family (a distance off the erf family, a bound off the
-main example) raises DomainError.
+core the main example's bound integrals.  A kind that is not defined for a
+family (a distance off the erf family, a bound off the main example)
+raises DomainError.
+
+The lp, grad_lp, hess_bound_lp and distance sweeps integrate in lockstep:
+each plans the integrals of every grid point (three per point for the hess
+bound) and runs all of them in one quadrature.integrate_many, with one
+batched integrand per (family, kind, p) whose per-point t and scale enter
+as columns.  It costs one integrand call per generation for the whole grid,
+and each point gets the bits of the one-t function (lp_norm, grad_lp_norm,
+hess_bound_lp, lp_distance), which integrates alone.
 
 A family that declares self_similar has ||D^k u(t)||_p = K t^((n-p)/(2p)
 - k/2) exactly, so its lp and grad_lp sweeps compute one integral per
@@ -35,6 +43,8 @@ itself is below the smallest normal double, not only its p-th power.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -185,24 +195,36 @@ def _layer_splits(s: SolutionFamily, t: float) -> tuple:
     return tuple(splits)
 
 
-def _positive(res: quad.QuadResult, name: str):
+def _positive(res, name: str):
     """(value, error) of the integral of a positive integrand, which must
-    come back as a normal double."""
+    come back as a normal double; res is a QuadResult, or the
+    NonConvergenceError that integrate_many returned in its place."""
+    if isinstance(res, NonConvergenceError):
+        raise res
     if not res.value >= _TINY:
         raise UnderflowError(
             f"{name}: integral {res.value!r} is below the smallest normal double")
     return res.value, res.abs_error_estimate
 
 
-def _integral(f, alpha: float, decay: tuple, splits: tuple, name: str):
-    """(val, error) of val = int_0^oo f dr, a positive integrand.  The
-    cores take omega = sphere_measure(n) before they integrate, so an n past
-    343 raises DomainError before any quadrature runs."""
-    res = quad.integrate_semi_infinite(
-        Integrand(f, small_r_exponent=alpha, decay=decay, splits=splits,
-                  name=name),
-        rel_tol=_REL_TOL)
-    return _positive(res, name)
+# A plan of the integrals behind one grid point, plan(s, p, t) ->
+# (members, args, finish), makes the checks that may flag the point
+# (DivergenceError, UnderflowError) before any quadrature runs.  members are
+# the Integrands without f, args their arguments, which follow s and p in
+# the kind's integrand(s, p, *args, r), and finish maps their results (in
+# members' order) to the point's (value, error).  _one runs a plan's
+# integrals one at a time, with float arguments; _each_t runs the plans of
+# a whole t-grid in one integrate_many, with (rows, 1) columns.  The L^p
+# and distance plans take omega = sphere_measure(n) first, so an n past 343
+# raises DomainError before any quadrature runs.
+
+def _one(s: SolutionFamily, p: float, integrand, plan: tuple):
+    """(value, error) of plan's integrals, each through
+    integrate_semi_infinite."""
+    members, args, finish = plan
+    return finish([quad.integrate_semi_infinite(
+        dataclasses.replace(m, f=functools.partial(integrand, s, p, *a)),
+        rel_tol=_REL_TOL) for m, a in zip(members, args)])
 
 
 def _norm(omega: float, p: float, val: float, err: float):
@@ -262,18 +284,18 @@ _DERIVATIVES = (
 )
 
 
-def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
-    """(value, error) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2:
+def _lp_plan(s: SolutionFamily, p: float, t: float, k: int) -> tuple:
+    """The plan (see _one) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2:
     exp((log omega + c + log val)/p), val = int_0^oo e^-c |D^k u|_F^p
-    r^(n-1) dr, raising UnderflowError below the smallest normal double.
+    r^(n-1) dr (_lp_integrand); UnderflowError below the smallest normal
+    double.
 
-    The integrand is exp(p log |D^k u|_F + (n-1) log r - c), |Du|_F from
-    np.hypot: |D^k u|_F^p, r^(n-1) and their product each leave the double
-    range somewhere (near a singular origin, at deep t).  u ~ 4 mu / l, l
-    the outermost layer split, gives c = p log(4 mu) + (n-1-p(k+1)) log l,
-    so val is O(l) at every t; the exponentials cost |log f| ulps, 1e-13
-    at worst."""
-    modulus, origin, label = _DERIVATIVES[k]
+    |D^k u|_F^p, r^(n-1) and their product each leave the double range
+    somewhere (near a singular origin, at deep t).  u ~ 4 mu / l, l the
+    outermost layer split, gives c = p log(4 mu) + (n-1-p(k+1)) log l, so
+    val is O(l) at every t; the exponentials cost |log f| ulps, 1e-13 at
+    worst."""
+    _, origin, label = _DERIVATIVES[k]
     n = s.params.n
     omega = sphere_measure(n)
     alpha = p * origin(s.small_r_exponent) + n - 1.0
@@ -284,16 +306,32 @@ def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
     splits = _layer_splits(s, t)
     c = (p * math.log(4.0 * s.params.mu)
          + (n - 1.0 - p * (k + 1.0)) * math.log(max(splits)))
-
-    def f(r):
-        with np.errstate(divide="ignore"):   # log 0 where u underflows
-            return np.exp(p * np.log(modulus(s, t, r)) + (n - 1.0) * np.log(r) - c)
-
     name = f"{s.kind}.{label.strip()}L{p:g}"
-    norm, err = _root(math.log(omega) + c, p, *_integral(f, alpha, decay, splits, name))
-    if not norm >= _TINY:
-        raise UnderflowError(f"{name}: {norm!r} is below the smallest normal double")
-    return norm, err
+
+    def finish(results):
+        norm, err = _root(math.log(omega) + c, p, *_positive(results[0], name))
+        if not norm >= _TINY:
+            raise UnderflowError(f"{name}: {norm!r} is below the smallest normal double")
+        return norm, err
+    member = Integrand(small_r_exponent=alpha, decay=decay, splits=splits, name=name)
+    return [member], [(t, c)], finish
+
+
+def _lp_integrand(k: int):
+    """The integrand (s, p, t, c, r) of _lp_plan: exp(p log |D^k u|_F +
+    (n-1) log r - c) at (t, r)."""
+    modulus = _DERIVATIVES[k][0]
+
+    def integrand(s, p, t, c, r):
+        with np.errstate(divide="ignore"):   # log 0 where u underflows
+            return np.exp(p * np.log(modulus(s, t, r))
+                          + (s.params.n - 1.0) * np.log(r) - c)
+    return integrand
+
+
+def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
+    """(value, error) of the R^n L^p norm of |D^k u|_F at t (_lp_plan)."""
+    return _one(s, p, _lp_integrand(k), _lp_plan(s, p, t, k))
 
 
 def lp_norm(s: SolutionFamily, spec: NormSpec, t: float) -> float:
@@ -325,27 +363,32 @@ def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
     return _derivative_lp(s, p, t, 2)[0]
 
 
-def _distance_core(s: SolutionFamily, p: float, t: float):
+def _distance_plan(s: SolutionFamily, p: float, t: float) -> tuple:
+    """The plan (see _one) of ||u_nst - u_st||_p at t.  |u_nst - u_st| =
+    sqrt(mu/t) w(z), w = (2/sqrt(pi)) e^(-z^2)/erf(z), z = r/sqrt(4 mu t):
+    evaluated directly, no subtraction of 1/r terms."""
     if s.kind != "NonStationaryErf":
         raise DomainError(
             "distance norms are defined for the NonStationaryErf family (n=3)")
-    # |u_nst - u_st| = sqrt(mu/t) w(z), w = (2/sqrt(pi)) e^(-z^2)/erf(z),
-    # z = r/sqrt(4 mu t): evaluated directly, no subtraction of 1/r terms
     mu = s.params.mu
     root = math.sqrt(4.0 * mu * t)
     amp = math.sqrt(mu / t)
     n = 3
     omega = sphere_measure(n)
-
-    def f(r):
-        z = r / root
-        w = (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / erf(z)
-        return (amp * w) ** p * r ** (n - 1.0)
-
     alpha = -p + n - 1.0  # w ~ 1/z at 0
     _check_origin(alpha, f"|u_nst - u_st| L^{p:g}")
-    return _norm(omega, p, *_integral(f, alpha, ("gaussian", root / math.sqrt(p)),
-                                      (root,), f"erf_distance.L{p:g}"))
+    name = f"erf_distance.L{p:g}"
+    member = Integrand(small_r_exponent=alpha, decay=("gaussian", root / math.sqrt(p)),
+                       splits=(root,), name=name)
+    return [member], [(root, amp)], lambda results: _norm(
+        omega, p, *_positive(results[0], name))
+
+
+def _distance_integrand(s: SolutionFamily, p: float, root, amp, r):
+    """|u_nst - u_st|^p r^2 at r."""
+    z = r / root
+    w = (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / erf(z)
+    return (amp * w) ** p * r ** 2.0
 
 
 def lp_distance(s: SolutionFamily, p: float, t: float) -> float:
@@ -354,19 +397,21 @@ def lp_distance(s: SolutionFamily, p: float, t: float) -> float:
     L^p -> 0 statement lives.  It uses the closed-form difference
     sqrt(mu/t) w(r/sqrt(4mu t)), whose integrand fails power counting at
     p >= 3.  Raises DomainError for any other family."""
-    return _distance_core(s, p, t)[0]
+    return _one(s, p, _distance_integrand, _distance_plan(s, p, t))[0]
 
 
 # ---------------------------------------------------------------------------
 # pointwise-bound integrals of the main example
 # ---------------------------------------------------------------------------
 
-def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
-    """(sum over (k, c) of terms of t^-kp int r^c f^-p dr, the same sum of
-    the integrals' error estimates), where f = 1 + a (4 pi mu t)^(n/2)
-    e^(r^2/4mu t) is the main example's denominator bracket.  Each integral
-    is (4 mu t)^((c+1)/2) J, J = int xi^c f^-p dxi in xi = r/sqrt(4 mu t),
-    which never underflows; the powers of t are added in logs."""
+def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
+                terms: tuple) -> tuple:
+    """The plan (see _one) of the sum over (k, c) of terms of t^-kp int r^c
+    f^-p dr, and the same sum of the integrals' error estimates, where f =
+    1 + a (4 pi mu t)^(n/2) e^(r^2/4mu t) is the main example's denominator
+    bracket.  Each integral is (4 mu t)^((c+1)/2) J, J = int xi^c f^-p dxi
+    in xi = r/sqrt(4 mu t), which never underflows; the powers of t are
+    added in logs."""
     if s.kind != "MainExample" or s.params.a <= 0.0:
         raise DomainError(f"{name} is derived only for the main example, a > 0")
     for _, c in terms:
@@ -383,19 +428,31 @@ def _bound(name: str, s: SolutionFamily, p: float, t: float, terms: tuple):
     if not t >= _TINY:
         raise UnderflowError(f"{name}: t = {t!r} is below the smallest normal double")
     log_t, log_4mu = math.log(t), math.log(4.0 * mu)
-    value = error = 0.0
-    for k, c in terms:
-        # mu' = 1/(4t) makes 4 mu' t = 1: the integral in xi
-        val, err = _positive(
-            quad.layer_power_integral(c, b, p, n, 0.25 / t, t, rel_tol=_REL_TOL),
-            "layer_power_integral")
-        term, term_err = _root(0.5 * (c + 1.0) * (log_4mu + log_t) - k * p * log_t,
-                               1.0, val, err)
-        value += term
-        error += term_err
-    if not value >= _TINY:
-        raise UnderflowError(f"{name}: {value!r} is below the smallest normal double")
-    return value, error
+    # mu' = 1/(4t) makes 4 mu' t = 1: the integrals in xi
+    members, args = zip(*(quad._layer_power(c, b, p, n, 0.25 / t, t) for _, c in terms))
+
+    def finish(results):
+        value = error = 0.0
+        for (k, c), res in zip(terms, results):
+            term, term_err = _root(0.5 * (c + 1.0) * (log_4mu + log_t) - k * p * log_t,
+                                   1.0, *_positive(res, "layer_power_integral"))
+            value += term
+            error += term_err
+        if not value >= _TINY:
+            raise UnderflowError(f"{name}: {value!r} is below the smallest normal double")
+        return value, error
+    return members, args, finish
+
+
+def _bound_integrand(s: SolutionFamily, p: float, c, offset, four_mu_t, r):
+    """r^c f^-p, the integrand of layer_power_integral with l = p."""
+    return quad._layer_power_f(p, c, offset, four_mu_t, r)
+
+
+def _hess_plan(s: SolutionFamily, p: float, t: float) -> tuple:
+    n = s.params.n
+    return _bound_plan("hess_bound_lp", s, p, t,
+                       ((1, n - p - 1.0), (2, p + n - 1.0), (3, 3.0 * p + n - 1.0)))
 
 
 def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:
@@ -407,17 +464,15 @@ def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:
     as t -> 0 iff p < n/2 and are evaluated regardless so the supercritical
     failure is observable."""
     n = s.params.n
-    return _bound("grad_bound_integrals", s, p, t,
-                  ((1, n - 1.0), (2, 2.0 * p + n - 1.0)))
+    return _one(s, p, _bound_integrand, _bound_plan(
+        "grad_bound_integrals", s, p, t, ((1, n - 1.0), (2, 2.0 * p + n - 1.0))))
 
 
 def hess_bound_lp(s: SolutionFamily, p: float, t: float) -> tuple:
     """(value, error) of the three second-derivative bound integrals of the
     main example: t^-p int r^(n-p-1) f^-p + t^-2p int r^(p+n-1) f^-p
     + t^-3p int r^(3p+n-1) f^-p.  Vanishes as t -> 0 iff p < n/3."""
-    n = s.params.n
-    return _bound("hess_bound_lp", s, p, t,
-                  ((1, n - p - 1.0), (2, p + n - 1.0), (3, 3.0 * p + n - 1.0)))
+    return _one(s, p, _bound_integrand, _hess_plan(s, p, t))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +554,9 @@ def _sup_search(s: SolutionFamily, t: np.ndarray):
     rows = np.flatnonzero(~np.isnan(lo))
     if rows.size:
         u_r = s.u_r(col[rows], np.stack([lo[rows], hi[rows]], axis=1))
-        for j in rows[~((u_r[:, 0] > 0.0) & (u_r[:, 1] < 0.0))].tolist():
+        # the sign bit, so that a u_r(hi) underflowed to -0.0 counts
+        falls = (u_r[:, 1] <= 0.0) & np.signbit(u_r[:, 1])
+        for j in rows[~((u_r[:, 0] > 0.0) & falls)].tolist():
             why = (f"u_r does not change sign over [{lo[j]:g}, {hi[j]:g}]; "
                    "profile not unimodal?")
             lo[j] = hi[j] = math.nan
@@ -531,11 +588,11 @@ def _valued(v: float, e: float) -> tuple:
     return v, e, "unbounded" if math.isinf(v) else "ok"
 
 
-def _point(core, s: SolutionFamily, p: float, t: float) -> tuple:
-    """(value, error, flag) of one grid point, with the errors that stand
-    for a property of the point turned into its flag."""
+def _point(fn, *args) -> tuple:
+    """(value, error, flag) of fn(*args) -> (value, error), with the errors
+    that stand for a property of the point turned into its flag."""
     try:
-        v, e = core(s, p, t)
+        v, e = fn(*args)
     except DivergenceError:
         return _flagged("divergent")
     except NonConvergenceError:
@@ -545,16 +602,42 @@ def _point(core, s: SolutionFamily, p: float, t: float) -> tuple:
     return _valued(float(v), float(e))
 
 
-def _each_t(core):
-    """The sweep that runs core (s, p, t) -> (value, error) at each t."""
-    return lambda s, p, ts: [_point(core, s, p, t) for t in ts]
+def _planned(plan, s: SolutionFamily, p: float, t: float) -> tuple:
+    """plan(s, p, t), or where the plan raises an error that flags the
+    point, a plan without integrals whose finish raises that error."""
+    try:
+        return plan(s, p, t)
+    except (DivergenceError, UnderflowError) as exc:
+        error = exc
+
+    def fail(results):
+        raise error
+    return [], [], fail
+
+
+def _each_t(plan, integrand):
+    """The sweep (s, p, ts) that plans every t's integrals (see _one) and
+    runs all of them in one integrate_many, the members' arguments entering
+    integrand as (rows, 1) columns: one call of it per generation, and each
+    point gets the bits of its own _one run."""
+    def sweep(s, p, ts):
+        plans = [_planned(plan, s, p, t) for t in ts]
+        members = [m for ms, _, _ in plans for m in ms]
+        results = iter(())
+        if members:
+            columns = np.array([a for _, args, _ in plans for a in args]).T[:, :, None]
+            results = iter(quad.integrate_many(
+                lambda rows, r: integrand(s, p, *(c[rows] for c in columns), r),
+                members, rel_tol=_REL_TOL))
+        return [_point(finish, [next(results) for _ in ms]) for ms, _, finish in plans]
+    return sweep
 
 
 def _lp_sweep(k: int):
     """The sweep of the L^p norm of |D^k u|_F: scaled from one integral
-    over a family that declares self_similar (_scaled_points), else
-    integrated at each t."""
-    each = _each_t(lambda s, p, t: _derivative_lp(s, p, t, k))
+    over a family that declares self_similar (_scaled_points), else the
+    integrals of every t in lockstep."""
+    each = _each_t(lambda s, p, t: _lp_plan(s, p, t, k), _lp_integrand(k))
 
     def sweep(s, p, ts):
         points = _scaled_points(s, p, k, ts) if s.self_similar and ts else None
@@ -569,15 +652,14 @@ def _linf_sweep(s: SolutionFamily, p: float, ts) -> list:
             for v in linf_norm(s, np.asarray(ts, dtype=float))[0].tolist()]
 
 
-# kind -> sweep (s, p, ts) -> [(value, error, flag) per t].  hess_bound_lp
-# and linf_norm are called through their module names, which perfbench's
-# tracer rebinds.
+# kind -> sweep (s, p, ts) -> [(value, error, flag) per t].  linf_norm is
+# called through its module name, which perfbench's tracer rebinds.
 _SWEEPS = {
     "lp": _lp_sweep(0),
     "grad_lp": _lp_sweep(1),
-    "hess_bound_lp": _each_t(lambda s, p, t: hess_bound_lp(s, p, t)),
+    "hess_bound_lp": _each_t(_hess_plan, _bound_integrand),
     "linf": _linf_sweep,
-    "distance": _each_t(_distance_core),
+    "distance": _each_t(_distance_plan, _distance_integrand),
 }
 KINDS = tuple(_SWEEPS)
 
@@ -637,7 +719,8 @@ def norm_sweep(s: SolutionFamily, spec: NormSpec,
     An L^p sweep of u or Du over a family that declares self_similar
     computes one integral per (p, k) and scales it to every t
     (_scaled_points); an L^infinity sweep is one lockstep linf_norm search
-    over the whole grid; every other sweep integrates at each t."""
+    over the whole grid; every other sweep runs the integrals of all its
+    t in one lockstep quadrature (_each_t)."""
     ts = [float(t) for t in
           (default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float))]
     points = _SWEEPS[spec.kind](s, spec.p, ts)

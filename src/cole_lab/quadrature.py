@@ -8,10 +8,18 @@ or their s = r^2/4mu t reductions: smooth, positive, one interior layer
 where the denominator switches from 1 to huge, then Gaussian or exponential
 decay.  A 15-point Gauss-Kronrod rule with bisection of the worst panels
 handles this well provided the layer is split on and the upper truncation
-follows the decay certificate instead of a fixed cutoff.  Refinement runs
-by generation: all panels bisected in one pass are evaluated with one call
-of the integrand on a panels x 15 node array, so integrands are written
-for numpy arrays of any length.
+follows the decay certificate instead of a fixed cutoff.
+
+Each integral is a generator (_integral) that lays out its panels, extends
+its tail and refines by generation, taking its own decisions: it yields the
+new panels (and tail probes) of a generation and receives their K15/G7
+values.  integrate_many runs many such members in lockstep, with one call
+of a batched integrand F(rows, r) per generation on the new panels of every
+member, so a sweep of integrals costs the calls of its slowest member
+rather than the sum of all; each member gets the bits of its own run.
+integrate_semi_infinite is the one-member case, whose integrand is called
+on a flat array of whole panels' nodes, so integrands are written for
+numpy arrays of any length.
 
 Callers describe an integrand with its endpoint behavior (power exponent at
 0+, decay class at infinity, optional split hints near the layer); see
@@ -22,11 +30,12 @@ ranging over hundreds of orders of magnitude costs no accuracy.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,6 +45,7 @@ __all__ = [
     "NonConvergenceError",
     "kronrod_15",
     "integrate_semi_infinite",
+    "integrate_many",
     "lemma1_I",
     "layer_power_integral",
     "lemma2_J",
@@ -67,6 +77,9 @@ _WK15 = np.concatenate([_WGK, _WGK[6::-1]])
 _WG15 = np.zeros(15)
 _WG15[1::2] = np.concatenate([_WG, _WG[2::-1]])
 _RULES = np.stack([_WK15, _WG15], axis=1)
+# the layout plus the midpoint again, the 16th column of a generation that
+# carries tail probes
+_OFFSETS16 = np.append(_OFFSETS, 0.0)
 
 
 class NonConvergenceError(RuntimeError):
@@ -89,30 +102,30 @@ class Integrand:
            ("exponential", rate) for exp(-rate*r),
            ("power", beta) for r^beta with beta < -1.
     splits: interior breakpoints (layer locations) to seed the subdivision.
+
+    A member of integrate_many leaves f at None: one batched integrand
+    evaluates every member.
     """
 
-    f: Callable[[np.ndarray], np.ndarray]
+    f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     small_r_exponent: float = 0.0
     decay: tuple = ("exponential", 1.0)
     splits: tuple = ()
     name: str = ""
 
 
-def _gauss_kronrod(fn, los: list, his: list, probes: list = ()):
-    """Gauss-Kronrod 15(7) on the panels [los_i, his_i] from one call of fn
-    on all their nodes, plus |fn| at the probe points in the same call.
-
-    Returns the panels as tuples (error_estimate, lo, hi, value, fn) and
-    the list of |fn(probe)|.  The estimate is QUADPACK's: |K15 - G7|
-    sharpened through the scaled total variation resasc, with a rounding
-    floor of 50 eps |f|-integral.
-    """
-    lo, hi = np.array(los), np.array(his)
+def _nodes(lo: np.ndarray, hi: np.ndarray, offsets: np.ndarray = _OFFSETS):
+    """(nodes, half-widths) of the panels [lo_i, hi_i]: a row of nodes per
+    panel, at offsets in units of its half-width from its midpoint."""
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _OFFSETS
-    k = len(probes)
-    fx = np.asarray(fn(np.concatenate([probes, nodes.ravel()])), dtype=float)
-    absf, fx = np.abs(fx[:k]), fx[k:].reshape(nodes.shape)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * offsets, half
+
+
+def _rules(fx: np.ndarray, half: np.ndarray):
+    """Gauss-Kronrod 15(7) on panels of half-widths half from the panels x
+    15 values fx at their nodes: (error estimates, values) as lists.  The
+    estimate is QUADPACK's: |K15 - G7| sharpened through the scaled total
+    variation resasc, with a rounding floor of 50 eps |f|-integral."""
     # weighted row sums rather than `@`: matmul would load BLAS kernels for
     # these few-panel products, +0.3 MB of peak RSS on the benchmark
     resk, resg = (fx[:, :, None] * _RULES).sum(axis=1).T
@@ -126,37 +139,16 @@ def _gauss_kronrod(fn, los: list, his: list, probes: list = ()):
     ratio = 200.0 * err / np.where(nonflat, resasc, 1.0)
     err = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), err)
     floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-    err = np.maximum(err, floor)
-    panels = list(zip(err.tolist(), los, his, (resk * half).tolist(), repeat(fn)))
-    return panels, absf.tolist()
+    return np.maximum(err, floor).tolist(), (resk * half).tolist()
 
 
 def kronrod_15(f, lo: float, hi: float):
     """One Gauss-Kronrod 15(7) panel; returns (value, error_estimate) with
-    the estimate of `_gauss_kronrod`."""
-    err, _, _, val, _ = _gauss_kronrod(f, [lo], [hi])[0][0]
+    the estimate of `_rules`."""
+    nodes, half = _nodes(np.array([lo]), np.array([hi]))
+    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(1, 15)
+    (err,), (val,) = _rules(fx, half)
     return val, err
-
-
-def _evaluate(jobs):
-    """Panels for the jobs (fn, lo, hi), with one call of each distinct fn."""
-    by_fn = {}
-    for fn, lo, hi in jobs:
-        los, his = by_fn.setdefault(fn, ([], []))
-        los.append(lo)
-        his.append(hi)
-    panels = []
-    for fn, (los, his) in by_fn.items():
-        panels += _gauss_kronrod(fn, los, his)[0]
-    return panels
-
-
-def _substituted(f, m: float):
-    # r = y^m regularizes an r^alpha endpoint: pulls alpha up to m(1+alpha)-1
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        return f(y ** m) * m * y ** (m - 1.0)
-    return g
 
 
 def _tail_estimate(absf: float, decay: tuple, r: float) -> float:
@@ -184,64 +176,73 @@ def _layer_width(decay: tuple) -> float:
     return 200.0 * decay[1] ** 2 if decay[0] == "gaussian" else math.inf
 
 
-def _truncate(f: Integrand, radius: float, total: float, rel_tol: float,
-              abs_tol: float):
-    """Extend the upper limit by factors of 1.6 (or less: _layer_width) until
-    the decay certificate puts the tail beyond it below a tenth of the tolerance.
+# The protocol of one integral (_integral, _tail): each generation it yields
+# (jobs, probes), its new panels as jobs (lo, hi, m), where m is the exponent
+# of the substitution r = y^m when [lo, hi] is a panel in y (else None), and
+# probes, the radii at which the tail stage needs |f|, one for each of the
+# last len(probes) jobs.  It receives (panels, |f| at the probes), each
+# panel a tuple (error estimate, lo, hi, value, m), and returns its result.
+
+def _tail(layout: list, decay: tuple, radius: float, total: float,
+          rel_tol: float, abs_tol: float, name: str):
+    """The first two stages of _integral: evaluate the layout's jobs, and
+    extend the upper limit from radius by factors of 1.6 (or less:
+    _layer_width) until the decay certificate puts the tail beyond it below
+    a tenth of the tolerance; total is the integral below radius, apart
+    from the layout's panels.
 
     The step-by-step rule probes |f| at the current radius, stops if the
     certificate passes, and otherwise adds the panel up to the next radius
     to the running total.  Here the steps run in chunks of doubling length,
-    with one call of f for a chunk's probes and panels together; the
-    panels kept are exactly the prefix the step-by-step rule keeps.
-    Returns (tail panels, tail bound)."""
+    a chunk's probes and panels in one generation, the first chunk's
+    together with the layout's panels; the panels kept are exactly the
+    prefix the step-by-step rule keeps.  Returns (layout panels, tail
+    panels, tail bound)."""
+    laid = None
     kept = []
     chunk = 2
     done = 0
-    w = _layer_width(f.decay)
+    w = _layer_width(decay)
     while done < _TAIL_STEPS:
         chunk = min(chunk, _TAIL_STEPS - done)
         radii = [radius]
         for _ in range(chunk):
             radii.append(min(radii[-1] * _TAIL_GROWTH, radii[-1] + w / radii[-1]))
-        panels, absf = _gauss_kronrod(f.f, radii[:-1], radii[1:], radii[:-1])
+        panels, absf = yield (layout + [(lo, hi, None) for lo, hi in zip(radii[:-1], radii[1:])],
+                              radii[:-1])
+        if laid is None:
+            laid, panels = panels[:len(layout)], panels[len(layout):]
+            total += sum(p[3] for p in laid)
+            layout = []
         for k, panel in enumerate(panels):
-            tail_bound = _tail_estimate(absf[k], f.decay, radii[k])
+            tail_bound = _tail_estimate(absf[k], decay, radii[k])
             if tail_bound <= 0.1 * max(abs_tol, rel_tol * abs(total)):
-                return kept + panels[:k], tail_bound
+                return laid, kept + panels[:k], tail_bound
             total += panel[3]
         kept += panels
         radius = radii[-1]
         done += chunk
         chunk *= 2
-    raise NonConvergenceError(
-        f"tail truncation stalled at r = {radius:.3g} for {f.name or 'integrand'}")
+    raise NonConvergenceError(f"tail truncation stalled at r = {radius:.3g} for {name}")
 
 
-def integrate_semi_infinite(f: Integrand, rel_tol: float,
-                            max_subdivisions: int = 10_000) -> QuadResult:
-    """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol), where
-    abs_tol = rel_tol times the smallest normal double lies below the
-    relative tolerance of every integral that is a normal double.
-
-    Stages:
+def _integral(f: Integrand, rel_tol: float, max_subdivisions: int):
+    """One integral over (0, oo) in three stages, each generation of new
+    panels yielded to _lockstep (see the protocol above):
 
     1. Lay out panels over the split hints and flanks (_layer_width), with
        r = y^m on the left-most one when the endpoint exponent is singular.
     2. Extend the upper limit until the decay certificate puts the
-       remaining tail below a tenth of the tolerance (`_truncate`); the
-       final certificate is charged to the error estimate.
+       remaining tail below a tenth of the tolerance; the final certificate
+       is charged to the error estimate.  Its first generation also
+       evaluates the layout (_tail).
     3. Refine by generation: sort the live panels by error and bisect the
        worst ones until the panels left unsplit fit inside the tolerance.
        A panel narrower than 100 eps max(|lo|, |hi|, 1) is frozen instead.
 
-    Every stage evaluates all its new panels with one call of the integrand
-    (two when the substituted left piece is among them) and applies the
-    K15/G7 weights to the panels x 15 array of values at once.  The value
-    and error are summed in position order, so they do not depend on the
-    order of refinement.  Raises NonConvergenceError once the subdivision
-    cap is hit or no panel can be split further.
-    """
+    The value and error are summed in position order, so they do not depend
+    on the order of refinement.  Raises NonConvergenceError once the
+    subdivision cap is hit or no panel can be split further."""
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     abs_tol = rel_tol * _TINY
@@ -250,6 +251,7 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
         raise ValueError(f"integrand declares r^{alpha} at 0+, not integrable")
     if f.decay[0] == "power" and f.decay[1] >= -1.0:
         raise ValueError(f"power tail r^{f.decay[1]} is not integrable")
+    name = f.name or "integrand"
 
     splits = sorted({float(s) for s in f.splits if s > 0.0}) or [1.0]
     w = _layer_width(f.decay)
@@ -258,12 +260,12 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
     b1 = splits[0]
     if alpha < -0.05:
         m = min(2.0 / (1.0 + alpha), 50.0)
-        left = (_substituted(f.f, m), 0.0, b1 ** (1.0 / m))
+        left = (0.0, b1 ** (1.0 / m), m)
     else:
-        left = (f.f, 0.0, b1)
-    live = _evaluate([left] + [(f.f, lo, hi) for lo, hi in zip(splits[:-1], splits[1:])])
-    tail, tail_bound = _truncate(f, splits[-1], sum(p[3] for p in live),
-                                 rel_tol, abs_tol)
+        left = (0.0, b1, None)
+    layout = [left] + [(lo, hi, None) for lo, hi in zip(splits[:-1], splits[1:])]
+    live, tail, tail_bound = yield from _tail(layout, f.decay, splits[-1], 0.0,
+                                              rel_tol, abs_tol, name)
     live += tail
 
     frozen = []  # panels too narrow to split further
@@ -276,7 +278,7 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
             break
         if n_panels >= max_subdivisions or not live:
             raise NonConvergenceError(
-                f"{f.name or 'integrand'}: error estimate {total_err:.3g} above "
+                f"{name}: error estimate {total_err:.3g} above "
                 f"tolerance after {n_panels} panels")
         live.sort(key=itemgetter(0), reverse=True)
         k = 0
@@ -286,16 +288,21 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
         worst, live = live[:k], live[k:]
         jobs = []
         for panel in worst:
-            _, lo, hi, _, fn = panel
+            _, lo, hi, _, m = panel
             if hi - lo < 100.0 * _EPS * max(abs(lo), abs(hi)):
                 frozen.append(panel)
             elif n_panels < max_subdivisions:
                 mid = 0.5 * (lo + hi)
-                jobs += [(fn, lo, mid), (fn, mid, hi)]
+                jobs += [(lo, mid, m), (mid, hi, m)]
                 n_panels += 1
             else:
                 live.append(panel)
-        live += _evaluate(jobs)
+        if jobs:
+            # the jobs of the worst panel's piece (r or y) first, so that a
+            # run's panels in y form one block of rows
+            first = jobs[0][2]
+            jobs.sort(key=lambda job: job[2] != first)
+            live += (yield jobs, ())[0]
 
     # deterministic final reduction: sum in position order
     panels = sorted(live + frozen, key=itemgetter(1, 2))
@@ -303,6 +310,94 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
     err_total = math.fsum(p[0] for p in panels) + tail_bound
     return QuadResult(value=value, abs_error_estimate=err_total,
                       subdivisions=n_panels)
+
+
+def _lockstep(F, runs) -> list:
+    """Drive the generators runs (the protocol above) to their ends in
+    lockstep.  Each generation gathers the new panels of every live run
+    into one node array and makes one call F(rows, r): r holds a panel's 15
+    nodes per row, plus a 16th column when some run probes (the probe, or
+    the panel's midpoint on a row without one), and rows[i] is the index of
+    row i's run.  A panel in y is mapped to r = y^m, with its run's scalar
+    m, before the call and its values times m y^(m-1) after it.  Returns
+    each run's return value, or the NonConvergenceError it raised."""
+    results = [None] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        rows, jobs, blocks, probe_rows, probe_r = [], [], [], [], []
+        for i, (new, probes) in pending.items():
+            start = len(jobs)
+            rows += [i] * len(new)
+            jobs += new
+            blocks.append((i, start, len(jobs), len(probes)))
+            probe_rows += range(len(jobs) - len(probes), len(jobs))
+            probe_r += probes
+        los, his, ms = zip(*jobs)
+        nodes, half = _nodes(np.array(los), np.array(his),
+                             _OFFSETS16 if probe_r else _OFFSETS)
+        if probe_r:
+            nodes[probe_rows, 15] = probe_r
+        # the panels in y: (first row, end row, m, y^(m-1)) per run
+        jacobians = []
+        if any(ms):
+            for i, start, end, _ in blocks:
+                rows_y = [j for j in range(start, end) if ms[j] is not None]
+                if rows_y:
+                    a, b, m = rows_y[0], rows_y[-1] + 1, ms[rows_y[0]]
+                    y = nodes[a:b]
+                    jacobians.append((a, b, m, y ** (m - 1.0)))
+                    nodes[a:b] = y ** m
+        fx = np.asarray(F(np.array(rows), nodes), dtype=float).reshape(nodes.shape)
+        for a, b, m, jac in jacobians:
+            fx[a:b] = fx[a:b] * m * jac
+        err, val = _rules(fx[:, :15] if probe_r else fx, half)
+        absf = np.abs(fx[:, 15]).tolist() if probe_r else None
+        for i, start, end, probes in blocks:
+            panels = list(zip(err[start:end], los[start:end], his[start:end],
+                              val[start:end], ms[start:end]))
+            try:
+                pending[i] = runs[i].send((panels, absf[end - probes:end] if probes else ()))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            except NonConvergenceError as exc:
+                results[i] = exc
+                del pending[i]
+    return results
+
+
+def integrate_many(F, members, rel_tol: float,
+                   max_subdivisions: int = 10_000) -> list:
+    """Integrate each member (an Integrand, whose f is not used) over
+    (0, oo) in lockstep, as integrate_semi_infinite would integrate it
+    alone.
+
+    F(rows, r) evaluates the integrand of member rows[i] on row i of the
+    2-D node array r, for all rows in one call; per-member parameters
+    enter it as (rows, 1) columns, e.g. ts[rows][:, None], so the
+    arithmetic rounds as a float parameter would.  Every member takes its
+    own refinement decisions, so each gets the bits of its own run, and a
+    sweep costs one call of F per generation of its slowest member.
+    Returns per member its QuadResult, or the NonConvergenceError it
+    raised; the other members are unaffected."""
+    return _lockstep(F, [_integral(m, rel_tol, max_subdivisions) for m in members])
+
+
+def integrate_semi_infinite(f: Integrand, rel_tol: float,
+                            max_subdivisions: int = 10_000) -> QuadResult:
+    """Integrate f over (0, oo) to within max(rel_tol*|I|, abs_tol), where
+    abs_tol = rel_tol times the smallest normal double lies below the
+    relative tolerance of every integral that is a normal double.
+
+    The one-member case of integrate_many (see _integral for the stages):
+    each generation is one call of f on a flat array of whole panels'
+    nodes.  Raises NonConvergenceError once the subdivision cap is hit or
+    no panel can be split further."""
+    res, = _lockstep(lambda rows, r: f.f(r.ravel()),
+                     [_integral(f, rel_tol, max_subdivisions)])
+    if isinstance(res, NonConvergenceError):
+        raise res
+    return res
 
 
 def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,
@@ -332,6 +427,33 @@ def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,
     return t ** q * core.value
 
 
+def _layer_power(c: float, b: float, l: float, n: int, mu: float, t: float):
+    """(member, args) of layer_power_integral: its Integrand without f, and
+    the arguments (c, offset, 4 mu t) that follow l in _layer_power_f."""
+    if not (c > -1.0 and b > 0.0 and l > 0.0 and t > 0.0 and mu > 0.0):
+        raise ValueError(
+            "layer_power_integral requires c > -1, b > 0, l > 0, mu > 0, t > 0")
+    offset = math.log(b) + 0.5 * n * math.log(t)
+    four_mu_t = 4.0 * mu * t
+    s0 = max(-offset, 0.0)
+    r0 = math.sqrt(four_mu_t * s0) if s0 > 0.0 else math.sqrt(four_mu_t)
+    dr = 2.0 * mu * t / (l * max(r0, math.sqrt(four_mu_t)))
+    member = Integrand(small_r_exponent=c, decay=("gaussian", math.sqrt(four_mu_t / l)),
+                       splits=(r0, r0 + 3.0 * dr), name="layer_power_integral")
+    return member, (c, offset, four_mu_t)
+
+
+def _layer_power_f(l: float, c, offset, four_mu_t, r):
+    """r^c / (1 + e^(offset + r^2/4 mu t))^l, the integrand of
+    layer_power_integral; c, offset and 4 mu t are floats, or (rows, 1)
+    columns of integrate_many's members."""
+    r = np.asarray(r, dtype=float)
+    # a column takes c log r throughout: where c = 0 it is +-0, which moves
+    # no bit of the exponent
+    power = c * np.log(r) if isinstance(c, np.ndarray) or c != 0.0 else 0.0
+    return np.exp(power - l * np.logaddexp(0.0, offset + r * r / four_mu_t))
+
+
 def layer_power_integral(c: float, b: float, l: float, n: int, mu: float,
                          t: float, rel_tol: float = 1e-11) -> QuadResult:
     """int_0^oo r^c / (1 + b t^(n/2) e^(r^2/4mu t))^l dr, no t^d prefactor.
@@ -341,24 +463,9 @@ def layer_power_integral(c: float, b: float, l: float, n: int, mu: float,
     d > -(c+1)/2 decay precondition) and by norm bounds, which need the
     integral even for exponents d where the bound fails to vanish.
     """
-    if not (c > -1.0 and b > 0.0 and l > 0.0 and t > 0.0 and mu > 0.0):
-        raise ValueError(
-            "layer_power_integral requires c > -1, b > 0, l > 0, mu > 0, t > 0")
-    offset = math.log(b) + 0.5 * n * math.log(t)
-    four_mu_t = 4.0 * mu * t
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        power = c * np.log(r) if c != 0.0 else 0.0
-        return np.exp(power - l * np.logaddexp(0.0, offset + r * r / four_mu_t))
-
-    s0 = max(-offset, 0.0)
-    r0 = math.sqrt(four_mu_t * s0) if s0 > 0.0 else math.sqrt(four_mu_t)
-    dr = 2.0 * mu * t / (l * max(r0, math.sqrt(four_mu_t)))
+    member, args = _layer_power(c, b, l, n, mu, t)
     return integrate_semi_infinite(
-        Integrand(f, small_r_exponent=c,
-                  decay=("gaussian", math.sqrt(four_mu_t / l)),
-                  splits=(r0, r0 + 3.0 * dr), name="layer_power_integral"),
+        dataclasses.replace(member, f=functools.partial(_layer_power_f, l, *args)),
         rel_tol=rel_tol)
 
 

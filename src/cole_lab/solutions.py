@@ -374,12 +374,18 @@ def self_similar(p: Params) -> SolutionFamily:
         ratio2 = ratio1 * ratio1 + dratio1                 # F''/F
         return amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1)
 
+    def u_t(t, r, xi, F, ratio1, w1):
+        scale = -amp(t) / t
+        value = scale * F * (0.5 + xi * ratio1)
+        # amp/t passes the largest double at deep t; where F underflows
+        # there, inf * 0 stands for a value that underflows too
+        inf = np.isinf(scale)
+        return np.where(inf & (F == 0.0), 0.0, value) if np.any(inf) else value
+
     far = _with_shape(
         {"u": lambda t, r, xi, F, ratio1, w1: amp(t) * F,
          "u_r": lambda t, r, xi, F, ratio1, w1: amp(t) * F * ratio1 * 2.0 * xi / r,
-         "u_rr": u_rr,
-         "u_t": lambda t, r, xi, F, ratio1, w1:
-             -amp(t) / t * F * (0.5 + xi * ratio1)})
+         "u_rr": u_rr, "u_t": u_t})
     near = _with_shape(
         {"u": lambda t, r, xi, rho, phi, beta: 4.0 * mu * phi / r,
          "u_r": lambda t, r, xi, rho, phi, beta:

@@ -60,8 +60,20 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
-_erf_array = np.vectorize(math.erf, otypes=[float])
+_erf_libm = np.vectorize(math.erf, otypes=[float])
 _erfc_array = np.vectorize(math.erfc, otypes=[float])
+
+
+def _erf_array(x):
+    # the C library's erf is exactly +-1 for |x| >= 6, so only the points
+    # inside go through np.vectorize, which makes a Python float of each
+    x = np.asarray(x, dtype=float)
+    inner = np.abs(x) < 6.0
+    if inner.all():
+        return _erf_libm(x)
+    out = np.sign(x)
+    out[inner] = _erf_libm(x[inner])
+    return out
 
 
 def erf(x):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from cole_lab import quadrature
+from cole_lab import cli, quadrature
 from cole_lab.cli import main
 from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             DivergenceError, NormReport, NormSpec,
@@ -19,7 +19,9 @@ from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             grad_bound_integrals, grad_lp_norm, hess_bound_lp,
                             hessian_frobenius_lp, hessian_frobenius_sq,
                             linf_norm, lp_distance, lp_norm, norm_sweep,
-                            sphere_measure, _derivative_lp)
+                            sphere_measure, _bound_integrand, _derivative_lp,
+                            _distance_integrand, _distance_plan, _hess_plan,
+                            _lp_integrand, _lp_plan)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
 from cole_lab.solutions import (Params, SingularityError, SolutionFamily,
                                 cartesian_components, main_example,
@@ -582,6 +584,125 @@ def test_linf_lockstep_unbracketed_row_is_flagged_alone():
     assert rep.values[2:] == tuple(values[2:].tolist())
 
 
+@pytest.mark.parametrize("n,t", [(40, 1e-150), (60, 1e-100)])
+def test_linf_takes_an_underflowed_u_r_as_a_sign_change(n, t):
+    """u_r(hi) underflows to -0.0 at the bracket of these steep profiles,
+    which the sign check read as no sign change: BracketingError for a
+    float t and NaN rows in an array t.  The sup against the exact
+    sqrt(4 mu/t) max_x sqrt(x)/(1 + e^(x - eta)), eta = -(n/2) log(4 pi mu
+    t), in 40-digit mpmath."""
+    fam = main_example(Params(n, 0.1))
+    value, _ = linf_norm(fam, t)
+    mp = mpmath.mp
+    with mp.workdps(40):
+        mu, T = mp.mpf("0.1"), mp.mpf(t)
+        eta = -(n / mp.mpf(2)) * mp.log(4 * mp.pi * mu * T)
+        x = mp.findroot(lambda x: 1 + mp.exp(x - eta) - 2 * x * mp.exp(x - eta), eta)
+        want = mp.sqrt(4 * mu / T) * mp.sqrt(x) / (1 + mp.exp(x - eta))
+    assert value == approx(float(want), rel=1e-14)
+    values, _ = _assert_rows_are_scalar_searches(fam, np.array([1e-2, t, 1e-300]))
+    assert np.all(np.isfinite(values))
+
+
+# kind -> (family, plan, integrand) of the sweeps that run in lockstep
+_LOCKSTEP = {
+    "lp": (MAIN, lambda s, p, t: _lp_plan(s, p, t, 0), _lp_integrand(0)),
+    "grad_lp": (MAIN, lambda s, p, t: _lp_plan(s, p, t, 1), _lp_integrand(1)),
+    "hess_bound_lp": (MAIN, _hess_plan, _bound_integrand),
+    "distance": (NST, _distance_plan, _distance_integrand),
+}
+
+
+def _recorded_runs(monkeypatch, **kwargs):
+    """(members, results) of every integrate_many call from here on, run
+    with kwargs."""
+    runs, real = [], quadrature.integrate_many
+
+    def recording(F, members, *args, **kw):
+        results = real(F, members, *args, **{**kw, **kwargs})
+        runs.append((members, results))
+        return results
+
+    monkeypatch.setattr(quadrature, "integrate_many", recording)
+    return runs
+
+
+def _alone(kind, p, t, **kwargs):
+    """The results of the integrals of one grid point, each run alone with
+    float arguments."""
+    fam, plan, integrand = _LOCKSTEP[kind]
+    members, args, _ = plan(fam, p, t)
+    results = []
+    for m, a in zip(members, args):
+        f = dataclasses.replace(m, f=lambda r, a=a: integrand(fam, p, *a, r))
+        try:
+            results.append(integrate_semi_infinite(f, rel_tol=1e-10, **kwargs))
+        except quadrature.NonConvergenceError as exc:
+            results.append(exc)
+    return members, results
+
+
+def _bits(res):
+    if isinstance(res, quadrature.NonConvergenceError):
+        return "non-converged"
+    return res.value.hex(), res.abs_error_estimate.hex(), res.subdivisions
+
+
+@pytest.mark.parametrize("kind,p", [("lp", 1.0), ("lp", 2.0), ("grad_lp", 1.0),
+                                    ("grad_lp", 2.0), ("hess_bound_lp", 1.0),
+                                    ("hess_bound_lp", 2.0), ("hess_bound_lp", 2.5),
+                                    ("distance", 1.0), ("distance", 2.5)])
+def test_lockstep_members_are_their_own_runs(kind, p, monkeypatch):
+    """Every member of a lockstep sweep over the default grid gets the
+    (value, error, subdivisions) of its own run, bit for bit, and every
+    point the bits of the one-t function.  At p = 2.5 the hess bound's
+    r^(n-p-1) term and the distance start on the substituted left piece
+    r = y^m."""
+    fam = _LOCKSTEP[kind][0]
+    runs = _recorded_runs(monkeypatch)
+    rep = norm_sweep(fam, NormSpec(kind, p=p))
+    assert rep.flags == ("ok",) * 13
+    (members, results), = runs
+    alone = [_alone(kind, p, t) for t in default_t_grid()]
+    assert members == [m for ms, _ in alone for m in ms]
+    assert [_bits(r) for r in results] == [_bits(r) for _, rs in alone for r in rs]
+    assert any(m.small_r_exponent < -0.05 for m in members) == (p == 2.5)
+    one_t = {"lp": lambda t: (lp_norm(fam, NormSpec("lp", p), t),),
+             "grad_lp": lambda t: (grad_lp_norm(fam, p, t),),
+             "hess_bound_lp": lambda t: hess_bound_lp(fam, p, t),
+             "distance": lambda t: (lp_distance(fam, p, t),)}[kind]
+    for t, v, e in zip(default_t_grid().tolist(), rep.values, rep.quad_errors):
+        want = one_t(t)
+        assert v == want[0] and (len(want) == 1 or e == want[1]), t
+
+
+def test_lockstep_member_that_fails_leaves_the_others(monkeypatch):
+    # with a budget of 10 panels, some of the 13 L^1 integrals give up while
+    # the others finish: each keeps the outcome of its own run and its flag
+    runs = _recorded_runs(monkeypatch, max_subdivisions=10)
+    rep = norm_sweep(MAIN, NormSpec("lp", p=1.0))
+    (_, results), = runs
+    alone = [_alone("lp", 1.0, t, max_subdivisions=10)[1][0] for t in default_t_grid()]
+    assert [_bits(r) for r in results] == [_bits(r) for r in alone]
+    failed = [isinstance(r, quadrature.NonConvergenceError) for r in results]
+    assert 0 < sum(failed) < 13
+    assert rep.flags == tuple("non-converged" if f else "ok" for f in failed)
+
+
+def test_lockstep_sweep_ends_on_a_typed_error(monkeypatch, capsys):
+    # an evaluator error inside the batched integrand ends the sweep, as
+    # it did from the first t that raised it, and the command exits 3
+    def broken(t, r):
+        raise SingularityError("broken evaluator")
+
+    fam = dataclasses.replace(MAIN, u=broken)
+    with pytest.raises(SingularityError, match="broken evaluator"):
+        norm_sweep(fam, NormSpec("lp", p=2.0))
+    monkeypatch.setattr(cli, "_build_family", lambda args: fam)
+    assert main(["norms", "--family", "MainExample", "--kind", "lp"]) == 3
+    assert "numerical failure: broken evaluator" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fam,r_star", [(SS, 0.0), (ST0, 0.0), (ST1, 0.0),
                                         (MAIN0, math.inf)])
 def test_linf_lockstep_shortcuts_every_row(fam, r_star):
@@ -702,25 +823,15 @@ def test_norm_sweep_flags_underflow():
         lp_norm(tiny_mu, NormSpec("lp", p=1.0), 1e-2)
 
 
-def test_l2_sweep_work_count(monkeypatch):
-    # MainExample L^2 over the default 13-point grid: 126 panels from 70
-    # calls of the integrand (239 when every panel and tail probe was a call)
-    calls, panels = [0], [0]
-    real = quadrature.integrate_semi_infinite
-
-    def counting(integrand, *args, **kwargs):
-        def counted(r):
-            calls[0] += 1
-            return integrand.f(r)
-        res = real(dataclasses.replace(integrand, f=counted), *args, **kwargs)
-        panels[0] += res.subdivisions
-        return res
-
-    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
+def test_l2_sweep_work_count(quad_work):
+    # MainExample L^2 over the default 13-point grid: its 13 integrals run in
+    # lockstep, 126 panels from 5 calls of the batched integrand (70 calls
+    # when each integral ran alone, 239 when every panel and tail probe was
+    # a call)
     rep = norm_sweep(MAIN, NormSpec("lp", p=2.0))
     assert rep.flags == ("ok",) * 13
-    assert calls[0] <= 7 * 13
-    assert panels[0] <= 126
+    assert (quad_work.integrals, quad_work.panels, quad_work.alone) == (13, 126, 0)
+    assert quad_work.calls == 5
 
 
 def test_norm_sweep_divergent_flags():
@@ -797,25 +908,15 @@ def test_self_similar_sweep_matches_mpmath_at_deep_t(t):
         assert got == approx(float(want), rel=1e-12), p
 
 
-def _count_integrals(monkeypatch):
-    calls = [0]
-    real = quadrature.integrate_semi_infinite
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counting)
-    return calls
-
-
 @pytest.mark.parametrize("family,integrals", [("SelfSimilar", 2), ("MainExample", 26)])
-def test_norms_cli_integral_count(family, integrals, monkeypatch, capsys):
-    # one integral per p for the self-similar family (26 before), one per
-    # (p, t) for the main example, which does not declare self_similar
-    calls = _count_integrals(monkeypatch)
+def test_norms_cli_integral_count(family, integrals, quad_work, capsys):
+    # one integral per p for the self-similar family (26 before), run alone;
+    # one per (p, t) for the main example, which does not declare
+    # self_similar, each p's 13 in one lockstep run of 5 calls
     assert main(["norms", "--family", family, "--kind", "lp", "--p", "1,2"]) == 0
-    assert calls[0] == integrals
+    assert quad_work.integrals == integrals
+    assert quad_work.alone == (2 if family == "SelfSimilar" else 0)
+    assert quad_work.calls == {"SelfSimilar": 6, "MainExample": 10}[family]
     capsys.readouterr()
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cole_lab.quadrature import (Integrand, NonConvergenceError, QuadResult,
-                                 _tail_estimate, _truncate,
-                                 integrate_semi_infinite, kronrod_15,
+                                 _lockstep, _tail, _tail_estimate,
+                                 integrate_many, integrate_semi_infinite, kronrod_15,
                                  layer_power_integral, lemma1_I, lemma2_J)
 
 
@@ -67,8 +67,42 @@ def test_semi_infinite_call_pattern(integrand, want):
     assert min(sizes) >= 15
 
 
+def test_integrate_many_members_are_their_own_runs():
+    # the closed forms (a substituted left piece, power, exponential and
+    # Gaussian tails) and one member that gives up, in one lockstep run:
+    # each member gets the bits of its own run, or its own
+    # NonConvergenceError, and the run takes the calls of its slowest member
+    jagged = Integrand(lambda s: np.exp(-s) * np.abs(np.sin(50.0 * s)),
+                       decay=("exponential", 1.0), name="jagged")
+    members = [f for f, _ in CLOSED_FORMS] + [jagged]
+    calls = []
+
+    def F(rows, r):
+        calls.append(r.shape)
+        out = np.empty_like(r)
+        for i in set(rows.tolist()):
+            out[rows == i] = members[i].f(r[rows == i])
+        return out
+
+    results = integrate_many(F, members, rel_tol=1e-13, max_subdivisions=40)
+    alone_calls = []
+    for f, res in zip(members, results):
+        counted = []
+        f = dataclasses.replace(f, f=lambda s, f=f.f: counted.append(1) or f(s))
+        try:
+            alone = integrate_semi_infinite(f, rel_tol=1e-13, max_subdivisions=40)
+            assert (res.value, res.abs_error_estimate, res.subdivisions) == \
+                (alone.value, alone.abs_error_estimate, alone.subdivisions)
+        except NonConvergenceError:
+            assert isinstance(res, NonConvergenceError)
+        alone_calls.append(len(counted))
+    assert isinstance(results[-1], NonConvergenceError)
+    assert len(calls) == max(alone_calls)
+    assert all(width in (15, 16) for _, width in calls)
+
+
 def _truncate_step_by_step(f, radius, total, rel_tol, abs_tol):
-    # the rule _truncate batches: one probe, then at most one panel, per step
+    # the rule _tail batches: one probe, then at most one panel, per step
     panels = []
     for _ in range(400):
         absf = float(abs(f.f(np.array([radius]))[0]))
@@ -92,7 +126,10 @@ def test_truncation_keeps_the_step_by_step_prefix(integrand):
     for rel_tol, radius, total in ((1e-11, 1.0, 0.3), (1e-6, 3.0, 1.0)):
         want_panels, want_bound = _truncate_step_by_step(
             integrand, radius, total, rel_tol, 1e-300)
-        panels, bound = _truncate(integrand, radius, total, rel_tol, 1e-300)
+        (laid, panels, bound), = _lockstep(
+            lambda rows, r: integrand.f(r),
+            [_tail([], integrand.decay, radius, total, rel_tol, 1e-300, "tail")])
+        assert laid == []
         assert [(p[1], p[2]) for p in panels] == want_panels
         assert bound == want_bound
 

@@ -382,6 +382,22 @@ def test_self_similar_is_zero_where_xi_overflows():
         assert got[0] == 0.0 and got[1] == fn(1e-3, 1e-4) != 0.0, q
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_self_similar_u_t_is_zero_where_amp_over_t_overflows():
+    # at t = 1e-300, r = 1e-4 and mu = 1e-8, xi = 2.5e299 is finite but
+    # sqrt(4 mu/t)/t passes the largest double while F = e^-xi ... is 0:
+    # u_t raised SingularityError ("overflows a double") on inf * 0, though
+    # its true value underflows like every other quantity there
+    fam = self_similar(Params(3, 1e-8))
+    assert fam.u_t(1e-300, 1e-4) == 0.0
+    got = fam.u_t(np.array([[1e-300], [1e-3]]), np.array([1e-4, 2e-4]))
+    assert np.all(got[0] == 0.0)
+    assert got[1].tolist() == [fam.u_t(1e-3, 1e-4), fam.u_t(1e-3, 2e-4)]
+    # where F is not 0, amp/t = inf still stands for a value that overflows
+    with pytest.raises(SingularityError, match="overflows"):
+        SS.u_t(1e-300, 1e-150)
+
+
 def test_self_similar_near_origin_arrays_equal_scalar_calls():
     # an array that mixes near-origin and direct points, with array t,
     # gives each element the bits of its scalar call; u_r and g overflow

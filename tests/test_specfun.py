@@ -175,6 +175,18 @@ def test_erf_special_points():
     assert erf(-40.0) == -1.0
 
 
+def test_erf_array_is_the_c_library_elementwise():
+    # an array skips the C library where |x| >= 6, where it returns +-1
+    # exactly; every element keeps the bits of math.erf, across that seam
+    # and where math.erf itself first rounds to 1 (x = 5.9215875)
+    x = np.concatenate([np.linspace(-8.0, 8.0, 4001), np.linspace(5.9, 6.1, 2001),
+                        [-math.inf, -1e300, -6.0, 6.0, 1e300, math.inf, math.nan]])
+    got = erf(x)
+    want = np.array([math.erf(v) for v in x.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert erf(x[:-1].reshape(2, -1)).tobytes() == want[:-1].tobytes()
+
+
 @settings(max_examples=50, derandomize=True)
 @given(st.floats(-6.0, 6.0))
 def test_erf_odd_and_bounded(x):
