@@ -18,7 +18,8 @@ regrouped so that no intermediate overflows or cancels:
 * main_example writes the denominator 1 + a(4 pi mu t)^(n/2) e^(r^2/4mu t)
   as e^(logaddexp(0, L)) and works with the pair (iD, sigma) =
   (1/(1+e^L), e^L/(1+e^L)), each in [0,1].
-* self_similar works with the profile ratio F'/F, never with F' itself.
+* self_similar works with rho = r/sqrt(4 mu t) and the scaled tail
+  Q_n = xi^(n/2-1) e^xi G_n, never with G_n, F or F' themselves.
 * self_similar, stationary and cole_hopf derive g, g_r, P and W from their
   own u, u_r and u_rr formulas over one shared core.
 * nonstationary_erf describes each quantity by one row of a table
@@ -41,12 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import DomainError, erf, scaled_tail, upper_tail_integral
+from .specfun import DomainError, erf, scaled_tail
 
 __all__ = [
     "Params",
@@ -164,8 +164,8 @@ _log, _exp, _pow, _sqrt = (_libm(f) for f in
                            (math.log, math.exp, math.pow, math.sqrt))
 
 
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)   # below it r * r is subnormal
-_SMALLEST = np.finfo(float).smallest_subnormal
+_TINY, _SMALLEST, _HUGE = (np.finfo(float).tiny, np.finfo(float).smallest_subnormal,
+                           np.finfo(float).max)
 
 
 def _at(x, mask):
@@ -316,131 +316,88 @@ def self_similar(p: Params) -> SolutionFamily:
     """Exactly self-similar positive solution, singular like 2mu(n-2)/r at 0.
 
     Needs n >= 3 so the tail integral G_n stays finite at 0 and a > 0 so
-    the denominator is positive.  Derivatives are built from the
-    logarithmic ratio F'/F = (1-n)/(2 xi) - 1 + w1, w1 = xi^(-n/2) e^(-xi)
-    / (a + G_n(xi)), which stays modest where F itself spans hundreds of
-    orders of magnitude.  F''/F is formed only for u_rr.
+    the denominator is positive.  Every quantity comes from one core in
+    rho = sqrt(xi) = r/sqrt(4 mu t) and the scaled tail Q_n = xi^(n/2-1)
+    e^xi G_n (specfun.scaled_tail, for every xi > 0), so neither G_n nor
+    xi^(-n/2) is ever formed.  With e = a rho^(n-3) e^xi, taken from its
+    log, F(xi) = phi/rho where phi = 1/(Q_n + rho e), and
 
-    Where xi is so small that xi^(-n/2) or 1/xi^2 would overflow (below
-    max(e^(-1410/n), 2e-154)), or where r^2 is no longer a normal double,
-    the same quantities come from rho = sqrt(xi) = r/sqrt(4 mu t) and the
-    scaled tail Q_n = xi^(n/2-1) e^xi G_n (specfun.scaled_tail), so G_n
-    enters through log G_n = (1 - n/2) log xi - xi + log Q_n and never
-    overflows.  With phi = 1/(Q_n + a xi^(n/2-1) e^xi) and
-    c = phi - (n/2 - 1) - xi = rho beta phi,
+        beta phi = (rho Q_(n-2) - rho Q_n) phi - (n/2 - 1 + xi)/(Q_n/e + rho),
+        c = rho beta phi = 1/2 + xi F'/F,
 
-        u = 4 mu phi / r,   u_r = (u/r)(2c - 1),
+        u = (4 mu/r) phi,   u_r = (u/r)(2c - 1),
         u_rr = (u/r^2)((2c - 2)(2c - 1) + 4(phi c - xi)),
-        u_t = -(u/t) c = -4 mu phi^2 beta / t / sqrt(4 mu t),
+        u_t = -(4 mu/sqrt(4 mu t)) phi beta phi / t,
 
-    where beta = rho Q_(n-2) - rho Q_n - a rho^(n-3) e^xi (n/2 - 1 + xi)
-    is summed without cancellation.  A value there that overflows a double
-    raises SingularityError.  The family declares self_similar: u(t, r) =
-    lam u(lam^2 t, lam r) for every lam > 0.
+    where no sum cancels but the two terms of beta phi at the one sign
+    change of u_t (xi = 0.1..0.28 for a = 1), where u_t itself passes
+    through 0.  u_t is not -(u/t) c, since c underflows where rho is
+    subnormal.  Where phi is below the smallest normal double
+    (xi >~ 700), u = exp(log(4 mu/r) - logaddexp(log Q_n, log rho e)) and
+    u rho stands for (4 mu/sqrt(4 mu t)) phi.  A value that overflows a
+    double raises SingularityError.  The family declares self_similar:
+    u(t, r) = lam u(lam^2 t, lam r) for every lam > 0.
     """
     if p.n < 3:
         raise DomainError("self_similar requires n >= 3")
     if not p.a > 0.0:
         raise DomainError("self_similar requires a > 0")
     n, mu, a = p.n, p.mu, p.a
-    m = 0.5 * n - 1.0
-    xi_tiny = max(math.exp(-1410.0 / n), 2e-154)
+    m, log_a = 0.5 * n - 1.0, math.log(a)
 
-    def amp(t):
-        return _sqrt(4.0 * mu / t)
-
-    def direct(t, r, xi):
-        lxi = np.log(xi)
-        psi = a + upper_tail_integral(n, xi)
-        # w1 = -psi'/psi, kept via exp of logs to dodge overflow at tiny xi
-        w1 = np.exp(-0.5 * n * lxi - xi) / psi
-        lf = 0.5 * (1.0 - n) * lxi - xi
-        F = np.exp(lf) / psi
-        ratio1 = 0.5 * (1.0 - n) / xi - 1.0 + w1          # F'/F
-        return xi, F, ratio1, w1
-
-    def near_origin(t, r, _):
-        # a rho that rounds to 0 gives the rho -> 0 limits at the smallest
-        # subnormal, where log rho (n even) is still finite
-        rho = np.maximum(r / _sqrt(4.0 * mu * t), _SMALLEST)
-        xi = rho * rho                 # r * r may be subnormal
-        q, sq = scaled_tail(n, rho)
-        e = a * rho ** (n - 3) * np.exp(xi)
-        phi = 1.0 / (q + rho * e)
-        return xi, rho, phi, sq - rho * q - e * (m + xi)
-
-    def u_rr(t, r, xi, F, ratio1, w1):
-        dratio1 = 0.5 * (n - 1.0) / (xi * xi) - w1 * (0.5 * n / xi + 1.0) + w1 * w1
-        ratio2 = ratio1 * ratio1 + dratio1                 # F''/F
-        return amp(t) * F * 2.0 * xi / (r * r) * (2.0 * xi * ratio2 + ratio1)
-
-    def u_t(t, r, xi, F, ratio1, w1):
-        scale = -amp(t) / t
-        value = scale * F * (0.5 + xi * ratio1)
-        # amp/t passes the largest double at deep t; where F underflows
-        # there, inf * 0 stands for a value that underflows too
-        inf = np.isinf(scale)
-        return np.where(inf & (F == 0.0), 0.0, value) if np.any(inf) else value
-
-    far = _with_shape(
-        {"u": lambda t, r, xi, F, ratio1, w1: amp(t) * F,
-         "u_r": lambda t, r, xi, F, ratio1, w1: amp(t) * F * ratio1 * 2.0 * xi / r,
-         "u_rr": u_rr, "u_t": u_t})
-    near = _with_shape(
-        {"u": lambda t, r, xi, rho, phi, beta: 4.0 * mu * phi / r,
-         "u_r": lambda t, r, xi, rho, phi, beta:
-             4.0 * mu * phi / r / r * (2.0 * rho * beta * phi - 1.0),
-         "u_rr": lambda t, r, xi, rho, phi, beta: 4.0 * mu * phi / r / r / r * (
-             (2.0 * rho * beta * phi - 2.0) * (2.0 * rho * beta * phi - 1.0)
-             + 4.0 * (rho * beta * phi * phi - xi)),
-         "u_t": lambda t, r, xi, rho, phi, beta:
-             -4.0 * mu * phi * phi * beta / t / _sqrt(4.0 * mu * t)})
-    # 0.5 + xi F'/F in the direct u_t cancels to O(xi) (O(sqrt xi) for
-    # n = 3), so u_t switches early, at xi = 1e-3
-    cuts = {q: xi_tiny for q in far}
-    cuts["u_t"] = max(xi_tiny, 1e-3)
-
-    # xi past the largest double is inf, where every quantity is 0 (_split)
-    @np.errstate(over="ignore", divide="ignore")
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def core(t, r):
-        return (r * r / (4.0 * mu * t),)
+        root_4mu_t = _sqrt(4.0 * mu * t)
+        # a rho that rounds to 0 gives the rho -> 0 limits at the smallest
+        # subnormal, where log rho is still finite; an infinite one (4 mu t
+        # underflows to 0) is the largest double, so xi = inf and u = 0
+        rho = np.clip(r / root_4mu_t, _SMALLEST, _HUGE)
+        xi = rho * rho
+        q, sq = scaled_tail(n, rho)
+        log_rho = np.log(rho)
+        log_e = log_a + (n - 3) * log_rho + xi
+        e = np.exp(log_e)
+        phi = 1.0 / (q + rho * e)
+        beta_phi = (sq - rho * q) * phi - (m + xi) / (q / e + rho)
+        four_mu_r = 4.0 * mu / r
+        u = four_mu_r * phi
+        amp = 4.0 * mu / root_4mu_t * phi
+        deep = phi < _TINY
+        if deep.any():
+            u[deep] = np.exp(np.log(four_mu_r[deep]) - np.logaddexp(
+                np.log(q[deep]), log_e[deep] + log_rho[deep]))
+            amp[deep] = u[deep] * rho[deep]
+        return xi, phi, rho * beta_phi, beta_phi, u, amp
+
+    formulas = _with_shape(
+        {"u": lambda t, r, xi, phi, c, beta_phi, u, amp: u,
+         "u_r": lambda t, r, xi, phi, c, beta_phi, u, amp: u / r * (2.0 * c - 1.0),
+         "u_rr": lambda t, r, xi, phi, c, beta_phi, u, amp: u / r / r * (
+             (2.0 * c - 2.0) * (2.0 * c - 1.0) + 4.0 * (phi * c - xi)),
+         "u_t": lambda t, r, xi, phi, c, beta_phi, u, amp: -amp * beta_phi / t})
+
+    def checked(name, formula):
+        # every quantity carries the factor u (u_t the factor u rho), so
+        # where u underflows to 0, as it does where xi is inf, a 0 * inf or
+        # 0 / 0 in the rest of its formula stands for 0
+        @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+        def evaluate(t, r, *c):
+            out = formula(t, r, *c)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                out[bad & (c[4] == 0.0)] = 0.0
+                bad = ~np.isfinite(out)
+                if bad.any():
+                    raise SingularityError(f"SelfSimilar {name} overflows a "
+                                           f"double at r = {float(r[bad][0])!r}")
+            return out
+        return evaluate
 
     return _family(
-        "SelfSimilar", p, core,
-        {q: _split(q, cuts[q], (direct, far[q]), (near_origin, near[q]))
-         for q in far},
+        "SelfSimilar", p, core, {q: checked(q, f) for q, f in formulas.items()},
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         g0=None, self_similar=True)
-
-
-def _split(name, cut, far, near):
-    """A formula over the core (xi,) that applies far = (core, formula) to
-    the points with xi >= cut and near = (core, formula) to the others and
-    to those where r^2 is subnormal (xi < 1); each core maps (t, r, xi) to
-    its formula's arguments.  Where xi is inf the value is 0, which every
-    quantity's factor e^-xi makes it; a value that overflows a double
-    raises SingularityError."""
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    def formula(t, r, xi):
-        inner = (xi < cut) | ((r < _SQRT_TINY) & (xi < 1.0))
-        if inner.any():
-            out = np.empty_like(r)
-            for (core, f), mask in ((far, ~inner), (near, inner)):
-                if mask.any():
-                    ts, rs = _at(t, mask), r[mask]
-                    out[mask] = f(ts, rs, *core(ts, rs, xi[mask]))
-        else:
-            out = far[1](t, r, *far[0](t, r, xi))
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad & np.isinf(xi)] = 0.0    # e^-xi underflows every quantity
-            bad = ~np.isfinite(out)
-        if bad.any():
-            raise SingularityError(
-                f"SelfSimilar {name} overflows a double at r = {float(r[bad][0])!r}")
-        return out
-    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +455,22 @@ def stationary(p: Params) -> SolutionFamily:
 # ---------------------------------------------------------------------------
 
 # Taylor coefficients c_1..c_10 of v(z) = 1 - z w(z) = sum c_m z^(2m),
-# w(z) = (2/sqrt(pi)) e^(-z^2)/erf(z); exact rationals, converted once.
-_V_COEFFS = tuple(float(c) for c in (
-    Fraction(2, 3),
-    Fraction(-8, 45),
-    Fraction(16, 945),
-    Fraction(32, 14175),
-    Fraction(-64, 93555),
-    Fraction(-2944, 638512875),
-    Fraction(5888, 273648375),
-    Fraction(-80384, 44405668125),
-    Fraction(-99380224, 194896477400625),
-    Fraction(3306665984, 32157918771103125),
-))
+# w(z) = (2/sqrt(pi)) e^(-z^2)/erf(z): the doubles nearest the exact
+# rationals 2/3, -8/45, 16/945, 32/14175, -64/93555, -2944/638512875,
+# 5888/273648375, -80384/44405668125, -99380224/194896477400625 and
+# 3306665984/32157918771103125
+_V_COEFFS = (
+    0.6666666666666666,
+    -0.17777777777777778,
+    0.016931216931216932,
+    0.002257495590828924,
+    -0.0006840895729784619,
+    -4.6107136054226e-06,
+    2.1516663491972134e-05,
+    -1.8102193569911522e-06,
+    -5.099128795217583e-07,
+    1.0282587027899786e-07,
+)
 _V_SWITCH = 0.35  # both branches good to ~1e-15 relative at the seam
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 

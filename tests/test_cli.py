@@ -294,12 +294,14 @@ def test_residual_of_underflowed_terms_exits_3(capsys):
 
 
 def test_amplitude_overflow_exits_3(capsys):
-    # mu = 1e300 is a valid parameter, but the SelfSimilar u passes the
-    # largest double inside the norm's range: a numerical failure, which
-    # exited 2 as a config error.  The other SingularityError, r = 0 on a
-    # singular family, is not reachable from here: residual drops r = 0, and
-    # solve rejects r_min = 0 for a singular family as a config error.
-    rc = main(["norms", "--family", "SelfSimilar", "--mu", "1e300",
+    # mu = 1e307 is a valid parameter, but the SelfSimilar u passes the
+    # largest double inside the norm's range (at r = 0.00427): a numerical
+    # failure, which exited 2 as a config error.  At mu = 1e300 u stays
+    # below 2e303 on the nodes, and only the norm passes the largest double.
+    # The other SingularityError, r = 0 on a singular family, is not
+    # reachable from here: residual drops r = 0, and solve rejects
+    # r_min = 0 for a singular family as a config error.
+    rc = main(["norms", "--family", "SelfSimilar", "--mu", "1e307",
                "--kind", "lp", "--p", "2"])
     assert rc == 3
     out = capsys.readouterr()

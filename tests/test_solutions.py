@@ -4,6 +4,7 @@ differences, Cole-Hopf round trips, and the Cartesian assembly."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from cole_lab.solutions import (EvaluationError, HeatFunction, Params,
-                                SingularityError, cartesian_components,
+from cole_lab.solutions import (_V_COEFFS, EvaluationError, HeatFunction,
+                                Params, SingularityError, cartesian_components,
                                 cole_hopf, fd_central, fd_derivative,
                                 gaussian_heat_function, main_example,
                                 nonstationary_erf, self_similar, stationary)
@@ -249,8 +250,8 @@ def _scaling_defect(fam):
     """Worst relative gap of lam u(lam^2 t, lam r) = u(t, r),
     lam^2 u_r(lam^2 t, lam r) = u_r(t, r) and lam^3 u_t(lam^2 t, lam r) =
     u_t(t, r) over xi = r^2/4mu t in [1e-6, 5].  lam = 0.5, 4 and 1024
-    scale t and r exactly; lam = 3.7 rounds xi, which the direct u_t
-    amplifies by its 0.5 + xi F'/F cancellation (to 4e-12 at xi = 1e-3),
+    scale t and r exactly; lam = 3.7 rounds xi, which u_t amplifies near
+    its sign change at xi = 0.1..0.28 (to 2.5e-14 at xi = 0.105, n = 5),
     so it is checked on u and u_r only."""
     mu = fam.params.mu
     worst = 0.0
@@ -282,12 +283,12 @@ def test_self_similar_declaration_holds():
     assert _scaling_defect(MAIN) > 1e-3
 
 
-def _mp_self_similar(n, mu, a, t, r):
-    """u, u_r, u_rr and u_t of the self-similar family in 700-digit mpmath,
-    enough to cancel the O(1) terms of 0.5 + xi F'/F down to xi = 1e-600;
-    G_n by the recurrence from erfc or E1."""
+def _mp_self_similar(n, mu, a, t, r, dps=700):
+    """u, u_r, u_rr and u_t of the self-similar family in dps-digit mpmath;
+    700 digits cancel the O(1) terms of 0.5 + xi F'/F down to xi = 1e-600,
+    80 down to xi = 1e-12.  G_n by the recurrence from erfc or E1."""
     mp = mpmath.mp
-    with mp.workdps(700):
+    with mp.workdps(dps):
         mu, a, t, r = mp.mpf(mu), mp.mpf(a), mp.mpf(t), mp.mpf(r)
         xi = r * r / (4 * mu * t)
         if n % 2:
@@ -307,6 +308,27 @@ def _mp_self_similar(n, mu, a, t, r):
                 "u_t": -(u / t) * (mp.mpf(1) / 2 + xi * r1)}
 
 
+def _assert_matches_mpmath(fam, t, r, quantities=("u", "u_r", "u_rr", "u_t"),
+                           dps=700, rel=1e-12):
+    """Each quantity at (t, r) within rel of mpmath where it and u are
+    normal doubles, SingularityError where it passes the largest double,
+    and no RuntimeWarning."""
+    p = fam.params
+    want = _mp_self_similar(p.n, p.mu, p.a, t, r, dps)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    for q in quantities:
+        w = want[q]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if abs(w) > huge:
+                with pytest.raises(SingularityError, match="overflows"):
+                    getattr(fam, q)(t, r)
+                continue
+            got = getattr(fam, q)(t, r)
+        if abs(w) >= tiny and abs(want["u"]) >= tiny:
+            assert float(abs((got - w) / w)) <= rel, (q, t, r, got, float(w))
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_self_similar_near_origin_matches_mpmath(n):
     """Down to r = 1e-300 (xi = 5e-596) u, u_r, u_rr and u_t are finite and
@@ -314,19 +336,9 @@ def test_self_similar_near_origin_matches_mpmath(n):
     overflows a double; no RuntimeWarning.  They returned inf, raised
     DomainError (xi = 0) or warned below xi ~ 1e-154, and u_t lost every
     digit to cancellation from xi ~ 1e-10 down."""
-    mu, t, a = 0.005, 1e-3, 0.7
-    fam = self_similar(Params(n, mu, a=a))
+    fam = self_similar(Params(n, 0.005, a=0.7))
     for r in (1e-300, 1e-200, 1e-160, 1e-100, 1e-60, 1e-20, 1e-6, 1e-4):
-        want = _mp_self_similar(n, mu, a, t, r)
-        for q, w in want.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                if abs(w) > np.finfo(float).max:
-                    with pytest.raises(SingularityError, match="overflows"):
-                        getattr(fam, q)(t, r)
-                    continue
-                got = getattr(fam, q)(t, r)
-            assert float(abs((got - w) / w)) <= 1e-12, (q, r)
+        _assert_matches_mpmath(fam, 1e-3, r)
 
 
 def test_self_similar_tiny_r_values():
@@ -339,9 +351,9 @@ def test_self_similar_tiny_r_values():
             assert math.isfinite(SS.u_t(1e-3, r))
 
 
-def test_self_similar_direct_branch_overflow_raises():
-    # values that pass the largest double above the near-origin switch
-    # returned inf (NaN for u_t) after RuntimeWarnings
+def test_self_similar_overflow_raises():
+    # values that pass the largest double away from the origin returned inf
+    # (NaN for u_t) after RuntimeWarnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for q, t, r in (("W", 1e-3, 1e-60), ("u_rr", 1e-100, 1e-105),
@@ -393,23 +405,84 @@ def test_self_similar_u_t_is_zero_where_amp_over_t_overflows():
     got = fam.u_t(np.array([[1e-300], [1e-3]]), np.array([1e-4, 2e-4]))
     assert np.all(got[0] == 0.0)
     assert got[1].tolist() == [fam.u_t(1e-3, 1e-4), fam.u_t(1e-3, 2e-4)]
-    # where F is not 0, amp/t = inf still stands for a value that overflows
+    # at xi = 50 the true u_t passes the largest double (mpmath), so it
+    # raises; amp/t = inf alone does not make it overflow (see
+    # test_self_similar_found_values_match_mpmath)
     with pytest.raises(SingularityError, match="overflows"):
         SS.u_t(1e-300, 1e-150)
 
 
 def test_self_similar_near_origin_arrays_equal_scalar_calls():
-    # an array that mixes near-origin and direct points, with array t,
-    # gives each element the bits of its scalar call; u_r and g overflow
-    # below r ~ 1e-154, so they take the points above
-    r = np.array([1e-200, 3e-4, 1e-160, 1e-7, 1e-100, 2e-4, 1e-30])
-    t = np.array([1e-3, 2e-5, 1e-3, 0.3, 1e-3, 1e-5, 1e-2])
+    # an array that mixes points near the origin and away from it, on both
+    # sides of the scaled tail's switch at xi = 1 and of the log form of u
+    # (xi = 703 and 722 at t = 1e-300), with array t, gives each element
+    # the bits of its scalar call; u_r and g overflow below r ~ 1e-154, so
+    # they take the points above
+    r = np.array([1e-200, 3e-4, 1e-160, 1e-7, 1e-100, 2e-4, 1e-30,
+                  0.9999999 * 2e-4, 1.0000001 * 2e-4, 3.75e-150, 3.8e-150])
+    t = np.array([1e-3, 2e-5, 1e-3, 0.3, 1e-3, 1e-5, 1e-2,
+                  2e-6, 2e-6, 1e-300, 1e-300])
     for q, keep in (("u", r > 0.0), ("u_t", r > 0.0), ("u_r", r > 1e-150),
                     ("g", r > 1e-150)):
         fn = getattr(SS, q)
         ts, rs = t[keep], r[keep]
         assert np.array_equal(fn(ts, rs), [fn(a, b) for a, b in
                                            zip(ts.tolist(), rs.tolist())]), q
+
+
+@pytest.mark.parametrize("n,mu,t,xi,quantities", [
+    # amp/t = sqrt(4 mu/t)/t overflows, not u_t (4.189e199): u_t raised
+    # SingularityError
+    (3, 1e-8, 1e-300, 568.0, ("u_t",)),
+    # F = e^-xi ... underflows before it meets sqrt(4 mu/t): u returned 0.0
+    # for 1.132e-178 and u_rr 0.0 for 8.394e132
+    (3, 1e-8, 1e-300, 740.0, ("u", "u_rr")),
+    # F is subnormal: u was 2e-3 off
+    (7, 1e-8, 1e-300, 720.0, ("u",)),
+    # 0.5 + xi F'/F cancelled in u_t above its switch at xi = 1e-3:
+    # 5.6e-11 off
+    (12, 0.005, 1e-3, 3.1e-3, ("u_t",)),
+])
+def test_self_similar_found_values_match_mpmath(n, mu, t, xi, quantities):
+    _assert_matches_mpmath(self_similar(Params(n, mu)), t,
+                           math.sqrt(4.0 * mu * t * xi), quantities)
+
+
+# xi = r^2/4 mu t from 1e-12 to 2e3, across the scaled tail's switch to its
+# continued fraction at xi = 1 and the log form of u past xi ~ 700; away
+# from u_t's sign change at xi = 0.1..0.28, where no relative bound holds
+SS_GRID_XI = (1e-12, 1e-9, 1e-6, 1e-3, 0.03, 0.6, 1.0 - 2e-16, 1.0, 1.0 + 4e-16,
+              1.5, 8.0, 40.0, 200.0, 650.0, 705.0, 740.0, 2e3)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_self_similar_grid_matches_mpmath(n):
+    for mu, t in ((1e-8, 1e-300), (0.005, 1e-3), (10.0, 1.0)):
+        fam = self_similar(Params(n, mu))
+        for xi in SS_GRID_XI:
+            _assert_matches_mpmath(fam, t, math.sqrt(4.0 * mu * t * xi), dps=80)
+
+
+def _log10s(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(n=st.integers(3, 12), mu=_log10s(-8.0, 1.0), t=_log10s(-300.0, 0.0),
+       r=st.one_of(st.just(5e-324), _log10s(-323.3, 3.0)))
+def test_self_similar_evaluators_finite_or_singular(n, mu, t, r):
+    """Over n = 3..12, mu = 1e-8..10, t = 1e-300..1 and r = 5e-324..1e3
+    every evaluator returns a finite double or raises SingularityError,
+    with no floating-point warning on the way."""
+    fam = self_similar(Params(n, mu))
+    with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in EVALUATORS:
+            try:
+                val = getattr(fam, q)(t, r)
+            except SingularityError:
+                continue
+            assert type(val) is float and math.isfinite(val), (q, val)
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +812,18 @@ def test_array_t_domain_errors():
 def test_nst_finite_at_tiny_radius(r):
     for q in EVALUATORS:
         assert math.isfinite(getattr(NST, q)(1e-3, r)), q
+
+
+def test_erf_series_coefficients_are_the_nearest_doubles():
+    # _V_COEFFS is written as float literals, so importing the module
+    # imports no fractions; they are the exact Taylor coefficients of
+    # v(z) = 1 - z w(z), rounded once
+    exact = (Fraction(2, 3), Fraction(-8, 45), Fraction(16, 945),
+             Fraction(32, 14175), Fraction(-64, 93555), Fraction(-2944, 638512875),
+             Fraction(5888, 273648375), Fraction(-80384, 44405668125),
+             Fraction(-99380224, 194896477400625),
+             Fraction(3306665984, 32157918771103125))
+    assert _V_COEFFS == tuple(float(c) for c in exact)
 
 
 def test_nst_tiny_radius_matches_origin_limit():

@@ -271,8 +271,10 @@ def _mp_gamma_tails(n, z):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_scaled_tail_against_mpmath(n):
     """Q_n(z) = z^(n/2-1) e^z G_n(z) and sqrt(z) Q_(n-2)(z), from sqrt(z)
-    down to z = 1e-600 (sqrt z = 1e-300), where G_n itself overflows."""
-    root = np.geomspace(1e-300, 1.0, 41)
+    down to z = 1e-600 (sqrt z = 1e-300), where G_n itself overflows, and
+    across the switch to the continued fraction at z = 1 up to z = 900."""
+    root = np.concatenate([np.geomspace(1e-300, 1.0, 41),
+                           [np.nextafter(1.0, 2.0)], np.geomspace(1.01, 30.0, 12)])
     q, sq = scaled_tail(n, root)
     with mpmath.workdps(50):
         for x, qi, sqi in zip(root.tolist(), q, sq):
@@ -282,11 +284,12 @@ def test_scaled_tail_against_mpmath(n):
             want_q, want_sq = scale * g[n], mpmath.mpf(x) * scale / z * g[n - 2]
             assert float(abs(qi - want_q) / want_q) <= 2e-15, (n, x)
             assert float(abs(sqi - want_sq) / want_sq) <= 2e-15, (n, x)
-    assert np.array_equal(q, [scaled_tail(n, x)[0] for x in root.tolist()])
+    scalar_calls = [scaled_tail(n, x) for x in root.tolist()]
+    assert np.array_equal(np.transpose([q, sq]), scalar_calls)
 
 
 def test_scaled_tail_domain():
-    for n, root in ((2, 0.5), (3, 0.0), (3, 1.5), (3.0, 0.5)):
+    for n, root in ((2, 0.5), (3, 0.0), (3.0, 0.5)):
         with pytest.raises(DomainError):
             scaled_tail(n, root)
     assert isinstance(scaled_tail(4, 0.5)[0], float)
