@@ -53,7 +53,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .quadrature import Integrand, NonConvergenceError
-from .solutions import SingularityError, SolutionFamily
+from .solutions import SingularityError, SolutionFamily, _check_t
 from .specfun import DomainError, erf
 
 __all__ = [
@@ -529,9 +529,7 @@ def _sup_search(s: SolutionFamily, t: np.ndarray):
     """(sup, argmax, reason) of linf_norm's search over the 1-D array t:
     NaN in both arrays where a row cannot be bracketed, and the reason of
     the last such row, else None."""
-    bad = ~((t > 0.0) & np.isfinite(t))
-    if bad.any():
-        raise DomainError(f"t must be positive and finite, got {t[bad][0]}")
+    _check_t(t)
     col, scale = t[:, None], np.sqrt(4.0 * s.params.mu * t)
     lo, hi = np.full(len(t), math.nan), np.full(len(t), math.nan)
     why = None
@@ -695,8 +693,7 @@ def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
         v_ref = None
     # the per-t cores reject such a t once divergence is ruled out
     for t in ts:
-        if not (t > 0.0 and math.isfinite(t)):
-            raise DomainError(f"t must be positive and finite, got {t}")
+        _check_t(t)
     if v_ref is None:
         return [_flagged("non-converged")] * len(ts)
     e = 0.5 * (s.params.n - p) / p - 0.5 * k

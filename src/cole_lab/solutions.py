@@ -8,10 +8,11 @@ fields u(t,x) = u(t,r) x/r, which reduces to
 Every family supplies analytic u, u_r, u_rr, u_t plus the shape functions
 g = u/r, g_r, P = g_r/r and W = P_r/r needed to assemble Cartesian
 derivatives.  One builder, _family, makes all of them the same way: check
-t, coerce r (r > 0 for the families singular at the origin), run the
-family's core(t, r) once, and apply the requested quantity's formula to
-(t, r, *core).  A family declares only its core and one formula per
-quantity, so each evaluator does the work of its own formula and no more.
+t, coerce r (finite, and r > 0 for the families singular at the origin),
+run the family's core(t, r) once, and apply the requested quantity's
+formula to (t, r, *core).  A family declares only its core and one
+formula per quantity, so each evaluator does the work of its own formula
+and no more.
 The formulas are algebraically equivalent to the textbook displays but
 regrouped so that no intermediate overflows or cancels:
 
@@ -106,7 +107,8 @@ class SolutionFamily:
     u, u_r, u_rr, u_t: (t, r) -> value, r may be an array.
     g, g_r, P, W: shape functions u/r, (u/r)_r, g_r/r, (g_r/r)_r / r used
     for the Cartesian assembly; finite at r = 0 only when origin_regular.
-    g0: t -> lim_{r->0} u/r (origin-regular families only, else None).
+    g0: t -> lim_{r->0} u/r = g(t, 0) (origin-regular families only, else
+    None).
     small_r_exponent: u ~ r^alpha as r -> 0+.
     tail: t -> ("gaussian", scale) or ("power", beta), the large-r decay
     certificate consumed by the norm quadratures.
@@ -160,8 +162,7 @@ def _libm(fn):
     return lambda *x: fn(*x) if isinstance(x[0], float) else on_array(*x)
 
 
-_log, _exp, _pow, _sqrt = (_libm(f) for f in
-                           (math.log, math.exp, math.pow, math.sqrt))
+_log, _pow, _sqrt = (_libm(f) for f in (math.log, math.pow, math.sqrt))
 
 
 _TINY, _SMALLEST, _HUGE = (np.finfo(float).tiny, np.finfo(float).smallest_subnormal,
@@ -179,6 +180,8 @@ def _asarray_r(r, positive: bool):
     scalar = arr.ndim == 0
     if scalar:
         arr = arr.reshape(1)
+    if not np.isfinite(arr).all():
+        raise DomainError("r must be finite")
     if positive:
         if (arr <= 0.0).any():
             raise SingularityError("family is singular at r = 0; require r > 0")
@@ -191,7 +194,8 @@ def _evaluator(core, formula, positive: bool):
     """(t, r) -> formula(t, r, *core(t, r)); a float for scalar t and r,
     else an array of their broadcast shape.  r is broadcast to that shape
     (a view), so a formula of r alone has it too; an array t is not.
-    positive: reject r <= 0 (else only r < 0)."""
+    positive: reject r <= 0 (else only r < 0); a NaN or infinite r is
+    always rejected."""
     def evaluate(t, r):
         t = _check_t(t)
         r, scalar = _asarray_r(r, positive)
@@ -205,8 +209,12 @@ def _evaluator(core, formula, positive: bool):
 
 def _family(kind, params, core, formulas, positive, **meta) -> SolutionFamily:
     """A SolutionFamily whose evaluators all come from one core and the
-    formulas dict (quantity name -> formula); meta fills the other fields."""
+    formulas dict (quantity name -> formula); meta fills the other fields.
+    An origin-regular family's g0 is its g at r = 0."""
     evaluators = {q: _evaluator(core, f, positive) for q, f in formulas.items()}
+    if meta["origin_regular"]:
+        g = evaluators["g"]
+        evaluators["g0"] = lambda t: g(t, 0.0)
     return SolutionFamily(kind=kind, params=params, **evaluators, **meta)
 
 
@@ -269,8 +277,7 @@ def main_example(p: Params) -> SolutionFamily:
              "u_t": lambda t, r: -r / (t * t),
              "g": inv_t, "g_r": zero, "P": zero, "W": zero},
             positive=False, origin_regular=True,
-            small_r_exponent=1.0, tail=lambda t: ("power", 1.0),
-            g0=lambda t: 1.0 / _check_t(t))
+            small_r_exponent=1.0, tail=lambda t: ("power", 1.0))
 
     log_a = math.log(a)
 
@@ -282,11 +289,6 @@ def main_example(p: Params) -> SolutionFamily:
         iD = np.exp(-lse)
         sigma = np.exp(L - lse)
         return xi, iD, sigma
-
-    def g0(t):
-        t = _check_t(t)
-        L0 = log_a + 0.5 * n * _log(4.0 * math.pi * mu * t)
-        return _exp(-np.logaddexp(0.0, L0)) / t
 
     return _family(
         "MainExample", p, core,
@@ -301,10 +303,9 @@ def main_example(p: Params) -> SolutionFamily:
          "g_r": lambda t, r, xi, iD, sigma: -r / (2.0 * mu * t * t) * sigma * iD,
          "P": lambda t, r, xi, iD, sigma: -sigma * iD / (2.0 * mu * t * t),
          "W": lambda t, r, xi, iD, sigma:
-             sigma * iD * (sigma - iD) / (4.0 * mu * mu * _pow(t, 3))},
+             sigma * iD * (sigma - iD) / (4.0 * mu * mu) / t / t / t},
         positive=False, origin_regular=True, small_r_exponent=1.0,
-        tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
-        g0=g0)
+        tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +398,7 @@ def self_similar(p: Params) -> SolutionFamily:
         "SelfSimilar", p, core, {q: checked(q, f) for q, f in formulas.items()},
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
-        g0=None, self_similar=True)
+        self_similar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +447,7 @@ def stationary(p: Params) -> SolutionFamily:
     return _family(
         "Stationary", p, core, _with_shape(formulas),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
-        tail=lambda t: ("power", tail_beta), g0=None)
+        tail=lambda t: ("power", tail_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +558,7 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
         "NonStationaryErf", params, core,
         {q: _erf_formula(mu, *row) for q, row in _ERF_TABLE.items()},
         positive=False, origin_regular=True, small_r_exponent=1.0,
-        tail=lambda t: ("power", -1.0), g0=lambda t: 1.0 / (3.0 * _check_t(t)))
+        tail=lambda t: ("power", -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +680,7 @@ def cole_hopf(theta: HeatFunction, params: Params) -> SolutionFamily:
     return _family(
         "ColeHopfOf", params, core, formulas,
         positive=False, origin_regular=False, small_r_exponent=0.0,
-        tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
-        g0=None)
+        tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))))
 
 
 def gaussian_heat_function(p: Params) -> HeatFunction:

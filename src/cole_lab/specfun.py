@@ -8,29 +8,22 @@ standard library provides is computed here: the upper tail integral
     G_n(z) = int_z^oo s^(-n/2) e^(-s) ds = Gamma(1 - n/2, z),
 
 which seeds the self-similar solution family; G_2 is the exponential
-integral E1.  G_n is computed by downward recurrence on the incomplete-gamma
-parameter starting from Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) for odd n and
-from Gamma(0, z) = E1(z) for even n,
-
-    Gamma(a - 1, z) = (Gamma(a, z) - z^(a-1) e^(-z)) / (a - 1).
-
-The recurrence amplifies rounding as z grows (to 3e-10 relative for n = 7
-near z = 40), so it is used only for z <= 1; past z = 1 both E1 and G_n come
-from Legendre's continued fraction for Gamma(a, z) = z^a e^(-z) / K(a, z),
-accurate to an ulp or two there.  All functions accept scalars or numpy
-arrays.
-
-G_n overflows as z -> 0 (like z^(1-n/2)/(n/2 - 1)) and underflows as z grows
-(like z^(-n/2) e^(-z)); the scaled tail Q_n(z) = z^(n/2-1) e^z G_n(z) does
-neither, staying between 1/(z + n/2) and 1/(n/2 - 1), and log G_n =
-(1 - n/2) log z - z + log Q_n(z).  scaled_tail computes Q_n from sqrt(z) for
-every z > 0.  For z <= 1 it runs the same recurrence, written for Q,
+integral E1.  G_n overflows as z -> 0 (like z^(1-n/2)/(n/2 - 1)) and
+underflows as z grows (like z^(-n/2) e^(-z)); the scaled tail
+Q_n(z) = z^(n/2-1) e^z G_n(z) does neither, staying between 1/(z + n/2)
+and 1/(n/2 - 1).  One algorithm computes it, scaled_tail, from sqrt(z) for
+every z > 0.  For z <= 1 it runs the recurrence of integration by parts,
 
     Q_n = (1 - z Q_(n-2)) / (n/2 - 1),
 
-upward: it subtracts the small z Q_(n-2) from 1, so it loses nothing.  Past
-z = 1, Q_n = 1/K(1 - n/2, z) is the continued fraction itself, and one
-downward step of the recurrence gives sqrt(z) Q_(n-2).
+upward from sqrt(z) Q_1 = sqrt(pi) e^z erfc(sqrt z) or sqrt(z) Q_2 =
+sqrt(z) e^z E1(z), with E1 from its power series: each step subtracts the
+small z Q_(n-2) from 1, so it loses nothing.  Past z = 1, Q_n = 1/K(1 -
+n/2, z), where K is Legendre's continued fraction for Gamma(a, z) =
+z^a e^(-z) / K(a, z), accurate to an ulp or two there, and one downward
+step of the recurrence gives sqrt(z) Q_(n-2).  upper_tail_integral is
+G_n = z^(1-n/2) e^(-z) Q_n, a product of that Q_n and two factors
+within an ulp each.  All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -139,38 +132,20 @@ def upper_tail_integral(n: int, z):
     """G_n(z) = int_z^oo s^(-n/2) e^(-s) ds for integer n >= 2 and z > 0.
 
     Decreasing in z, positive, with G_n(z) ~ z^(1-n/2)/(n/2 - 1) as z -> 0
-    for n >= 3 and G_2(z) = E1(z).  Measured against mpmath for n <= 7, the
-    worst relative error is 2e-15 from the recurrence (z <= 1) and 4e-16
-    from the continued fraction (z > 1) while G_n is a normal double.
+    for n >= 3 and G_2(z) = E1(z).  Computed as z^(1-n/2) e^(-z) Q_n(z),
+    with Q_n the second output of scaled_tail(n + 2, sqrt z) over sqrt z.
+    Measured against 40-digit mpmath for n = 2..12 at 2401 points of
+    z = 1e-6..700, the worst relative error is 2.4e-15 where G_n is a
+    normal double.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError("upper_tail_integral requires integer n >= 2")
     z, scalar = _prepare(z)
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):
         raise DomainError("upper_tail_integral requires z > 0")
-
-    out = np.empty_like(z)
-    big = z > 1.0
-    if np.any(big):
-        zb, a = z[big], 1.0 - n / 2.0
-        out[big] = zb ** a * np.exp(-zb) / _upper_gamma_cf(a, zb)
-    small = ~big
-    if np.any(small):
-        zs = z[small]
-        lz = np.log(zs)
-        if n % 2 == 1:
-            a = 0.5
-            g = SQRT_PI * erfc(np.sqrt(zs))
-            steps = (n - 1) // 2
-        else:
-            a = 0.0
-            g = _exp1_series(zs, lz)
-            steps = (n - 2) // 2
-        for _ in range(steps):
-            g = (g - np.exp((a - 1.0) * lz - zs)) / (a - 1.0)
-            a -= 1.0
-        out[small] = g
-    return _ret(out, scalar)
+    root = np.sqrt(z)
+    q = scaled_tail(n + 2, root)[1] / root
+    return _ret(z ** (1.0 - 0.5 * n) * np.exp(-z) * q, scalar)
 
 
 def scaled_tail(n: int, root):
@@ -178,17 +153,14 @@ def scaled_tail(n: int, root):
     where Q_n(z) = z^(n/2-1) e^z G_n(z) (see the module docstring).
 
     Takes sqrt(z), so z may underflow: Q_n -> 1/(n/2 - 1) and
-    sqrt(z) Q_(n-2) -> 0 (n >= 4) as z -> 0.  For z <= 1 the recurrence
-    starts from sqrt(z) Q_1 = sqrt(pi) e^z erfc(sqrt z) for odd n and from
-    sqrt(z) Q_2 = sqrt(z) e^z E1(z) for even n.  Past z = 1, Q_n = 1/K is
-    the continued fraction of upper_tail_integral and sqrt(z) Q_(n-2) =
-    (1 - (n/2 - 1) Q_n)/sqrt(z); where z overflows, Q_n is 0.  Measured
+    sqrt(z) Q_(n-2) -> 0 (n >= 4) as z -> 0; where z overflows, Q_n is 0.
+    Past z = 1, sqrt(z) Q_(n-2) = (1 - (n/2 - 1) Q_n)/sqrt(z).  Measured
     against mpmath for n = 3..12, both are within 2e-15 relative.
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise DomainError("scaled_tail requires integer n >= 3")
     root, scalar = _prepare(root)
-    if np.any(root <= 0.0):
+    if not np.all(root > 0.0):
         raise DomainError("scaled_tail requires z > 0")
     q, sq = np.empty_like(root), np.empty_like(root)
     far = root > 1.0

@@ -85,6 +85,20 @@ def test_main_example_frozen_values(t, r, want):
     assert MAIN.u(t, r) == approx(want, rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu,t", [(1e3, 1e-106), (10.0, 1e-110)])
+def test_main_example_W_where_t_cubed_is_subnormal(mu, t):
+    # t^3 is subnormal (1e-318) or 0 (1e-330), W a normal double at xi = 1
+    fam = main_example(Params(3, mu, a=1.0))
+    r = math.sqrt(4.0 * mu * t)
+    with mpmath.workdps(50):
+        mu_, t_, r_ = mpmath.mpf(mu), mpmath.mpf(t), mpmath.mpf(r)
+        e_L = (4 * mpmath.pi * mu_ * t_) ** 1.5 * mpmath.exp(r_ ** 2 / (4 * mu_ * t_))
+        iD, sigma = 1 / (1 + e_L), e_L / (1 + e_L)
+        want = float(sigma * iD * (sigma - iD) / (4 * mu_ ** 2 * t_ ** 3))
+    assert fam.W(t, r) == approx(want, rel=1e-13)
+
+
 @pytest.mark.parametrize("t,r,want", SS_TABLE)
 def test_self_similar_frozen_values(t, r, want):
     assert SS.u(t, r) == approx(want, rel=5e-13)
@@ -215,6 +229,13 @@ def test_g0_matches_small_r_ratio():
         r = 1e-9 * math.sqrt(4.0 * fam.params.mu * t)
         assert fam.u(t, r) / r == approx(fam.g0(t), rel=1e-12)
     assert NST.g0(2.0) == approx(1.0 / 6.0, rel=1e-15)
+
+
+def test_g0_is_g_at_the_origin():
+    for fam in (MAIN, MAIN0, NST):
+        for t in (0.37, 1e-250, ARRAY_T):
+            assert np.array_equal(fam.g0(t), fam.g(t, 0.0)), (fam.kind, t)
+        assert isinstance(fam.g0(0.37), float)
 
 
 def test_self_similar_singular_strength():
@@ -651,6 +672,16 @@ def test_negative_radius_rejected():
                 getattr(fam, q)(0.1, -0.5)
             with pytest.raises(want):
                 getattr(fam, q)(0.1, np.array([0.2, -0.5]))
+
+
+def test_nonfinite_radius_rejected():
+    for _, fam in CONTRACT:
+        for q in EVALUATORS:
+            for r in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    getattr(fam, q)(0.1, r)
+                with pytest.raises(DomainError):
+                    getattr(fam, q)(0.1, np.array([0.2, r]))
 
 
 def test_singular_families_reject_origin():
