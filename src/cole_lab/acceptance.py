@@ -16,11 +16,13 @@ Criterion summary:
   5  erf-vs-stationary distance slope = (3-p)/(2p) for p in {1,2};
      divergence flag at p = 3
   6  gradient bound integrals vanish for (5,2), grow for (3,2); Hessian
-     bound vanishes for (7,2), grows for (3,1); same cut as #2
+     bound vanishes for (7,2), grows for (3,1); same cut as #2; each
+     series one lockstep sweep (norms._each_t)
   7  origin regularity: Jacobian limit g0 * I to 1e-10; observed orders
      2.0 +- 0.2 and 1.0 +- 0.2
   8  lemma closed forms to 1e-10 over 20 seeded random draws; key-integral
-     J strictly decreasing over t = 1e-2..1e-8 with final < 0.1 * first
+     J strictly decreasing over t = 1e-2..1e-8 with final < 0.1 * first;
+     each lemma's draws, and the key integral, one lockstep array call
   9  solver convergence ratios in [3.5, 4.5] under h-halving (cn-central)
      for the main example and the erf family, one stacked march of both
      per nr; min-principle experiment
@@ -173,13 +175,13 @@ def criterion_5():
 
 @_criterion(6, "Sobolev bound-integral thresholds")
 def criterion_6():
-    for name, bound, n, p, vanish in (
-            ("grad bound sum", N.grad_bound_integrals, 5, 2.0, True),
-            ("grad bound sum", N.grad_bound_integrals, 3, 2.0, False),
-            ("hess bound total", N.hess_bound_lp, 7, 2.0, True),
-            ("hess bound total", N.hess_bound_lp, 3, 1.0, False)):
+    # one lockstep sweep per series, each point the bits of its per-t call
+    for name, plan, n, p, vanish in (("grad bound sum", N._grad_plan, 5, 2.0, True),
+                                     ("grad bound sum", N._grad_plan, 3, 2.0, False),
+                                     ("hess bound total", N._hess_plan, 7, 2.0, True),
+                                     ("hess bound total", N._hess_plan, 3, 1.0, False)):
         fam = main_example(Params(n=n, mu=0.1, a=1.0))
-        vals = [bound(fam, p, t)[0] for t in _T7]
+        vals = [v for v, _, _ in N._each_t(plan, N._bound_integrand)(fam, p, _T7)]
         yield _cut(vals, f"{name} (n,p)=({n},{p:g})", vanish, "fails to vanish")
 
 
@@ -202,23 +204,21 @@ def criterion_7():
 @_criterion(8, "integral lemma oracles")
 def criterion_8():
     rng = np.random.default_rng(_SEED)
+    draws = [(rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-1.0, 1.0), int(rng.integers(2, 8)),
+              10.0 ** rng.uniform(-6.0, 0.0), 10.0 ** rng.uniform(-2.0, 0.0),
+              rng.uniform(-0.9, 2.0)) for _ in range(20)]
+    q, b, n, t, mu, d = (np.array(x) for x in zip(*draws))
+    got1 = lemma1_I(q=q, k=0.0, b=b, l=1.0, n=n, t=t).tolist()
+    got2 = lemma2_J(d=d, c=1.0, b=b, l=1.0, n=n, mu=mu, t=t).tolist()
     worst1 = worst2 = 0.0
-    for _ in range(20):
-        q = rng.uniform(0.5, 3.0)
-        b = 10.0 ** rng.uniform(-1.0, 1.0)
-        n = int(rng.integers(2, 8))
-        t = 10.0 ** rng.uniform(-6.0, 0.0)
-        mu = 10.0 ** rng.uniform(-2.0, 0.0)
-        d = rng.uniform(-0.9, 2.0)
+    for (q, b, n, t, mu, d), g1, g2 in zip(draws, got1, got2):
         offset = math.log(b) + 0.5 * n * math.log(t)
         # k=0, l=1: I = t^q log(1 + 1/(b t^(n/2)))
         exact1 = t ** q * float(np.logaddexp(0.0, -offset))
-        got1 = lemma1_I(q=q, k=0.0, b=b, l=1.0, n=n, t=t)
-        worst1 = max(worst1, abs(got1 - exact1) / abs(exact1))
+        worst1 = max(worst1, abs(g1 - exact1) / abs(exact1))
         # c=1, l=1: J = 2 mu t^(d+1) log(1 + 1/(b t^(n/2)))
         exact2 = 2.0 * mu * t ** (d + 1.0) * float(np.logaddexp(0.0, -offset))
-        got2 = lemma2_J(d=d, c=1.0, b=b, l=1.0, n=n, mu=mu, t=t)
-        worst2 = max(worst2, abs(got2 - exact2) / abs(exact2))
+        worst2 = max(worst2, abs(g2 - exact2) / abs(exact2))
     yield _line(worst1 <= 1e-10, f"lemma1_I k=0,l=1 closed form: worst rel "
                                  f"{worst1:.3e} <= 1e-10 over 20 draws")
     yield _line(worst2 <= 1e-10, f"lemma2_J c=1,l=1 closed form: worst rel "
@@ -226,7 +226,7 @@ def criterion_8():
     # key-integral parameterization: d=-p, c=p+n-1, l=p at (n,p)=(3,2)
     n, p, mu, a = 3, 2.0, 0.1, 1.0
     b = a * (4.0 * math.pi * mu) ** (0.5 * n)
-    js = [lemma2_J(d=-p, c=p + n - 1.0, b=b, l=p, n=n, mu=mu, t=t) for t in _T7]
+    js = lemma2_J(d=-p, c=p + n - 1.0, b=b, l=p, n=n, mu=mu, t=np.array(_T7)).tolist()
     mono = _strictly(js, operator.gt)
     ratio = js[-1] / js[0]
     yield _line(mono and ratio < 0.1,

@@ -43,7 +43,6 @@ itself is below the smallest normal double, not only its p-th power.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -222,9 +221,8 @@ def _one(s: SolutionFamily, p: float, integrand, plan: tuple):
     """(value, error) of plan's integrals, each through
     integrate_semi_infinite."""
     members, args, finish = plan
-    return finish([quad.integrate_semi_infinite(
-        dataclasses.replace(m, f=functools.partial(integrand, s, p, *a)),
-        rel_tol=_REL_TOL) for m, a in zip(members, args)])
+    return finish(quad._run([(functools.partial(integrand, s, p), list(zip(members, args)))],
+                            True, _REL_TOL)[0])
 
 
 def _norm(omega: float, p: float, val: float, err: float):
@@ -409,9 +407,10 @@ def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
     """The plan (see _one) of the sum over (k, c) of terms of t^-kp int r^c
     f^-p dr, and the same sum of the integrals' error estimates, where f =
     1 + a (4 pi mu t)^(n/2) e^(r^2/4mu t) is the main example's denominator
-    bracket.  Each integral is (4 mu t)^((c+1)/2) J, J = int xi^c f^-p dxi
-    in xi = r/sqrt(4 mu t), which never underflows; the powers of t are
-    added in logs."""
+    bracket.  Each integral is (4 mu t)^h J, h = (c+1)/2, J = int xi^c f^-p
+    dxi in xi = r/sqrt(4 mu t), which never underflows.  A term's power
+    t^-kp (4 mu t)^h = (4 mu)^h t^(h-kp) is formed directly where it is a
+    normal double, else in logs (exp of a log costs |log| ulps)."""
     if s.kind != "MainExample" or s.params.a <= 0.0:
         raise DomainError(f"{name} is derived only for the main example, a > 0")
     for _, c in terms:
@@ -434,8 +433,11 @@ def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
     def finish(results):
         value = error = 0.0
         for (k, c), res in zip(terms, results):
-            term, term_err = _root(0.5 * (c + 1.0) * (log_4mu + log_t) - k * p * log_t,
-                                   1.0, *_positive(res, "layer_power_integral"))
+            j, j_err = _positive(res, "layer_power_integral")
+            h = 0.5 * (c + 1.0)
+            power = _power(4.0 * mu, h) * _power(float(t), h - k * p)
+            term, term_err = ((power * j, power * j_err) if _TINY <= power < math.inf
+                              else _root(h * (log_4mu + log_t) - k * p * log_t, 1.0, j, j_err))
             value += term
             error += term_err
         if not value >= _TINY:
@@ -444,9 +446,15 @@ def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
     return members, args, finish
 
 
-def _bound_integrand(s: SolutionFamily, p: float, c, offset, four_mu_t, r):
-    """r^c f^-p, the integrand of layer_power_integral with l = p."""
-    return quad._layer_power_f(p, c, offset, four_mu_t, r)
+def _bound_integrand(s: SolutionFamily, p: float, *args):
+    """r^c f^-p, layer_power_integral's integrand at (c, p, offset, 4 mu t, r)."""
+    return quad._layer_power_f(*args)
+
+
+def _grad_plan(s: SolutionFamily, p: float, t: float) -> tuple:
+    n = s.params.n
+    return _bound_plan("grad_bound_integrals", s, p, t,
+                       ((1, n - 1.0), (2, 2.0 * p + n - 1.0)))
 
 
 def _hess_plan(s: SolutionFamily, p: float, t: float) -> tuple:
@@ -463,9 +471,7 @@ def grad_bound_integrals(s: SolutionFamily, p: float, t: float) -> tuple:
     u/r = t^-1 f^-1, so ||Du||_p <= 2 (omega (B1 + B2))^(1/p); they vanish
     as t -> 0 iff p < n/2 and are evaluated regardless so the supercritical
     failure is observable."""
-    n = s.params.n
-    return _one(s, p, _bound_integrand, _bound_plan(
-        "grad_bound_integrals", s, p, t, ((1, n - 1.0), (2, 2.0 * p + n - 1.0))))
+    return _one(s, p, _bound_integrand, _grad_plan(s, p, t))
 
 
 def hess_bound_lp(s: SolutionFamily, p: float, t: float) -> tuple:
@@ -620,13 +626,9 @@ def _each_t(plan, integrand):
     point gets the bits of its own _one run."""
     def sweep(s, p, ts):
         plans = [_planned(plan, s, p, t) for t in ts]
-        members = [m for ms, _, _ in plans for m in ms]
-        results = iter(())
-        if members:
-            columns = np.array([a for _, args, _ in plans for a in args]).T[:, :, None]
-            results = iter(quad.integrate_many(
-                lambda rows, r: integrand(s, p, *(c[rows] for c in columns), r),
-                members, rel_tol=_REL_TOL))
+        results = iter(quad._run([(functools.partial(integrand, s, p),
+                                   [x for ms, args, _ in plans for x in zip(ms, args)])],
+                                 False, _REL_TOL)[0])
         return [_point(finish, [next(results) for _ in ms]) for ms, _, finish in plans]
     return sweep
 

@@ -25,13 +25,15 @@ Callers describe an integrand with its endpoint behavior (power exponent at
 0+, decay class at infinity, optional split hints near the layer); see
 `Integrand`.  `lemma1_I` and `lemma2_J` wrap the two parametric families
 used throughout, evaluating the denominator in log-domain so that b t^(n/2)
-ranging over hundreds of orders of magnitude costs no accuracy.
+ranging over hundreds of orders of magnitude costs no accuracy.  Given
+arrays, they integrate all elements (and routes) in one integrate_many.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -43,7 +45,6 @@ __all__ = [
     "Integrand",
     "QuadResult",
     "NonConvergenceError",
-    "kronrod_15",
     "integrate_semi_infinite",
     "integrate_many",
     "lemma1_I",
@@ -140,15 +141,6 @@ def _rules(fx: np.ndarray, half: np.ndarray):
     err = np.where(nonflat, resasc * np.minimum(1.0, ratio ** 1.5), err)
     floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
     return np.maximum(err, floor).tolist(), (resk * half).tolist()
-
-
-def kronrod_15(f, lo: float, hi: float):
-    """One Gauss-Kronrod 15(7) panel; returns (value, error_estimate) with
-    the estimate of `_rules`."""
-    nodes, half = _nodes(np.array([lo]), np.array([hi]))
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(1, 15)
-    (err,), (val,) = _rules(fx, half)
-    return val, err
 
 
 def _tail_estimate(absf: float, decay: tuple, r: float) -> float:
@@ -400,36 +392,89 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
     return res
 
 
-def lemma1_I(q: float, k: float, b: float, l: float, n: int, t: float,
-             rel_tol: float = 1e-11) -> float:
+def _run(groups, alone: bool, rel_tol: float) -> list:
+    """Per group (f, planned) the results of its integrals, planned a list
+    of (member, args) with integrand f(*args, r).  alone: each through
+    integrate_semi_infinite, float args.  Else all in one integrate_many,
+    args as (rows, 1) columns and each f on its group's block of rows
+    (rows come in member order), a result per member."""
+    if alone:
+        return [[integrate_semi_infinite(dataclasses.replace(
+                     m, f=functools.partial(f, *args)), rel_tol=rel_tol)
+                 for m, args in planned] for f, planned in groups]
+    starts = list(itertools.accumulate((len(planned) for _, planned in groups), initial=0))
+    blocks = [(f, start, np.array([args for _, args in planned], dtype=float).T[:, :, None])
+              for (f, planned), start in zip(groups, starts) if planned]
+    bounds = [start for _, start, _ in blocks] + starts[-1:]
+
+    def F(rows, r):
+        cuts = np.searchsorted(rows, bounds).tolist()
+        return np.concatenate([f(*(c[rows[a:z] - start] for c in columns), r[a:z])
+                               for (f, start, columns), a, z in zip(blocks, cuts, cuts[1:])])
+    results = integrate_many(F, [m for _, planned in groups for m, _ in planned],
+                             rel_tol) if blocks else []
+    return [results[a:z] for a, z in zip(starts, starts[1:])]
+
+
+def _each(build, fs, finish, args: tuple, rel_tol: float):
+    """finish(x, *results) per element x of args broadcast together, build(*x)
+    planning a (member, args) per route of integrand fs[i] (see _run): a
+    float for scalar args, else an array of the broadcast shape whose
+    integrals run in lockstep.  Raises the first NonConvergenceError."""
+    arrays = np.broadcast_arrays(*args)
+    elements = list(zip(*(a.ravel().tolist() for a in arrays)))
+    routes = zip(*(build(*x) for x in elements))
+    results = _run(list(zip(fs, routes)), arrays[0].shape == (), rel_tol)
+    for res in itertools.chain(*results):
+        if isinstance(res, NonConvergenceError):
+            raise res
+    values = [finish(*each) for each in zip(elements, *results)]
+    return values[0] if arrays[0].shape == () else np.array(values).reshape(arrays[0].shape)
+
+
+def _power_layer(k, x, l, z):
+    """x^k / (1 + e^z)^l with the bracket in log-domain; k and l are
+    floats, or (rows, 1) columns of integrate_many's members."""
+    # a column takes k log x throughout: where k = 0 it is +-0, which moves
+    # no bit of the exponent
+    power = k * np.log(x) if isinstance(k, np.ndarray) or k != 0.0 else 0.0
+    return np.exp(power - l * np.logaddexp(0.0, z))
+
+
+def _lemma1(q, k, b, l, n, t):
+    """(member, args) of lemma1_I: its Integrand without f, and the
+    arguments (k, l, offset) of _lemma1_f."""
+    if not (k > -1.0 and b > 0.0 and q > 0.0 and l > 0.0 and t > 0.0):
+        raise ValueError("lemma1_I requires k > -1, b > 0, q > 0, l > 0, t > 0")
+    offset = math.log(b) + 0.5 * n * math.log(t)
+    s0 = max(-offset, 0.0)
+    layer = 3.0 / l
+    splits = (s0, s0 + layer) if s0 > 0.0 else (1.0, 1.0 + layer)
+    member = Integrand(small_r_exponent=k, decay=("exponential", l),
+                       splits=splits, name="lemma1_I")
+    return member, (k, l, offset)
+
+
+def _lemma1_f(k, l, offset, s):
+    """s^k / (1 + e^(offset + s))^l, lemma1_I's integrand."""
+    return _power_layer(k, s, l, offset + s)
+
+
+def lemma1_I(q, k, b, l, n, t, rel_tol: float = 1e-11):
     """I(t) = t^q int_0^oo s^k / (1 + b t^(n/2) e^s)^l ds.
 
     Requires k > -1, b > 0, q > 0, l > 0, t > 0.  The denominator is kept
     in log-domain: (1+A e^s)^-l = exp(-l*logaddexp(0, log A + s)), so A may
-    underflow or overflow a double without harm.
+    underflow or overflow a double without harm.  Arrays broadcast together
+    give an array, each element with the bits of its scalar call.
     """
-    if not (k > -1.0 and b > 0.0 and q > 0.0 and l > 0.0 and t > 0.0):
-        raise ValueError("lemma1_I requires k > -1, b > 0, q > 0, l > 0, t > 0")
-    offset = math.log(b) + 0.5 * n * math.log(t)
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        power = k * np.log(s) if k != 0.0 else 0.0
-        return np.exp(power - l * np.logaddexp(0.0, offset + s))
-
-    s0 = max(-offset, 0.0)
-    layer = 3.0 / l
-    splits = (s0, s0 + layer) if s0 > 0.0 else (1.0, 1.0 + layer)
-    core = integrate_semi_infinite(
-        Integrand(f, small_r_exponent=k, decay=("exponential", l),
-                  splits=splits, name="lemma1_I"),
-        rel_tol=rel_tol)
-    return t ** q * core.value
+    return _each(lambda *x: [_lemma1(*x)], [_lemma1_f],
+                 lambda x, res: x[5] ** x[0] * res.value, (q, k, b, l, n, t), rel_tol)
 
 
 def _layer_power(c: float, b: float, l: float, n: int, mu: float, t: float):
     """(member, args) of layer_power_integral: its Integrand without f, and
-    the arguments (c, offset, 4 mu t) that follow l in _layer_power_f."""
+    the arguments (c, l, offset, 4 mu t) of _layer_power_f."""
     if not (c > -1.0 and b > 0.0 and l > 0.0 and t > 0.0 and mu > 0.0):
         raise ValueError(
             "layer_power_integral requires c > -1, b > 0, l > 0, mu > 0, t > 0")
@@ -440,18 +485,12 @@ def _layer_power(c: float, b: float, l: float, n: int, mu: float, t: float):
     dr = 2.0 * mu * t / (l * max(r0, math.sqrt(four_mu_t)))
     member = Integrand(small_r_exponent=c, decay=("gaussian", math.sqrt(four_mu_t / l)),
                        splits=(r0, r0 + 3.0 * dr), name="layer_power_integral")
-    return member, (c, offset, four_mu_t)
+    return member, (c, l, offset, four_mu_t)
 
 
-def _layer_power_f(l: float, c, offset, four_mu_t, r):
-    """r^c / (1 + e^(offset + r^2/4 mu t))^l, the integrand of
-    layer_power_integral; c, offset and 4 mu t are floats, or (rows, 1)
-    columns of integrate_many's members."""
-    r = np.asarray(r, dtype=float)
-    # a column takes c log r throughout: where c = 0 it is +-0, which moves
-    # no bit of the exponent
-    power = c * np.log(r) if isinstance(c, np.ndarray) or c != 0.0 else 0.0
-    return np.exp(power - l * np.logaddexp(0.0, offset + r * r / four_mu_t))
+def _layer_power_f(c, l, offset, four_mu_t, r):
+    """r^c / (1 + e^(offset + r^2/4 mu t))^l, layer_power_integral's."""
+    return _power_layer(c, r, l, offset + r * r / four_mu_t)
 
 
 def layer_power_integral(c: float, b: float, l: float, n: int, mu: float,
@@ -463,32 +502,39 @@ def layer_power_integral(c: float, b: float, l: float, n: int, mu: float,
     d > -(c+1)/2 decay precondition) and by norm bounds, which need the
     integral even for exponents d where the bound fails to vanish.
     """
-    member, args = _layer_power(c, b, l, n, mu, t)
-    return integrate_semi_infinite(
-        dataclasses.replace(member, f=functools.partial(_layer_power_f, l, *args)),
-        rel_tol=rel_tol)
+    return _each(lambda *x: [_layer_power(*x)], [_layer_power_f], lambda x, res: res,
+                 (c, b, l, n, mu, t), rel_tol)
 
 
-def lemma2_J(d: float, c: float, b: float, l: float, n: int, mu: float,
-             t: float, rel_tol: float = 1e-11) -> float:
+def _lemma2(d, c, b, l, n, mu, t):
+    """(member, args) of lemma2_J's two routes, the integrals in r and s."""
+    if not d > -(c + 1.0) / 2.0:
+        raise ValueError("lemma2_J requires d > -(c+1)/2")
+    return (_layer_power(c, b, l, n, mu, t),
+            _lemma1(d + (c + 1.0) / 2.0, (c - 1.0) / 2.0, b, l, n, t))
+
+
+def _lemma2_finish(x, direct, reduced) -> float:
+    d, c, b, l, n, mu, t = x
+    value = t ** d * direct.value
+    other = 0.5 * (4.0 * mu) ** ((c + 1.0) / 2.0) * (t ** (d + (c + 1.0) / 2.0) * reduced.value)
+    denom = max(abs(value), abs(other))
+    if denom > 0.0 and abs(value - other) > 1e-9 * denom:
+        raise NonConvergenceError(
+            f"lemma2_J substitution consistency failure: direct {value!r} "
+            f"vs reduced {other!r}")
+    return value
+
+
+def lemma2_J(d, c, b, l, n, mu, t, rel_tol: float = 1e-11):
     """J(t) = t^d int_0^oo r^c / (1 + b t^(n/2) e^(r^2/4mu t))^l dr.
 
     Requires c > -1, b > 0, l > 0, d > -(c+1)/2, mu > 0, t > 0.  Evaluated
     twice, directly in r and through the s = r^2/4mu t reduction to
     lemma1_I with q = d+(c+1)/2 and k = (c-1)/2; the routes must agree to
     1e-9 relative or NonConvergenceError is raised.  Returns the direct
-    value.
+    value; arrays broadcast together give an array, each element with the
+    bits (and the route check) of its scalar call.
     """
-    if not d > -(c + 1.0) / 2.0:
-        raise ValueError("lemma2_J requires d > -(c+1)/2")
-    direct = t ** d * layer_power_integral(c, b, l, n, mu, t, rel_tol).value
-
-    reduced = 0.5 * (4.0 * mu) ** ((c + 1.0) / 2.0) * lemma1_I(
-        q=d + (c + 1.0) / 2.0, k=(c - 1.0) / 2.0, b=b, l=l, n=n, t=t,
-        rel_tol=rel_tol)
-    denom = max(abs(direct), abs(reduced))
-    if denom > 0.0 and abs(direct - reduced) > 1e-9 * denom:
-        raise NonConvergenceError(
-            f"lemma2_J substitution consistency failure: direct {direct!r} "
-            f"vs reduced {reduced!r}")
-    return direct
+    return _each(_lemma2, [_layer_power_f, _lemma1_f], _lemma2_finish,
+                 (d, c, b, l, n, mu, t), rel_tol)

@@ -283,6 +283,8 @@ def main_example(p: Params) -> SolutionFamily:
 
     def core(t, r):
         four_mu_t = 4.0 * mu * t
+        if (four_mu_t < _TINY).any():   # r^2/4 mu t and its log lose their digits
+            raise SingularityError("MainExample: 4 mu t is below the smallest normal double")
         xi = r * r / four_mu_t
         L = log_a + 0.5 * n * _log(math.pi * four_mu_t) + xi
         lse = np.logaddexp(0.0, L)

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import cole_lab
 from cole_lab import acceptance, cli
 from cole_lab.cli import _FIGURES, build_parser, main
+from cole_lab.solutions import Params, SingularityError, main_example
 
 
 def _read_csv(path):
@@ -307,6 +308,23 @@ def test_amplitude_overflow_exits_3(capsys):
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert "numerical failure" in out.err and "overflows a double" in out.err
+
+
+def test_main_example_where_4_mu_t_underflows_exits_3(capsys):
+    # 4 mu t = 4e-600 underflows to 0: the core divided r^2 by it (a
+    # divide-by-zero warning) and then math.log raised a bare ValueError,
+    # so the command ended in a traceback with exit 1
+    fam = main_example(Params(3, 1e-300))
+    for call in (lambda: fam.u(1e-300, 0.5), lambda: fam.g0(1e-300),
+                 lambda: fam.u(np.array([[1e-2], [1e-300]]), np.array([0.5]))):
+        with pytest.raises(SingularityError, match="4 mu t is below"):
+            call()
+    rc = main(["norms", "--family", "MainExample", "--mu", "1e-300", "--kind", "linf",
+               "--t-grid", "1e-300:1e-301:2"])
+    assert rc == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "numerical failure" in out.err and "4 mu t is below" in out.err
 
 
 def test_solve_stability_failure_exits_3(capsys):

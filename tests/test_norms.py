@@ -286,18 +286,19 @@ def test_grad_divergent_for_strong_singularity():
 
 def _xi_hess_terms(t, p):
     """[(term, error)] of the three Hessian bound terms t^-kp int r^c f^-p
-    dr of MAIN as the bound core forms them: (4 mu t)^((c+1)/2) J in logs,
-    J the integral in xi = r/sqrt(4 mu t); each term also against the
-    integral in r at rel 1e-13."""
+    dr of MAIN as the bound core forms them where the power is a normal
+    double: (4 mu)^h t^(h-kp) J, h = (c+1)/2, J the integral in xi =
+    r/sqrt(4 mu t); each term also against the integral in r at rel
+    1e-13."""
     b = (4.0 * math.pi * 0.1) ** 1.5
     out = []
     for k, c in ((1, 2.0 - p), (2, p + 2.0), (3, 3.0 * p + 2.0)):
         j = layer_power_integral(c, b, p, 3, 0.25 / t, t, rel_tol=1e-10)
-        term = math.exp(0.5 * (c + 1.0) * (math.log(4.0 * 0.1) + math.log(t))
-                        - k * p * math.log(t) + math.log(j.value))
+        power = (4.0 * 0.1) ** (0.5 * (c + 1.0)) * t ** (0.5 * (c + 1.0) - k * p)
+        term = power * j.value
         in_r = layer_power_integral(c, b, p, 3, 0.1, t, rel_tol=1e-10).value
         assert term == approx(t ** (-k * p) * in_r, rel=1e-13)
-        out.append((term, term * (j.abs_error_estimate / j.value)))
+        out.append((term, power * j.abs_error_estimate))
     return out
 
 
@@ -312,6 +313,18 @@ def test_hess_bound_terms_positive_and_restricted():
         hess_bound_lp(SS, 1.5, 1e-4)
     with pytest.raises(DivergenceError):
         hess_bound_lp(MAIN, 3.0, 1e-4)   # first exponent n-p-1 hits -1
+
+
+@pytest.mark.parametrize("p,t,want", [
+    (2.0, 1e-60, 4.6417895431808775559e+97),
+    (1.0, 1e-60, 96235.272139867349462),
+    (2.0, 1e-100, 4.6763173668881099515e+158),
+])
+def test_hess_bound_power_formed_directly(p, t, want):
+    # the sum over (k, c) of t^-kp (4 mu t)^((c+1)/2) int_0^oo x^c / (1 +
+    # b t^(3/2) e^(x^2))^p dx in 40-digit mpmath; each term's power was
+    # exp of its log, 1.05e-13 off at (2, 1e-60) and 2.3e-13 at (2, 1e-100)
+    assert hess_bound_lp(MAIN, p, t)[0] == approx(want, rel=2e-14)
 
 
 def test_bound_integrals_past_the_largest_power_of_t(capsys):

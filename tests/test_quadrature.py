@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cole_lab import quadrature
 from cole_lab.quadrature import (Integrand, NonConvergenceError, QuadResult,
                                  _lockstep, _tail, _tail_estimate,
-                                 integrate_many, integrate_semi_infinite, kronrod_15,
+                                 integrate_many, integrate_semi_infinite,
                                  layer_power_integral, lemma1_I, lemma2_J)
+from gauss_kronrod import kronrod_15
 
 
 def test_kronrod_polynomial_exactness():
@@ -177,6 +179,73 @@ def test_lemma2_closed_form_c1_l1(d, logb, n, logt, logmu):
     want = 2.0 * mu * t ** (d + 1.0) * float(np.logaddexp(0.0, -offset))
     got = lemma2_J(d=d, c=1.0, b=b, l=1.0, n=n, mu=mu, t=t)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# (q, k, b, l, n, t) per element: k = 0, a substituted left piece (k <
+# -0.05), l != 1, a deep t (b t^(n/2) = 7e-210), and an int n each
+LEMMA1_ELEMENTS = [(1.0, 0.0, 1.0, 1.0, 3, 0.1), (2.5, -0.6, 0.3, 2.0, 2, 1e-4),
+                   (0.7, 3.5, 7.0, 0.5, 7, 1e-60), (1.5, 0.5, 1.4, 1.5, 5, 3e-2)]
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+def test_lemma1_array_is_its_scalar_calls(quad_work):
+    # the elements' integrals in one lockstep run, each with the bits of
+    # its scalar call; the arguments broadcast together
+    q, k, b, l, n, t = (np.array(x) for x in zip(*LEMMA1_ELEMENTS))
+    got = lemma1_I(q, k, b, l, n, t)
+    assert (quad_work.integrals, quad_work.alone) == (4, 0)
+    want = [lemma1_I(*x) for x in LEMMA1_ELEMENTS]
+    assert quad_work.alone == 4 and all(isinstance(v, float) for v in want)
+    assert list(map(_hex, got)) == list(map(_hex, want))
+    grid = lemma1_I(1.5, 0.5, b[:, None], 1.0, 3, np.array([1e-3, 1e-6]))
+    assert grid.shape == (4, 2)
+    assert [_hex(grid[i, j]) for i in range(4) for j in range(2)] == [
+        _hex(lemma1_I(1.5, 0.5, bi, 1.0, 3, tj)) for bi in b for tj in (1e-3, 1e-6)]
+    with pytest.raises(ValueError, match="lemma1_I requires"):
+        lemma1_I(q, np.array([0.0, -1.0, 0.0, 0.0]), b, l, n, t)
+
+
+def test_lemma2_array_is_its_scalar_calls(quad_work):
+    # both routes of every element in one lockstep run: the key integral
+    # over seven decades of t and three c = 1 closed forms
+    n, p, mu = 3, 2.0, 0.1
+    b = (4.0 * math.pi * mu) ** (0.5 * n)
+    ts = np.geomspace(1e-2, 1e-8, 7)
+    got = lemma2_J(-p, p + n - 1.0, b, p, n, mu, ts)
+    assert (quad_work.integrals, quad_work.alone) == (14, 0)
+    assert quad_work.calls == 12    # the slower route's; 18 as two runs
+    assert list(map(_hex, got)) == [
+        _hex(lemma2_J(-p, p + n - 1.0, b, p, n, mu, t)) for t in ts.tolist()]
+    d, b, n, mu, t = (np.array([0.5, -0.4, 1.7]), np.array([0.2, 1.0, 9.0]),
+                      np.array([2, 5, 7]), np.array([0.01, 0.3, 1.0]),
+                      np.array([1e-6, 1e-3, 0.5]))
+    got = lemma2_J(d, 1.0, b, 1.0, n, mu, t)
+    want = [lemma2_J(*x) for x in zip(d.tolist(), [1.0] * 3, b.tolist(), [1.0] * 3,
+                                       n.tolist(), mu.tolist(), t.tolist())]
+    assert all(isinstance(v, float) for v in want)
+    assert list(map(_hex, got)) == list(map(_hex, want))
+    with pytest.raises(ValueError, match="d > -"):
+        lemma2_J(np.array([0.0, -1.5]), 1.0, 1.0, 1.0, 3, 0.1, 0.1)
+
+
+def test_lemma2_array_raises_where_one_element_disagrees(monkeypatch):
+    # the reduced route of the l = 1.5 element is off by 1e-6: the array
+    # call raises as that element's scalar call does, the others pass
+    real = quadrature._lemma1_f
+
+    def skewed(k, l, offset, s):
+        return real(k, l, offset, s) * np.where(np.asarray(l) == 1.5, 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(quadrature, "_lemma1_f", skewed)
+    ls = np.array([1.0, 1.5, 2.0])
+    with pytest.raises(NonConvergenceError, match="substitution consistency"):
+        lemma2_J(0.5, 2.0, 1.0, ls, 3, 0.1, 1e-3)
+    with pytest.raises(NonConvergenceError, match="substitution consistency"):
+        lemma2_J(0.5, 2.0, 1.0, 1.5, 3, 0.1, 1e-3)
+    assert lemma2_J(0.5, 2.0, 1.0, ls[[0, 2]], 3, 0.1, 1e-3).shape == (2,)
 
 
 def test_lemma1_gamma_limit():
