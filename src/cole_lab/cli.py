@@ -440,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", dest="r_min", type=float, default=0.0)
     p.add_argument("--t0", type=float, default=1e-3)
     p.add_argument("--t1", type=float, default=2e-3)
-    p.add_argument("--cfl", type=float, default=0.25)
+    p.add_argument("--cfl", type=float, default=0.25,
+                   help="step bound in (0, 1], at most 0.5 for rk2: the "
+                        "advective Courant number dt max|u(t0)| / h for "
+                        "cn-central, the diffusion number mu dt / h^2 for "
+                        "cn-upwind and rk2")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")

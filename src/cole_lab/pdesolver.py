@@ -6,13 +6,25 @@ Scope is deliberately narrow: short horizons (t1 <= 5 t0), moderate grids
 by manufactured-solution convergence; it does not (and cannot) probe
 non-uniqueness, since its boundary data selects one solution.
 
-Schemes: "cn-upwind" (Crank-Nicolson diffusion + explicit first-order upwind
-advection, default), "cn-central" (second-order advection, used by the
-convergence study), "rk2" (fully explicit Heun with upwind advection,
-stability-limited cross-check of the implicit solver).  Time steps follow
-dt ~ cfl h^2 / mu, so with cn-central the temporal error O(dt^2) = O(h^4)
-stays below the O(h^2) spatial error and h-halving shows clean ratio-4
-behavior.
+Schemes:
+- "cn-upwind" (default): Crank-Nicolson diffusion and forward-Euler
+  first-order upwind advection; O(h + dt) error.
+- "cn-central": Crank-Nicolson diffusion and second-order central
+  advection, advanced by Adams-Bashforth 2, 3/2 A(u^m) - 1/2 A(u^(m-1)),
+  after a forward-Euler first step: the CNAB IMEX scheme (Ascher, Ruuth
+  and Wetton, SIAM J. Numer. Anal. 32, 1995), O(h^2 + dt^2) error.  It
+  stores one vector and costs no extra solve.  Used by the convergence
+  study.
+- "rk2": fully explicit Heun with upwind advection, O(h + dt^2) error; the
+  stability-limited cross-check of the implicit solver.
+
+Step rule (SolverConfig.step_size): cn-upwind and rk2 take the diffusive
+dt <= cfl h^2 / mu.  cn-central takes the advective dt <= cfl h / max|u(t0)|,
+so its Courant number is cfl at t0 and dt ~ h: with second order in both
+h and dt, h-halving shows clean ratio-4 behavior while the step count only
+doubles.  Where u(t0) is 0, cn-central takes one step.  A stack shares one
+step, from its largest |u(t0)|.  march checks the advective CFL number
+dt max|u| / h <= 1 on every step, with the current amplitude.
 
 Linear algebra: the Crank-Nicolson matrix is constant, so it is LU-factored
 once per configuration (no pivoting) and each step runs the two triangular
@@ -22,7 +34,8 @@ factor time.  Multipliers below eps^2 = 2^-104 are flushed to 0 and the
 passes stop once all are 0: a dropped term |M| |y_(i-2s)| is at most
 eps^2 max|y|, far below one rounding of the largest entry, so the solve
 stays accurate in max norm while the diffusive decay of the multipliers
-(strides >= 32 at nr = 512, cfl 0.25) removes the longer-stride passes.
+(strides >= 64 in criterion 9's march at nr = 512) removes the
+longer-stride passes.
 numpy is the only dependency.
 
 Boundary data: march evaluates each Dirichlet end of a family once, over
@@ -39,12 +52,13 @@ right end of block b and the left end of block b + 1) are identity rows
 with no coupling, and a block's first sub-diagonal and last super-diagonal
 entries are 0, so the LU factor and every doubling multiplier restart at
 each seam: the seam pivots are 1, the multipliers across it are 0, and each
-block gets the same bits as a march of its own.  The Dirichlet terms go
-into rows 0::N and N-3::N, and the seam nodes are written from the boundary
-data after each step.  The stack stays flat because numpy's per-call cost
-dominates at these sizes: a flat multiply or doubling pass over 2 N
-entries costs about what one over N does, while a strided (k, N) layout
-with broadcast coefficients was measured no faster than k separate marches.
+block gets the same bits as a march of its own that takes the stack's step.
+The Dirichlet terms go into rows 0::N and N-3::N, and the seam nodes are
+written from the boundary data after each step.  The stack stays flat
+because numpy's per-call cost dominates at these sizes: a flat multiply or
+doubling pass over 2 N entries costs about what one over N does, while a
+strided (k, N) layout with broadcast coefficients was measured no faster
+than k separate marches.
 
 Origin handling: for origin-regular data the r=0 node carries u = 0 exactly
 (the radial component of a continuous vector field vanishes at 0), so the
@@ -77,6 +91,9 @@ __all__ = [
 
 _SCHEMES = ("cn-upwind", "cn-central", "rk2")
 _FLUSH = 2.0 ** -104   # eps^2: doubling multipliers below this are dropped
+# cn-central's step count grows with the amplitude, and march holds a few
+# arrays of n_steps entries per block
+_MAX_STEPS = 2 ** 20
 
 
 class StabilityError(RuntimeError):
@@ -119,11 +136,27 @@ class SolverConfig:
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.nr + 1)
 
-    def step_size(self) -> tuple:
-        h = (self.r_max - self.r_min) / self.nr
-        target = self.cfl * h * h / self.mu
-        n_steps = max(1, math.ceil((self.t1 - self.t0) / target))
-        return (self.t1 - self.t0) / n_steps, n_steps
+    def step_size(self, amp: float) -> tuple:
+        """(dt, n_steps) over [t0, t1] for a profile of amplitude amp =
+        max|u(t0)|: dt <= cfl h^2 / mu for cn-upwind and rk2, and
+        dt amp / h <= cfl for cn-central, in floats on the node spacing
+        march checks (one step where amp is 0).  Raises StabilityError
+        where cn-central would need more than _MAX_STEPS steps."""
+        span = self.t1 - self.t0
+        if self.scheme != "cn-central":
+            h = (self.r_max - self.r_min) / self.nr
+            n_steps = max(1, math.ceil(span / (self.cfl * h * h / self.mu)))
+            return span / n_steps, n_steps
+        r = self.radii()
+        h = r[1] - r[0]
+        steps = span * amp / (self.cfl * h)
+        if not steps <= _MAX_STEPS:
+            raise StabilityError(f"the advective CFL bound needs {steps:.3g} "
+                                 f"steps, more than {_MAX_STEPS}")
+        n_steps = max(1, math.ceil(steps))
+        if span / n_steps * amp / h > self.cfl:   # dt rounded past the bound
+            n_steps += 1
+        return span / n_steps, n_steps
 
 
 @dataclass(frozen=True)
@@ -247,14 +280,17 @@ class _Stepper:
     docstring); shared by march and the replay in min_principle_experiment
     so both advance with identical arithmetic.
 
-    left and right hold the Dirichlet value of each block's ends at the end
-    of every step: arrays of shape (n_steps, k), indexed by the step number
-    (None for one block held at 0, when only the operator and the matrix
-    are wanted)."""
+    step is (dt, n_steps) from cfg.step_size.  left and right hold the
+    Dirichlet value of each block's ends at the end of every step: arrays
+    of shape (n_steps, k), indexed by the step number (None for one block
+    held at 0, when only the operator and the matrix are wanted).  A
+    cn-central stepper keeps the last step's advection for AB2, so it
+    advances one march, from step 0 on."""
 
-    def __init__(self, cfg: SolverConfig, left, right):
+    def __init__(self, cfg: SolverConfig, step: tuple, left, right):
         self.cfg = cfg
-        self.dt, self.n_steps = cfg.step_size()
+        self.dt, self.n_steps = step
+        self.last_advection = None
         if left is None:
             left = right = np.zeros((self.n_steps, 1))
         k = left.shape[1]
@@ -323,31 +359,51 @@ class _Stepper:
             k2 = self.apply_operator(mid) - self.advection(mid)
             np.add(u[1:-1], 0.5 * self.dt * (k1 + k2), out=interior)
         else:
+            adv = self.advection(u)
+            if self.cfg.scheme == "cn-central":
+                # AB2, 3/2 A(u^m) - 1/2 A(u^(m-1)), after a forward-Euler step 0
+                last, self.last_advection = self.last_advection, adv
+                if m:
+                    adv = 1.5 * adv - 0.5 * last
             np.subtract(u[1:-1] + 0.5 * self.dt * self.apply_operator(u),
-                        self.dt * self.advection(u), out=interior)
+                        self.dt * adv, out=interior)
             interior[self.end_rows] += self.end_terms[m]
             self.matrix.solve(interior)
         return self._ends(new, m)
 
 
-def _initial_and_boundaries(cfg: SolverConfig, initial, r: np.ndarray):
-    """u(t0) on r and the per-step left and right Dirichlet values."""
-    dt, n_steps = cfg.step_size()
-    if isinstance(initial, SolutionFamily):
-        if initial.params.n != cfg.n or initial.params.mu != cfg.mu:
-            raise ValueError("family (n, mu) disagree with the solver config")
-        if r[0] == 0.0 and not initial.origin_regular:
-            raise ValueError("singular family needs r_min > 0")
-        u0 = np.asarray(initial.u(cfg.t0, r), dtype=float)
-        # the step times cfg.t0 + (m + 1) * dt, rounded as in Python floats
-        times = cfg.t0 + np.arange(1.0, n_steps + 1.0) * dt
-        # a left end at the origin is held at u = 0
-        left = [0.0] * n_steps if r[0] == 0.0 else initial.u(times, r[0]).tolist()
-        return u0, left, initial.u(times, r[-1]).tolist()
-    u0 = np.asarray(initial, dtype=float).copy()
-    if u0.shape != r.shape:
-        raise ValueError(f"initial profile must have {r.size} nodes")
-    return u0, [float(u0[0])] * n_steps, [float(u0[-1])] * n_steps
+def _initial_and_boundaries(cfg: SolverConfig, members: list, r: np.ndarray):
+    """The stack's u(t0) on r, its step (dt, n_steps) from max|u(t0)| over
+    every block, and the per-step left and right Dirichlet values of each
+    block as (n_steps, k) arrays."""
+    u0 = []
+    for initial in members:
+        if isinstance(initial, SolutionFamily):
+            if initial.params.n != cfg.n or initial.params.mu != cfg.mu:
+                raise ValueError("family (n, mu) disagree with the solver config")
+            if r[0] == 0.0 and not initial.origin_regular:
+                raise ValueError("singular family needs r_min > 0")
+            u0.append(np.asarray(initial.u(cfg.t0, r), dtype=float))
+        else:
+            u0.append(np.asarray(initial, dtype=float))
+            if u0[-1].shape != r.shape:
+                raise ValueError(f"initial profile must have {r.size} nodes")
+    u0 = np.concatenate(u0)
+    if not np.all(np.isfinite(u0)):
+        raise ValueError("initial profile contains non-finite values")
+    dt, n_steps = step = cfg.step_size(float(np.max(np.abs(u0))))
+    # the step times cfg.t0 + (m + 1) * dt, rounded as in Python floats
+    times = cfg.t0 + np.arange(1.0, n_steps + 1.0) * dt
+    left, right = [], []
+    for initial, block in zip(members, u0.reshape(len(members), r.size)):
+        if isinstance(initial, SolutionFamily):
+            # a left end at the origin is held at u = 0
+            left.append(np.zeros(n_steps) if r[0] == 0.0 else initial.u(times, r[0]))
+            right.append(initial.u(times, r[-1]))
+        else:
+            left.append(np.full(n_steps, block[0]))
+            right.append(np.full(n_steps, block[-1]))
+    return u0, step, np.column_stack(left), np.column_stack(right)
 
 
 def march(cfg: SolverConfig,
@@ -358,22 +414,19 @@ def march(cfg: SolverConfig,
     from the family at both ends, or 0 at a left end r_min = 0) or a profile
     array on cfg.radii() (endpoint values held fixed in time).  A list or
     tuple of them is marched as one stack (see the module docstring), and
-    the run then puts the block axis first on final and the histories; each
-    block matches a march of its own bit for bit.  Raises StabilityError on
-    NaN or when the advective CFL number dt max|u| / h exceeds 1 mid-run.
+    the run then puts the block axis first on final and the histories; the
+    blocks share one step, and each matches a march of its own with that
+    step bit for bit.  Raises StabilityError on NaN or when the advective
+    CFL number dt max|u| / h exceeds 1 mid-run.
     """
     stacked = isinstance(initial, (list, tuple))
     members = list(initial) if stacked else [initial]
     if not members:
         raise ValueError("nothing to march: the stack is empty")
     r = cfg.radii()
-    parts = [_initial_and_boundaries(cfg, s, r) for s in members]
-    u0 = np.concatenate([u for u, _, _ in parts])
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("initial profile contains non-finite values")
-    stepper = _Stepper(cfg, np.column_stack([left for _, left, _ in parts]),
-                       np.column_stack([right for _, _, right in parts]))
-    dt, n_steps = stepper.dt, stepper.n_steps
+    u0, step, left, right = _initial_and_boundaries(cfg, members, r)
+    stepper = _Stepper(cfg, step, left, right)
+    dt, n_steps = step
 
     u = u0
     starts = np.arange(0, u.size, r.size)
@@ -405,17 +458,19 @@ def convergence_study(cfg: SolverConfig, cases: Sequence) -> tuple:
     the family from t0, compare to it at t1 in max norm for each nr, and
     report h-halving error ratios; one ConvergenceReport per case.
 
-    Each distinct nr is marched once, as one stack of every family that
-    lists it.  cn-central shows ratios near 4 (order 2); cn-upwind and rk2
+    Each distinct nr is marched once, as one stack of every family, so that
+    at each nr all families share one step; each case reports only the nr
+    it lists.  cn-central shows ratios near 4 (order 2); cn-upwind and rk2
     carry the first-order upwind advection error, ratios near 2."""
     cases = [(s, tuple(int(nr) for nr in nrs)) for s, nrs in cases]
+    families = [s for s, _ in cases]
     errors = {}
     for nr in sorted({nr for _, nrs in cases for nr in nrs}):
-        members = [i for i, (_, nrs) in enumerate(cases) if nr in nrs]
-        run = march(replace(cfg, nr=nr), [cases[i][0] for i in members])
-        for i, final in zip(members, run.final):
-            exact = np.asarray(cases[i][0].u(cfg.t1, run.radii))
-            errors[i, nr] = float(np.max(np.abs(final - exact)))
+        run = march(replace(cfg, nr=nr), families)
+        for i, ((fam, nrs), final) in enumerate(zip(cases, run.final)):
+            if nr in nrs:
+                exact = np.asarray(fam.u(cfg.t1, run.radii))
+                errors[i, nr] = float(np.max(np.abs(final - exact)))
     reports = []
     for i, (_, nrs) in enumerate(cases):
         errs = tuple(errors[i, nr] for nr in nrs)
@@ -438,9 +493,9 @@ def min_principle_experiment(cfg: SolverConfig,
     u0 = bump.evaluate(r)
     d2 = np.abs(u0[:-2] - 2.0 * u0[1:-1] + u0[2:]) / h**2
     eps_h = h * h * float(d2.max()) if d2.size else 0.0
-    n_steps = cfg.step_size()[1]
-    stepper = _Stepper(cfg, np.full((n_steps, 1), u0[0]),
-                       np.full((n_steps, 1), u0[-1]))
+    step = cfg.step_size(float(np.max(np.abs(u0))))
+    stepper = _Stepper(cfg, step, np.full((step[1], 1), u0[0]),
+                       np.full((step[1], 1), u0[-1]))
 
     u = u0.copy()
     min_hist = np.empty(stepper.n_steps)

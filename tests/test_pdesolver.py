@@ -43,12 +43,53 @@ def test_config_validation():
             _cfg(**kw)
 
 
+def _amp(cfg, *members):
+    """max|u(t0)| of a stack on cfg's grid, the amplitude march steps by."""
+    return max(float(np.max(np.abs(m.u(cfg.t0, cfg.radii())))) for m in members)
+
+
 def test_step_size_honors_diffusion_cfl():
-    cfg = _cfg()
-    dt, n_steps = cfg.step_size()
+    # cn-upwind and rk2 step by the diffusion number, whatever the amplitude
+    for scheme in ("cn-upwind", "rk2"):
+        cfg = _cfg(scheme=scheme)
+        dt, n_steps = cfg.step_size(1.0)
+        assert cfg.step_size(0.0) == cfg.step_size(1e6) == (dt, n_steps)
+        h = cfg.r_max / cfg.nr
+        assert dt * n_steps == approx(cfg.t1 - cfg.t0, rel=1e-12)
+        assert dt <= cfg.cfl * h * h / cfg.mu * (1.0 + 1e-12)
+
+
+def test_step_size_honors_advective_cfl():
+    cfg = _cfg(scheme="cn-central")
     h = cfg.r_max / cfg.nr
-    assert dt * n_steps == approx(cfg.t1 - cfg.t0, rel=1e-12)
-    assert dt <= cfg.cfl * h * h / cfg.mu * (1.0 + 1e-12)
+    for amp in (1.0, 7.5, 1e3):
+        dt, n_steps = cfg.step_size(amp)
+        assert dt * n_steps == approx(cfg.t1 - cfg.t0, rel=1e-12)
+        assert dt * amp / h <= cfg.cfl * (1.0 + 1e-12)
+        assert (n_steps - 1) * cfg.cfl * h / amp < cfg.t1 - cfg.t0
+    assert cfg.step_size(0.0) == (cfg.t1 - cfg.t0, 1)
+
+
+def test_central_step_meets_the_bound_in_floats():
+    # span / ceil(span amp / (cfl h)) can round to a dt just past the bound,
+    # and at cfl = 1 march then raised on step 0 (Courant 1 + 2^-52)
+    for r_max, nr, amp, f in itertools.product(
+            (0.1, 0.3, 0.5, 1.0), (16, 128, 300, 1000), (0.1, 3.0, 5.0, 20.0),
+            (2.0, 4.0, 5.0)):
+        cfg = _cfg(r_max=r_max, nr=nr, t0=0.1, t1=0.1 * f, cfl=1.0, scheme="cn-central")
+        r = cfg.radii()
+        dt, _ = cfg.step_size(amp)
+        assert dt * amp / (r[1] - r[0]) <= 1.0, (r_max, nr, amp, f)
+    cfg = _cfg(r_max=0.1, nr=16, t0=0.1, t1=0.4, cfl=1.0, scheme="cn-central")
+    assert march(cfg, np.full(17, 3.0)).n_steps == 145
+
+
+def test_central_step_count_is_bounded():
+    # the advective step count grows with the amplitude: at 1e9 it would be
+    # 1.7e9 steps, whose arrays alone would take tens of GB
+    cfg = _cfg(scheme="cn-central")
+    with pytest.raises(StabilityError, match="more than"):
+        march(cfg, 1e9 * np.sin(np.pi * cfg.radii() / cfg.r_max))
 
 
 def test_zero_initial_profile_is_fixed_point():
@@ -61,6 +102,29 @@ def test_zero_initial_profile_is_fixed_point():
 def test_central_scheme_is_second_order_on_main_example():
     (rep,) = convergence_study(_cfg(scheme="cn-central"), [(MAIN, [128, 256, 512])])
     assert all(3.5 <= rho <= 4.5 for rho in rep.ratios)
+
+
+def test_central_scheme_is_second_order_in_time():
+    # at a fixed h, halving dt quarters the error against a fine-dt march:
+    # AB2 advection with Crank-Nicolson diffusion (forward-Euler advection
+    # gave ratios 2.07 and 2.09 here)
+    cfg = _cfg(nr=256, scheme="cn-central")
+    ref = march(dataclasses.replace(cfg, cfl=1.0 / 64.0), MAIN).final
+    errs = [float(np.max(np.abs(march(dataclasses.replace(cfg, cfl=c), MAIN).final - ref)))
+            for c in (1.0, 0.5, 0.25)]
+    ratios = [a / b for a, b in zip(errs[:-1], errs[1:])]
+    assert all(abs(rho - 4.0) <= 0.3 for rho in ratios), ratios
+
+
+def test_central_march_on_a_wide_domain_at_cfl_1():
+    # dt = cfl h^2 / mu put the Courant number at 1.85 on step 0 here; the
+    # advective step keeps it at cfl, and the layer peak never grows
+    cfg = _cfg(r_max=2.0, nr=512, cfl=1.0, scheme="cn-central")
+    run = march(cfg, MAIN)
+    assert run.dt * _amp(cfg, MAIN) / (cfg.r_max / cfg.nr) <= 1.0
+    assert run.max_history.max() <= _amp(cfg, MAIN)
+    err = float(np.max(np.abs(run.final - MAIN.u(cfg.t1, run.radii))))
+    assert err < 2.0        # dt = 0.25 h^2 / mu gave 2.009 at this grid
 
 
 def test_central_scheme_is_second_order_on_erf_family():
@@ -166,7 +230,9 @@ def test_tridiagonal_solve_matches_dense(n):
     rng = np.random.default_rng(n)
     for cfl, nr, r_min in itertools.product((0.25, 1.0), (16, 512), (0.0, 0.05)):
         cfg = _cfg(n=n, nr=nr, cfl=cfl, scheme="cn-central", r_min=r_min)
-        st = _Stepper(cfg, None, None)
+        # the step a march of the main example takes on this grid, whose
+        # diffusion number mu dt / h^2 reaches 4
+        st = _Stepper(cfg, cfg.step_size(_amp(cfg, MAIN)), None, None)
         half = 0.5 * st.dt
         dense = (np.diag(1.0 - half * st.di) + np.diag(-half * st.up[:-1], 1)
                  + np.diag(-half * st.lo[1:], -1))
@@ -208,12 +274,14 @@ def test_one_boundary_evaluation_per_step(scheme, r_min):
 
 def test_boundary_traces_match_scalar_calls():
     cfg = _cfg(scheme="cn-central", r_min=0.05)
-    for fam in (MAIN, NST):
-        _, left, right = _initial_and_boundaries(cfg, fam, cfg.radii())
-        dt, n_steps = cfg.step_size()
-        times = [cfg.t0 + (m + 1) * dt for m in range(n_steps)]
-        assert left == [fam.u(t, cfg.r_min) for t in times]
-        assert right == [fam.u(t, cfg.r_max) for t in times]
+    stack = [MAIN, NST]
+    _, (dt, n_steps), left, right = _initial_and_boundaries(cfg, stack, cfg.radii())
+    # the stack's step comes from its largest amplitude
+    assert (dt, n_steps) == cfg.step_size(_amp(cfg, *stack))
+    times = [cfg.t0 + (m + 1) * dt for m in range(n_steps)]
+    for block, fam in enumerate(stack):
+        assert left[:, block].tolist() == [fam.u(t, cfg.r_min) for t in times]
+        assert right[:, block].tolist() == [fam.u(t, cfg.r_max) for t in times]
 
 
 def _c9_config(nr):
@@ -222,8 +290,11 @@ def _c9_config(nr):
 
 
 def test_doubling_pass_count_at_nr512():
-    # multipliers below eps^2 are flushed: 5 + 6 passes, not 9 + 9
-    matrix = _Stepper(_c9_config(512), None, None).matrix
+    # multipliers below eps^2 are flushed: 6 + 6 passes, not 9 + 9, at the
+    # step of criterion 9's stacked march
+    cfg = _c9_config(512)
+    run = march(cfg, [MAIN, NST])
+    matrix = _Stepper(cfg, (run.dt, run.n_steps), None, None).matrix
     assert len(matrix.forward) <= 6 and len(matrix.backward) <= 6
 
 
@@ -263,6 +334,15 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _alone(cfg, member, amp, stack_amp):
+    """A march of member alone that takes the step of a stack of amplitude
+    stack_amp: cn-central's step follows the amplitude, so its cfl is
+    scaled by the member's share; the other schemes' step does not."""
+    if cfg.scheme == "cn-central":
+        cfg = dataclasses.replace(cfg, cfl=cfg.cfl * amp / stack_amp)
+    return march(cfg, member)
+
+
 @pytest.mark.parametrize("scheme", ["cn-upwind", "cn-central", "rk2"])
 @pytest.mark.parametrize("r_min", [0.0, 0.05])
 def test_stacked_march_matches_separate_marches(scheme, r_min):
@@ -271,7 +351,7 @@ def test_stacked_march_matches_separate_marches(scheme, r_min):
     assert stacked.final.shape == (2, cfg.nr + 1)
     assert stacked.max_history.shape == (2, stacked.n_steps)
     for block, fam in enumerate((MAIN, NST)):
-        alone = march(cfg, fam)
+        alone = _alone(cfg, fam, _amp(cfg, fam), _amp(cfg, MAIN, NST))
         assert stacked.n_steps == alone.n_steps and stacked.dt == alone.dt
         assert _same_bits(stacked.final[block], alone.final)
         assert _same_bits(stacked.max_history[block], alone.max_history)
@@ -281,11 +361,15 @@ def test_stacked_march_matches_separate_marches(scheme, r_min):
 def test_stacked_profiles_match_separate_marches():
     cfg = _cfg(nr=64, r_max=2.0, scheme="cn-central")
     r = cfg.radii()
-    profiles = [BumpProfile().evaluate(r), 0.5 * np.sin(np.pi * r / 2.0),
-                BumpProfile(depth=0.3, center=0.7).evaluate(r)]
+    # amplitudes 20, 10 and 6: the stack takes 3 steps, two of them AB2
+    profiles = [20.0 * BumpProfile().evaluate(r), 10.0 * np.sin(np.pi * r / 2.0),
+                BumpProfile(depth=6.0, center=0.7).evaluate(r)]
     stacked = march(cfg, profiles)
+    assert stacked.n_steps > 1
+    amps = [float(np.max(np.abs(p))) for p in profiles]
     for block, profile in enumerate(profiles):
-        alone = march(cfg, profile)
+        alone = _alone(cfg, profile, amps[block], max(amps))
+        assert alone.dt == stacked.dt
         assert _same_bits(stacked.final[block], alone.final)
         assert _same_bits(stacked.max_history[block], alone.max_history)
         assert _same_bits(stacked.min_history[block], alone.min_history)
@@ -306,8 +390,16 @@ def test_zero_block_beside_main_stays_zero(scheme):
 
 @pytest.mark.parametrize("scheme", ["cn-central", "rk2"])
 def test_stacked_march_raises_on_one_unstable_block(scheme):
-    cfg = _cfg(nr=64, r_max=2.0, scheme=scheme)
-    violent = 100.0 * BumpProfile().evaluate(cfg.radii())
+    if scheme == "rk2":
+        # dt = cfl h^2 / mu puts the violent bump over the CFL bound at once
+        cfg = _cfg(nr=64, r_max=2.0, scheme=scheme)
+        violent = 100.0 * BumpProfile().evaluate(cfg.radii())
+    else:
+        # cn-central steps at Courant number cfl from max|u(t0)|, so only
+        # an amplitude that grows trips it: central advection overshoots
+        # at a jump, and at cfl = 1 the overshoot crosses the bound
+        cfg = _cfg(nr=64, r_max=2.0, scheme=scheme, cfl=1.0)
+        violent = np.where(cfg.radii() < 1.0, 100.0, 0.0)
     with pytest.raises(StabilityError):
         march(cfg, violent)
     with pytest.raises(StabilityError):
@@ -325,7 +417,8 @@ def test_stacked_march_input_validation():
 
 
 def test_convergence_study_marches_each_nr_once(monkeypatch):
-    # one stacked march per distinct nr, over every case that lists it
+    # one stacked march of every case per distinct nr, so that all cases
+    # share one step; each case reports only the nr it lists
     marched = []
 
     def spy(cfg, initial):
@@ -335,13 +428,14 @@ def test_convergence_study_marches_each_nr_once(monkeypatch):
     monkeypatch.setattr(pdesolver, "march", spy)
     cfg = _cfg(scheme="cn-central")
     reports = convergence_study(cfg, [(MAIN, [128, 256]), (NST, [64, 128, 256])])
-    assert marched == [(64, 1), (128, 2), (256, 2)]
+    assert marched == [(64, 2), (128, 2), (256, 2)]
     monkeypatch.undo()
     for rep, (fam, nrs) in zip(reports, ((MAIN, [128, 256]), (NST, [64, 128, 256]))):
         assert rep.nr_values == tuple(nrs)
         want = []
         for nr in nrs:
-            run = march(dataclasses.replace(cfg, nr=nr), fam)
+            at = dataclasses.replace(cfg, nr=nr)
+            run = _alone(at, fam, _amp(at, fam), _amp(at, MAIN, NST))
             want.append(float(np.max(np.abs(run.final - fam.u(cfg.t1, run.radii)))))
         assert rep.errors == tuple(want)
         assert rep.ratios == tuple(a / b for a, b in zip(want[:-1], want[1:]))

@@ -57,9 +57,10 @@ def test_tracer_sees_every_layer():
 
 
 def test_criterion_9_stacks_its_marches():
-    # criterion 9 marches both families as one stack at nr = 128, 256 and
-    # 512, and the erf family alone at 64: 19 + 73 + 292 + 1166 steps, and
-    # one boundary trace per family and march (the left end is held at 0)
+    # criterion 9 marches both families as one stack at nr = 64, 128, 256
+    # and 512, each at the advective step of the main example's amplitude:
+    # 43 + 87 + 173 + 347 steps, and one boundary trace per family and
+    # march (the left end is held at 0)
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -68,8 +69,8 @@ def test_criterion_9_stacks_its_marches():
     finally:
         tracer.uninstall()
     metrics = tracer_mod.layer_metrics(tracer.take())
-    assert metrics["pdesolver.steps"] == 1550
-    assert metrics["pdesolver.boundary_calls"] == 7
+    assert metrics["pdesolver.steps"] == 650
+    assert metrics["pdesolver.boundary_calls"] == 8
 
 
 def test_norm_sweep_work_counts(quad_work):
