@@ -2,9 +2,11 @@
 residual checks, solver runs, and the full verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure (non-convergence, instability, underflow, or a value
-that overflows a double).  Output is deterministic for a
-fixed command line: fixed seeds, fixed grids, no wall-clock content.
+3 numerical failure (non-convergence, instability, a march of more than
+2^20 steps, underflow, or a value that overflows a double); main alone
+picks the code, from the type of the error a check raised where it was
+made.  Output is deterministic for a fixed command line: fixed seeds,
+fixed grids, no wall-clock content.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ __all__ = ["main", "build_parser"]
 _FAMILIES = ("MainExample", "SelfSimilar", "Stationary", "NonStationaryErf")
 
 
-class ConfigError(ValueError):
-    """Bad flags, config keys, or parameter domains."""
+class ConfigError(DomainError):
+    """Bad flags, config keys or config files, or an unwritable --out."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +235,31 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _sweeps(fam, kind: str, ps, ts):
-    """(p, NormReport) per p, each sweep run when it is reached; linf does
-    not depend on p, so its one sweep serves every p."""
-    report = None
-    for p in ps:
-        if report is None or kind != "linf":
-            report = N.norm_sweep(fam, N.NormSpec(kind, p=p), ts)
-        yield p, report
+def _sweeps(args, subcommand: str):
+    """(family, p list, metadata line, sweeps) of a norms or decay run;
+    sweeps yields (p, NormReport) per p, each sweep run when it is reached.
+    linf does not depend on p, so its one sweep serves every p."""
+    fam, ps, ts = _build_family(args), _parse_p_list(args.p), _parse_t_grid(args.t_grid)
+    meta = _meta(args, subcommand, f"family={fam.label()} | kind={args.kind} | "
+                                   f"p={args.p} | t-grid={args.t_grid}")
+
+    def sweeps():
+        report = None
+        for p in ps:
+            if report is None or args.kind != "linf":
+                report = N.norm_sweep(fam, N.NormSpec(args.kind, p=p), ts)
+            yield p, report
+    return fam, ps, meta, sweeps()
 
 
 def cmd_norms(args) -> int:
-    fam = _build_family(args)
-    ps = _parse_p_list(args.p)
-    ts = _parse_t_grid(args.t_grid)
-    kind = args.kind
-    reports = [rep for _, rep in _sweeps(fam, kind, ps, ts)]
-    header = ["t"]
-    for p in ps:
-        header += [f"value[p={p:g}]", f"error[p={p:g}]", f"flags[p={p:g}]"]
-    rows = []
-    for i, t in enumerate(ts):
-        row = [float(t)]
-        for rep in reports:
-            row += [rep.values[i], rep.quad_errors[i], rep.flags[i]]
-        rows.append(row)
-    meta = _meta(args, "norms", f"family={fam.label()} | kind={kind} | "
-                                f"p={args.p} | t-grid={args.t_grid}")
-    json_obj = {"family": fam.label(), "kind": kind, "version": __version__,
+    fam, ps, meta, sweeps = _sweeps(args, "norms")
+    reports = [rep for _, rep in sweeps]
+    header = ["t"] + [f"{c}[p={p:g}]" for p in ps for c in ("value", "error", "flags")]
+    rows = [[t] + [x for rep in reports
+                   for x in (rep.values[i], rep.quad_errors[i], rep.flags[i])]
+            for i, t in enumerate(reports[0].t_grid)]
+    json_obj = {"family": fam.label(), "kind": args.kind, "version": __version__,
                 "reports": [{"p": p, "t_grid": list(rep.t_grid),
                              "values": list(rep.values),
                              "quad_errors": list(rep.quad_errors),
@@ -271,23 +270,17 @@ def cmd_norms(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    fam = _build_family(args)
-    ps = _parse_p_list(args.p)
-    ts = _parse_t_grid(args.t_grid)
-    kind = args.kind
-    rows = []
+    fam, ps, meta, sweeps = _sweeps(args, "decay")
     fits = []
-    for p, report in _sweeps(fam, kind, ps, ts):
+    for p, report in sweeps:
         try:
-            fit = N.decay_fit(report)
+            fits.append(N.decay_fit(report))
         except N.DegenerateFitError as exc:
-            return _fail(f"decay fit failed for p={p:g}: {exc}")
-        fits.append(fit)
-        rows.append([p, fit.slope, fit.intercept, fit.max_log_residual,
-                     fit.n_points])
-    meta = _meta(args, "decay", f"family={fam.label()} | kind={kind} | "
-                                f"p={args.p} | t-grid={args.t_grid}")
-    json_obj = {"family": fam.label(), "kind": kind, "version": __version__,
+            print(f"cole-lab: decay fit failed for p={p:g}: {exc}", file=sys.stderr)
+            return 1
+    rows = [[p, f.slope, f.intercept, f.max_log_residual, f.n_points]
+            for p, f in zip(ps, fits)]
+    json_obj = {"family": fam.label(), "kind": args.kind, "version": __version__,
                 "fits": [{"p": p, "slope": f.slope, "intercept": f.intercept,
                           "max_log_residual": f.max_log_residual,
                           "n_points": f.n_points, "t_grid": list(f.t_grid)}
@@ -301,21 +294,13 @@ def cmd_residual(args) -> int:
     fam = _build_family(args)
     r_lo, r_hi, nr = _parse_r_grid(args.grid)
     ts = _parse_t_grid(args.t_grid)
-    try:
-        grid = R.Grid1D(r_lo, r_hi, nr, tuple(float(t) for t in ts))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = R.Grid1D(r_lo, r_hi, nr, tuple(float(t) for t in ts))
     form = args.form
-    rows = []
-    reps = []
-    for source in ("analytic", "finite-difference"):
-        if form == "radial":
-            rep = R.radial_residual(fam, grid, derivative_source=source)
-        else:
-            rep = R.divergence_form_residual(fam, grid, derivative_source=source)
-        reps.append(rep)
-        rows.append([form, source, rep.max_abs_scaled, rep.l2_scaled,
-                     rep.worst_t, rep.worst_r, rep.n_points])
+    run = R.radial_residual if form == "radial" else R.divergence_form_residual
+    reps = [run(fam, grid, derivative_source=source)
+            for source in ("analytic", "finite-difference")]
+    rows = [[form, rep.derivative_source, rep.max_abs_scaled, rep.l2_scaled,
+             rep.worst_t, rep.worst_r, rep.n_points] for rep in reps]
     meta = _meta(args, "residual", f"family={fam.label()} | form={form} | "
                                    f"grid={args.grid} | t-grid={args.t_grid}")
     json_obj = {"family": fam.label(), "form": form, "version": __version__,
@@ -331,13 +316,10 @@ def cmd_residual(args) -> int:
 
 def cmd_solve(args) -> int:
     fam = _build_family(args)
-    try:
-        cfg = P.SolverConfig(n=args.n, mu=args.mu, r_max=args.r_max,
-                             nr=args.nr, t0=args.t0, t1=args.t1, cfl=args.cfl,
-                             scheme=args.scheme, r_min=args.r_min)
-        run = P.march(cfg, fam)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = P.SolverConfig(n=args.n, mu=args.mu, r_max=args.r_max, nr=args.nr,
+                         t0=args.t0, t1=args.t1, cfl=args.cfl,
+                         scheme=args.scheme, r_min=args.r_min)
+    run = P.march(cfg, fam)
     exact = np.asarray(fam.u(cfg.t1, run.radii))
     err = float(np.max(np.abs(run.final - exact)))
     rows = [[cfg.scheme, cfg.nr, run.n_steps, run.dt,
@@ -378,11 +360,6 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-def _fail(msg: str) -> int:
-    print(f"cole-lab: {msg}", file=sys.stderr)
-    return 1
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -433,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="finite-difference oracle march")
     common(p)
-    p.add_argument("--scheme", default="cn-upwind",
-                   choices=["cn-upwind", "cn-central", "rk2"])
+    p.add_argument("--scheme", default="cn-upwind", choices=P.SCHEMES)
     p.add_argument("--nr", type=int, default=256)
     p.add_argument("--r-max", dest="r_max", type=float, default=0.3)
     p.add_argument("--r-min", dest="r_min", type=float, default=0.0)
@@ -442,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=2e-3)
     p.add_argument("--cfl", type=float, default=0.25,
                    help="step bound in (0, 1], at most 0.5 for rk2: the "
-                        "advective Courant number dt max|u(t0)| / h for "
-                        "cn-central, the diffusion number mu dt / h^2 for "
-                        "cn-upwind and rk2")
+                        "Courant number dt max(|u(t0)|, mu / (r_max - r_min)) "
+                        "/ h for cn-central, the diffusion number mu dt / h^2 "
+                        "for cn-upwind and rk2")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
@@ -461,9 +437,6 @@ def main(argv: Optional[list] = None) -> int:
         if args.config:
             args = parser.parse_args(_splice_config(argv, args))
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"cole-lab: config error: {exc}", file=sys.stderr)
-        return 2
     except (NonConvergenceError, P.StabilityError, N.UnderflowError,
             SingularityError) as exc:
         print(f"cole-lab: numerical failure: {exc}", file=sys.stderr)

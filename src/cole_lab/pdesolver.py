@@ -18,12 +18,15 @@ Schemes:
 - "rk2": fully explicit Heun with upwind advection, O(h + dt^2) error; the
   stability-limited cross-check of the implicit solver.
 
-Step rule (SolverConfig.step_size): cn-upwind and rk2 take the diffusive
-dt <= cfl h^2 / mu.  cn-central takes the advective dt <= cfl h / max|u(t0)|,
-so its Courant number is cfl at t0 and dt ~ h: with second order in both
-h and dt, h-halving shows clean ratio-4 behavior while the step count only
-doubles.  Where u(t0) is 0, cn-central takes one step.  A stack shares one
-step, from its largest |u(t0)|.  march checks the advective CFL number
+Step rule (SolverConfig.step_size): one rule for every scheme, Courant
+number dt a / h <= cfl for a speed a: a = mu / h (dt <= cfl h^2 / mu) for
+cn-upwind and rk2, a = max(max|u(t0)|, mu / (r_max - r_min)) for
+cn-central.  cn-central's dt ~ h then gives clean ratio-4 behavior under
+h-halving (second order in h and dt) while the step count only doubles,
+and the floor mu / L keeps a diffusion-dominated march from taking a few
+steps of diffusion number in the thousands.  A stack shares one step, from
+its largest |u(t0)|.  Past 2^20 steps every scheme raises StabilityError
+before it allocates anything.  march checks the advective CFL number
 dt max|u| / h <= 1 on every step, with the current amplitude.
 
 Linear algebra: the Crank-Nicolson matrix is constant, so it is LU-factored
@@ -76,8 +79,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .solutions import SolutionFamily
+from .specfun import require
 
 __all__ = [
+    "SCHEMES",
     "StabilityError",
     "SolverConfig",
     "SolverRun",
@@ -89,9 +94,9 @@ __all__ = [
     "min_principle_experiment",
 ]
 
-_SCHEMES = ("cn-upwind", "cn-central", "rk2")
+SCHEMES = ("cn-upwind", "cn-central", "rk2")
 _FLUSH = 2.0 ** -104   # eps^2: doubling multipliers below this are dropped
-# cn-central's step count grows with the amplitude, and march holds a few
+# the step count grows with mu / h^2 or the amplitude, and march holds a few
 # arrays of n_steps entries per block
 _MAX_STEPS = 2 ** 20
 
@@ -113,48 +118,39 @@ class SolverConfig:
     r_min: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not (self.mu > 0.0):
-            raise ValueError("mu must be positive")
-        if not (0.0 < self.t0 < self.t1):
-            raise ValueError("need t1 > t0 > 0")
-        if self.t1 > 5.0 * self.t0:
-            raise ValueError("oracle horizon limited to t1 <= 5 t0")
-        if not (16 <= self.nr <= 8192):
-            raise ValueError("nr must be in [16, 8192]")
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must be in (0, 1]")
-        if self.scheme == "rk2" and self.cfl > 0.5:
-            # explicit diffusion number 4 mu dt / h^2 = 4 cfl must stay <= 2
-            raise ValueError("rk2 requires cfl <= 0.5")
+        require((self.n >= 2, "n must be >= 2"),
+                (self.mu > 0.0, "mu must be positive"),
+                (0.0 < self.t0 < self.t1, "need t1 > t0 > 0"),
+                (self.t1 <= 5.0 * self.t0, "oracle horizon limited to t1 <= 5 t0"),
+                (16 <= self.nr <= 8192, "nr must be in [16, 8192]"),
+                (0.0 <= self.r_min < self.r_max, "need 0 <= r_min < r_max"),
+                (self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}"),
+                (0.0 < self.cfl <= 1.0, "cfl must be in (0, 1]"),
+                # explicit diffusion number 4 mu dt / h^2 = 4 cfl must stay <= 2
+                (self.scheme != "rk2" or self.cfl <= 0.5, "rk2 requires cfl <= 0.5"))
 
     def radii(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.nr + 1)
 
     def step_size(self, amp: float) -> tuple:
         """(dt, n_steps) over [t0, t1] for a profile of amplitude amp =
-        max|u(t0)|: dt <= cfl h^2 / mu for cn-upwind and rk2, and
-        dt amp / h <= cfl for cn-central, in floats on the node spacing
-        march checks (one step where amp is 0).  Raises StabilityError
-        where cn-central would need more than _MAX_STEPS steps."""
-        span = self.t1 - self.t0
-        if self.scheme != "cn-central":
-            h = (self.r_max - self.r_min) / self.nr
-            n_steps = max(1, math.ceil(span / (self.cfl * h * h / self.mu)))
-            return span / n_steps, n_steps
+        max|u(t0)|, with Courant number dt a / h <= cfl on the node spacing
+        h march checks.  The speed a is mu / h for cn-upwind and rk2 (a
+        diffusion number mu dt / h^2) and max(amp, mu / (r_max - r_min))
+        for cn-central.  Raises StabilityError past _MAX_STEPS steps."""
         r = self.radii()
         h = r[1] - r[0]
-        steps = span * amp / (self.cfl * h)
+        if self.scheme == "cn-central":
+            a = max(amp, self.mu / (self.r_max - self.r_min))
+        else:
+            a = self.mu / h
+        span = self.t1 - self.t0
+        steps = span * a / (self.cfl * h)
         if not steps <= _MAX_STEPS:
-            raise StabilityError(f"the advective CFL bound needs {steps:.3g} "
-                                 f"steps, more than {_MAX_STEPS}")
+            raise StabilityError(f"the step bound needs {steps:.3g} steps, "
+                                 f"more than {_MAX_STEPS}")
         n_steps = max(1, math.ceil(steps))
-        if span / n_steps * amp / h > self.cfl:   # dt rounded past the bound
+        if span / n_steps * a / h > self.cfl:   # dt rounded past the bound
             n_steps += 1
         return span / n_steps, n_steps
 
@@ -379,18 +375,16 @@ def _initial_and_boundaries(cfg: SolverConfig, members: list, r: np.ndarray):
     u0 = []
     for initial in members:
         if isinstance(initial, SolutionFamily):
-            if initial.params.n != cfg.n or initial.params.mu != cfg.mu:
-                raise ValueError("family (n, mu) disagree with the solver config")
-            if r[0] == 0.0 and not initial.origin_regular:
-                raise ValueError("singular family needs r_min > 0")
+            p = initial.params
+            require((p.n == cfg.n and p.mu == cfg.mu,
+                     "family (n, mu) disagree with the solver config"),
+                    (r[0] > 0.0 or initial.origin_regular, "singular family needs r_min > 0"))
             u0.append(np.asarray(initial.u(cfg.t0, r), dtype=float))
         else:
             u0.append(np.asarray(initial, dtype=float))
-            if u0[-1].shape != r.shape:
-                raise ValueError(f"initial profile must have {r.size} nodes")
+            require((u0[-1].shape == r.shape, f"initial profile must have {r.size} nodes"))
     u0 = np.concatenate(u0)
-    if not np.all(np.isfinite(u0)):
-        raise ValueError("initial profile contains non-finite values")
+    require((np.all(np.isfinite(u0)), "initial profile contains non-finite values"))
     dt, n_steps = step = cfg.step_size(float(np.max(np.abs(u0))))
     # the step times cfg.t0 + (m + 1) * dt, rounded as in Python floats
     times = cfg.t0 + np.arange(1.0, n_steps + 1.0) * dt
@@ -421,8 +415,7 @@ def march(cfg: SolverConfig,
     """
     stacked = isinstance(initial, (list, tuple))
     members = list(initial) if stacked else [initial]
-    if not members:
-        raise ValueError("nothing to march: the stack is empty")
+    require((members, "nothing to march: the stack is empty"))
     r = cfg.radii()
     u0, step, left, right = _initial_and_boundaries(cfg, members, r)
     stepper = _Stepper(cfg, step, left, right)
@@ -433,18 +426,20 @@ def march(cfg: SolverConfig,
     max_hist = np.empty((n_steps, starts.size))
     min_hist = np.empty((n_steps, starts.size))
     hi, lo = float(u.max()), float(u.min())
-    for m in range(n_steps):
-        amp = max(hi, -lo)
-        if dt * amp / stepper.h > 1.0:
-            raise StabilityError(
-                f"advective CFL {dt * amp / stepper.h:.3g} > 1 at step {m}")
-        u = stepper.step(u, m)
-        his = np.maximum.reduceat(u, starts, out=max_hist[m]).tolist()
-        los = np.minimum.reduceat(u, starts, out=min_hist[m]).tolist()
-        # max and min propagate NaN, so they also detect non-finite values
-        if not all(map(math.isfinite, his + los)):
-            raise StabilityError(f"non-finite value at step {m + 1}")
-        hi, lo = max(his), min(los)
+    # an overflow shows as a non-finite extremum, caught after the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n_steps):
+            amp = max(hi, -lo)
+            if dt * amp / stepper.h > 1.0:
+                raise StabilityError(
+                    f"advective CFL {dt * amp / stepper.h:.3g} > 1 at step {m}")
+            u = stepper.step(u, m)
+            his = np.maximum.reduceat(u, starts, out=max_hist[m]).tolist()
+            los = np.minimum.reduceat(u, starts, out=min_hist[m]).tolist()
+            # max and min propagate NaN, so they also detect non-finite values
+            if not all(map(math.isfinite, his + los)):
+                raise StabilityError(f"non-finite value at step {m + 1}")
+            hi, lo = max(his), min(los)
     final = u.reshape(starts.size, r.size)
     max_hist, min_hist = max_hist.T.copy(), min_hist.T.copy()
     if not stacked:
@@ -489,15 +484,12 @@ def min_principle_experiment(cfg: SolverConfig,
     (n-1)(u_r/r - u/r^2)) is positive, which is what forbids the decrease.
     """
     r = cfg.radii()
-    h = r[1] - r[0]
-    u0 = bump.evaluate(r)
-    d2 = np.abs(u0[:-2] - 2.0 * u0[1:-1] + u0[2:]) / h**2
-    eps_h = h * h * float(d2.max()) if d2.size else 0.0
-    step = cfg.step_size(float(np.max(np.abs(u0))))
-    stepper = _Stepper(cfg, step, np.full((step[1], 1), u0[0]),
-                       np.full((step[1], 1), u0[-1]))
+    u0, step, left, right = _initial_and_boundaries(cfg, [bump.evaluate(r)], r)
+    stepper = _Stepper(cfg, step, left, right)
+    h = stepper.h
+    eps_h = h * h * float(np.max(np.abs(u0[:-2] - 2.0 * u0[1:-1] + u0[2:]) / h**2))
 
-    u = u0.copy()
+    u = u0
     min_hist = np.empty(stepper.n_steps)
     positives = total = 0
     threshold = -10.0 * eps_h
@@ -508,19 +500,15 @@ def min_principle_experiment(cfg: SolverConfig,
                    + stepper.up[i - 1] * u[i + 1]
                    - u[i] * (u[i + 1] - u[i - 1]) / (2.0 * h))
             total += 1
-            if rhs > 0.0:
-                positives += 1
+            positives += int(rhs > 0.0)
         u = stepper.step(u, m)
         if not np.all(np.isfinite(u)):
             raise StabilityError(f"non-finite value at step {m + 1}")
         min_hist[m] = u.min()
 
-    mins = np.concatenate(([u0.min()], min_hist))
-    drops = np.diff(mins)
-    max_drop = float(-drops.min()) if drops.size else 0.0
-    non_dec = max_drop <= eps_h
+    max_drop = float(-np.diff(np.concatenate(([u0.min()], min_hist))).min())
     frac = positives / total if total else 1.0
     return MinPrincipleReport(min_history=min_hist,
                               initial_min=float(u0.min()), eps_h=eps_h,
                               max_drop=max_drop, rhs_positive_fraction=frac,
-                              passed=bool(non_dec and frac == 1.0))
+                              passed=bool(max_drop <= eps_h and frac == 1.0))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .norms import UnderflowError
 from .solutions import SolutionFamily, fd_central, fd_derivative, grid_blocks
+from .specfun import require
 
 __all__ = [
     "Grid1D",
@@ -49,16 +50,12 @@ class Grid1D:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        if self.nr < 16:
-            raise ValueError("Grid1D.nr must be >= 16")
-        if not (0.0 <= self.r_min < self.r_max):
-            raise ValueError("need 0 <= r_min < r_max")
-        if self.spacing not in ("uniform", "log"):
-            raise ValueError("spacing must be 'uniform' or 'log'")
-        if self.spacing == "log" and self.r_min <= 0.0:
-            raise ValueError("log spacing requires r_min > 0")
-        if not self.t_values or any(t <= 0.0 for t in self.t_values):
-            raise ValueError("t_values must be positive and nonempty")
+        require((self.nr >= 16, "Grid1D.nr must be >= 16"),
+                (0.0 <= self.r_min < self.r_max, "need 0 <= r_min < r_max"),
+                (self.spacing in ("uniform", "log"), "spacing must be 'uniform' or 'log'"),
+                (self.spacing != "log" or self.r_min > 0.0, "log spacing requires r_min > 0"),
+                (self.t_values and all(t > 0.0 for t in self.t_values),
+                 "t_values must be positive and nonempty"))
 
     def radii(self) -> np.ndarray:
         if self.spacing == "uniform":

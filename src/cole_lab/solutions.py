@@ -47,7 +47,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import DomainError, erf, scaled_tail
+from .specfun import DomainError, erf, require, scaled_tail
 
 __all__ = [
     "Params",
@@ -92,12 +92,11 @@ class Params:
     C: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError("Params.n must be an integer >= 2")
-        if not self.mu > 0.0:
-            raise DomainError("Params.mu must be positive")
-        if not all(map(math.isfinite, (self.mu, self.a, self.C))):
-            raise DomainError("Params.mu, a and C must be finite")
+        require((isinstance(self.n, int) and self.n >= 2,
+                 "Params.n must be an integer >= 2"),
+                (self.mu > 0.0, "Params.mu must be positive"),
+                (all(map(math.isfinite, (self.mu, self.a, self.C))),
+                 "Params.mu, a and C must be finite"))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,15 @@ def _libm(fn):
     return lambda *x: fn(*x) if isinstance(x[0], float) else on_array(*x)
 
 
-_log, _pow, _sqrt = (_libm(f) for f in (math.log, math.pow, math.sqrt))
+def _pow(x, y):
+    """math.pow(x, y), inf where that overflows (math.pow raises)."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+_log, _pow, _sqrt = (_libm(f) for f in (math.log, _pow, math.sqrt))
 
 
 _TINY, _SMALLEST, _HUGE = (np.finfo(float).tiny, np.finfo(float).smallest_subnormal,
@@ -170,9 +177,9 @@ _TINY, _SMALLEST, _HUGE = (np.finfo(float).tiny, np.finfo(float).smallest_subnor
 
 
 def _at(x, mask):
-    """An array-t quantity broadcast to mask's shape and masked, a scalar
-    one as it is."""
-    return np.broadcast_to(x, mask.shape)[mask] if isinstance(x, np.ndarray) else x
+    """An array-t quantity broadcast to mask's shape and masked (np.where
+    selects, so every value keeps its bits), a scalar one as it is."""
+    return np.where(mask, x, 0.0)[mask] if isinstance(x, np.ndarray) else x
 
 
 def _asarray_r(r, positive: bool):
@@ -475,6 +482,9 @@ _V_COEFFS = (
     1.0282587027899786e-07,
 )
 _V_SWITCH = 0.35  # both branches good to ~1e-15 relative at the seam
+# past z = 40 e^(-z^2) is 0, v, v', v'' are exactly 1, 0, 0 and each power of
+# z in a combination multiplies a 0: clamping z there keeps z^2 from inf * 0
+_Z_FLAT = 40.0
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
@@ -507,7 +517,7 @@ def _direct_v(z):
     return v, vp, vpp
 
 
-def _erf_formula(mu, amplitude, k, weight, combination):
+def _erf_formula(name, mu, amplitude, k, weight, combination):
     """One table row as a formula over the core (z, series mask)."""
     terms = [weight(m) * c for m, c in enumerate(_V_COEFFS, start=1)]
     m0 = 1 + next(i for i, wc in enumerate(terms) if wc != 0.0)
@@ -516,21 +526,38 @@ def _erf_formula(mu, amplitude, k, weight, combination):
     def formula(t, r, z, series):
         out = np.empty_like(r)
         amp = amplitude(mu, t)
-        if np.any(series):
+        if series.any():
             # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
-            # nonzero term has 2 m0 - k in {0, 1}, so no power of r divides
-            rs = r[series]
-            four_mu_t = 4.0 * mu * t
-            pw = _at(_pow(1.0 / four_mu_t, m0), series) * rs ** (2 * m0 - k)
-            four_mu_t = _at(four_mu_t, series)
-            acc = np.zeros_like(rs)
-            for wc in terms:
-                acc = acc + wc * pw
-                pw = pw * rs * rs / four_mu_t
-            out[series] = _at(amp, series) * acc
+            # nonzero term has e = 2 m0 - k in {0, 1}, so no power of r divides
+            rs, e = r[series], 2 * m0 - k
+            four_mu_t, scale = 4.0 * mu * t, _at(amp, series)
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                pw = _at(_pow(1.0 / four_mu_t, m0), series) * rs ** e
+                four_mu_t = _at(four_mu_t, series)
+                if not np.isfinite(pw).all():
+                    # (4mu t)^-m0 overflows where the term may not: fold amp
+                    # in and divide by 4mu t, unless that has lost its digits
+                    over = ~np.isfinite(pw)
+                    four_mu_t, scale = (np.broadcast_to(x, rs.shape)
+                                        for x in (four_mu_t, scale))
+                    if (four_mu_t[over] < _TINY).any():
+                        raise SingularityError("NonStationaryErf: 4 mu t is below "
+                                               "the smallest normal double")
+                    pw[over] = scale[over] * rs[over] ** e
+                    for _ in range(m0):
+                        pw[over] /= four_mu_t[over]
+                    scale = np.where(over, 1.0, scale)
+                acc = np.zeros_like(rs)
+                for wc in terms:
+                    acc = acc + wc * pw
+                    pw = pw * rs * rs / four_mu_t
+                acc = scale * acc
+            if not np.isfinite(acc).all():
+                raise SingularityError(f"NonStationaryErf {name} overflows a double")
+            out[series] = acc
         direct = ~series
-        if np.any(direct):
-            zd = z[direct]
+        if direct.any():
+            zd = np.minimum(z[direct], _Z_FLAT)
             out[direct] = (_at(amp, direct) / r[direct] ** k
                            * combination(zd, *_direct_v(zd)))
         return out
@@ -553,12 +580,15 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
     params = Params(n=3, mu=mu, a=0.0, C=0.0)
 
     def core(t, r):
-        z = r / _sqrt(4.0 * mu * t)
+        four_mu_t = 4.0 * mu * t
+        if (four_mu_t < _SMALLEST).any():   # 0: every quantity would be NaN
+            raise SingularityError("NonStationaryErf: 4 mu t underflows to 0")
+        z = r / _sqrt(four_mu_t)
         return z, z < _V_SWITCH
 
     return _family(
         "NonStationaryErf", params, core,
-        {q: _erf_formula(mu, *row) for q, row in _ERF_TABLE.items()},
+        {q: _erf_formula(q, mu, *row) for q, row in _ERF_TABLE.items()},
         positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("power", -1.0))
 

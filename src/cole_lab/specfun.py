@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "require",
     "erf",
     "erfc",
     "upper_tail_integral",
@@ -46,6 +47,14 @@ EULER_GAMMA = 0.5772156649015328606
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested function."""
+
+
+def require(*checks):
+    """Raise DomainError with the message of the first (ok, message) pair
+    that is not ok."""
+    for ok, message in checks:
+        if not ok:
+            raise DomainError(message)
 
 
 def _prepare(x):

@@ -1,6 +1,7 @@
 """Command-line interface: output shapes and formats, qualitative figure
 content, exit codes, config-file merging, and byte-level determinism."""
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cole_lab
-from cole_lab import acceptance, cli, norms
+from cole_lab import acceptance, cli, norms, pdesolver
 from cole_lab.cli import _FAMILIES, _FIGURES, build_parser, main
 from cole_lab.solutions import Params, SingularityError, main_example
+from cole_lab.specfun import DomainError
 
 
 def _read_csv(path):
@@ -321,12 +323,14 @@ def test_main_example_where_4_mu_t_underflows_exits_3(capsys):
                  lambda: fam.u(np.array([[1e-2], [1e-300]]), np.array([0.5]))):
         with pytest.raises(SingularityError, match="4 mu t is below"):
             call()
-    rc = main(["norms", "--family", "MainExample", "--mu", "1e-300", "--kind", "linf",
-               "--t-grid", "1e-300:1e-301:2"])
-    assert rc == 3
-    out = capsys.readouterr()
-    assert out.out == "" and "Traceback" not in out.err
-    assert "numerical failure" in out.err and "4 mu t is below" in out.err
+    for argv in (["norms", "--kind", "linf", "--t-grid", "1e-300:1e-301:2"],
+                 ["solve", "--t0", "1e-300", "--t1", "2e-300"]):
+        # solve turned it into exit 2 as a config error
+        rc = main(argv + ["--family", "MainExample", "--mu", "1e-300"])
+        assert rc == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert "numerical failure" in out.err and "4 mu t is below" in out.err
 
 
 def test_solve_stability_failure_exits_3(capsys):
@@ -367,6 +371,23 @@ def test_config_file_rejects_parser_names(key, tmp_path, capsys):
     cfg.write_text(json.dumps({key: "decay"}))
     assert main(["norms", "--family", "MainExample", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_solve_past_the_step_cap_exits_3(capsys):
+    # mu = 1e300 asks for 3e303 diffusive steps: numpy's np.arange refused
+    # them with a ValueError, which solve turned into exit 2
+    assert main(["solve", "--family", "MainExample", "--mu", "1e300"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "numerical failure" in out.err
+    assert "more than 1048576" in out.err
+
+
+def test_one_exit_2_clause():
+    # every config check raises a DomainError where it is made, and main
+    # alone maps it to exit 2
+    assert issubclass(cli.ConfigError, DomainError)
+    for scheme in pdesolver.SCHEMES:
+        assert build_parser().parse_args(["solve", "--scheme", scheme]).scheme == scheme
 
 
 def _exit_code(argv):
@@ -490,6 +511,56 @@ def test_norm_sweeps_end_in_0_or_2(capsys):
         if caught:
             warned.add(case)
     assert warned == _SWEEPS_THAT_WARN
+
+
+_FUZZ_MU = ("1e-8", "0.1", "1e300")
+
+
+def _fuzz_argv():
+    """The fixed argv grids of solve, residual and decay: every family over
+    small, moderate and huge mu and ordinary and deep times.  Sizes that
+    allocate without a bound (a huge --grid nr) are left out."""
+    for fam, scheme, mu, t0, r_min, nr in itertools.product(
+            _FAMILIES, pdesolver.SCHEMES, _FUZZ_MU, (1e-3, 1e-306), ("0", "0.01"),
+            ("16", "64")):
+        yield fam, ["solve", "--scheme", scheme, "--mu", mu, "--t0", repr(t0),
+                    "--t1", repr(2.0 * t0), "--r-min", r_min, "--nr", nr]
+    for fam, form, mu, grid, t_grid in itertools.product(
+            _FAMILIES, ("radial", "divergence"), _FUZZ_MU,
+            ("1e-4:0.1:16", "0:1:16", "1e-300:1e-299:16", "0.5:0.1:16",
+             "1e-3:1e3:16"),
+            ("1e-2:1e-8:3", "1e-300:1e-306:2", "1:10:2")):
+        yield fam, ["residual", "--form", form, "--mu", mu, "--grid", grid,
+                    "--t-grid", t_grid]
+    for fam, kind, mu, t_grid in itertools.product(
+            _FAMILIES, norms.KINDS, _FUZZ_MU, ("1e-2:1e-8:5", "1e-300:1e-306:4")):
+        yield fam, ["decay", "--kind", kind, "--mu", mu, "--t-grid", t_grid,
+                    "--p", "1,2"]
+
+
+def test_argv_fuzz_ends_in_a_documented_exit_code():
+    # every run ends in 0/1/2/3 from main, never in an exception; a march
+    # too long to allocate and a family value past a double's range are
+    # numerical failures (3), not config errors (2) as they were: numpy's
+    # "Maximum allowed size exceeded" and a SingularityError came out of
+    # solve as exit 2, and the erf family's u_rr raised OverflowError
+    solve_codes = collections.Counter()
+    for fam, argv in _fuzz_argv():
+        argv[1:1] = ["--family", fam] + (["--C", "1"] if fam == "Stationary" else [])
+        err = io.StringIO()
+        # as on the command line, a RuntimeWarning is printed, not raised
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), argv
+        if rc == 2:
+            assert not any(text in err.getvalue() for text in (
+                "Maximum allowed size", "4 mu t", "overflows a double")), argv
+        if argv[0] == "solve":
+            solve_codes[rc] += 1
+    # the 72 exits 2 are singular families asked for r_min = 0
+    assert solve_codes == {0: 122, 2: 72, 3: 94}
 
 
 def test_bad_values_exit_2(capsys):

@@ -17,6 +17,7 @@ from cole_lab.pdesolver import (BumpProfile, SolverConfig, StabilityError,
                                 min_principle_experiment)
 from cole_lab.solutions import (Params, main_example, nonstationary_erf,
                                 self_similar, stationary)
+from cole_lab.specfun import DomainError
 
 MAIN = main_example(Params(3, 0.1, a=1.0))
 NST = nonstationary_erf(0.1)
@@ -39,7 +40,7 @@ def test_config_validation():
         dict(scheme="rk2", cfl=0.6),
     ]
     for kw in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             _cfg(**kw)
 
 
@@ -90,6 +91,29 @@ def test_central_step_count_is_bounded():
     cfg = _cfg(scheme="cn-central")
     with pytest.raises(StabilityError, match="more than"):
         march(cfg, 1e9 * np.sin(np.pi * cfg.radii() / cfg.r_max))
+
+
+@pytest.mark.parametrize("scheme", pdesolver.SCHEMES)
+def test_every_scheme_caps_its_step_count(scheme):
+    # one cap for every scheme: at mu = 1e300 the diffusive rule asked
+    # numpy for 3e303 steps, which it refused with a bare ValueError
+    cfg = _cfg(scheme=scheme, mu=1e300)
+    with pytest.raises(StabilityError, match="more than 1048576"):
+        cfg.step_size(1.0)
+    with pytest.raises(StabilityError, match="more than 1048576"):
+        march(cfg, main_example(Params(3, 1e300)))
+    assert _cfg(scheme=scheme, mu=1e3).step_size(1.0)[1] <= 2 ** 20
+
+
+def test_central_step_resolves_diffusion():
+    # cn-central's speed is at least mu / (r_max - r_min): at mu = 1e3 the
+    # amplitude alone gave 6 steps of diffusion number ~500 and a max
+    # error of 1.1e-3
+    fam = main_example(Params(3, 1e3))
+    cfg = _cfg(mu=1e3, nr=64, scheme="cn-central")
+    run = march(cfg, fam)
+    assert run.n_steps == 2845
+    assert np.max(np.abs(run.final - fam.u(cfg.t1, run.radii))) <= 1e-6
 
 
 def test_zero_initial_profile_is_fixed_point():
@@ -179,17 +203,17 @@ def test_stability_error_on_violent_profile():
 
 def test_march_input_validation():
     cfg = _cfg(nr=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, np.zeros(64))            # needs nr+1 nodes
     bad = np.zeros(65)
     bad[10] = math.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, main_example(Params(4, 0.1, a=1.0)))    # wrong n
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, main_example(Params(3, 0.2, a=1.0)))    # wrong mu
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, self_similar(Params(3, 0.1, a=1.0)))    # singular at r=0
 
 
@@ -408,11 +432,11 @@ def test_stacked_march_raises_on_one_unstable_block(scheme):
 
 def test_stacked_march_input_validation():
     cfg = _cfg(nr=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, [MAIN, np.zeros(64)])                     # needs nr+1 nodes
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         march(cfg, [MAIN, main_example(Params(4, 0.1, a=1.0))])   # wrong n
 
 

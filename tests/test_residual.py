@@ -13,6 +13,7 @@ from cole_lab.norms import UnderflowError
 from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                origin_limit_check, radial_residual,
                                residual_pointwise)
+from cole_lab.specfun import DomainError
 from cole_lab.solutions import (GRID_BLOCK_POINTS, HeatFunction, Params,
                                 cartesian_components, cole_hopf, fd_central,
                                 fd_derivative,
@@ -262,19 +263,19 @@ def test_residual_pointwise_validation():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 8, (0.1,))              # nr too small
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(-0.1, 1.0, 32, (0.1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.5, 0.5, 32, (0.1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 32, (0.1,), spacing="chebyshev")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 32, (0.1,), spacing="log")
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 32, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 32, (0.1, -0.2))
 
 

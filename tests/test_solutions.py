@@ -845,6 +845,64 @@ def test_nst_finite_at_tiny_radius(r):
         assert math.isfinite(getattr(NST, q)(1e-3, r)), q
 
 
+def _mp_erf(q, mu, t, r):
+    """u, u_r, u_rr, u_t, g or g_r of the erf family in 300-digit mpmath,
+    from the defining formula (derivatives by mp.diff)."""
+    mp = mpmath.mp
+    with mp.workdps(300):
+        mu, t, r = mp.mpf(mu), mp.mpf(t), mp.mpf(r)
+        h = mp.mpf(10) ** -60
+
+        def u(t, r):
+            return 2 * mu * (1 / r - mp.exp(-r * r / (4 * mu * t))
+                             / (mp.sqrt(mp.pi * mu * t) * mp.erf(r / mp.sqrt(4 * mu * t))))
+        return {"u": lambda: u(t, r),
+                "u_r": lambda: mp.diff(lambda x: u(t, x), r, 1, h=r * h),
+                "u_rr": lambda: mp.diff(lambda x: u(t, x), r, 2, h=r * h),
+                "u_t": lambda: mp.diff(lambda s: u(s, r), t, 1, h=t * h),
+                "g": lambda: u(t, r) / r,
+                "g_r": lambda: mp.diff(lambda x: u(t, x) / x, r, 1, h=r * h)}[q]()
+
+
+@pytest.mark.parametrize("q", ["u", "u_r", "u_rr", "u_t", "g", "g_r"])
+def test_erf_series_where_its_leading_power_overflows(q):
+    # at t = 1e-200, r = 1e-110 (z = 1.6e-10) (4 mu t)^-2 passes the largest
+    # double but u_rr ~ r / (4 mu t)^2 does not: u_rr and g_r raised a bare
+    # OverflowError from math.pow
+    assert getattr(NST, q)(1e-200, 1e-110) == approx(
+        float(_mp_erf(q, 0.1, 1e-200, 1e-110)), rel=1e-15)
+    array = getattr(NST, q)(np.array([[1e-3], [1e-200]]), np.array([1e-110, 0.0]))
+    assert array[1, 0] == getattr(NST, q)(1e-200, 1e-110)
+    assert array[0, 0] == getattr(NST, q)(1e-3, 1e-110)
+
+
+def test_erf_family_past_the_range_of_a_double_raises():
+    # P and W ~ (4 mu t)^-2 overflow themselves
+    for q in ("P", "W"):
+        with pytest.raises(SingularityError, match=f"{q} overflows a double"):
+            getattr(NST, q)(1e-200, 1e-110)
+    # 4 mu t = 4e-314 is subnormal: 1 / (4 mu t) overflowed and u(t, 0)
+    # was 0 * inf = NaN
+    fam = nonstationary_erf(1e-8)
+    for call in (lambda: fam.u(1e-306, 0.0), lambda: fam.g0(1e-306),
+                 lambda: fam.u_r(np.array([[1e-3], [1e-306]]), np.array([0.0]))):
+        with pytest.raises(SingularityError, match="4 mu t is below"):
+            call()
+    with pytest.raises(SingularityError, match="underflows to 0"):
+        fam.u(1e-320, 0.5)
+
+
+def test_erf_family_far_past_its_layer():
+    # z = 5e154: z^2 overflowed in the direct branch, and every quantity
+    # but u and g read NaN; there v, v', v'' are 1, 0, 0 exactly
+    fam, t, r = nonstationary_erf(1e-8), 1e-306, 0.01
+    assert fam.u(t, r) == approx(2e-8 / r, rel=1e-15)
+    assert fam.u_r(t, r) == approx(-2e-8 / r ** 2, rel=1e-15)
+    assert fam.u_rr(t, r) == approx(4e-8 / r ** 3, rel=1e-15)
+    assert fam.u_t(t, r) == 0.0
+    assert all(math.isfinite(getattr(fam, q)(t, r)) for q in EVALUATORS)
+
+
 def test_erf_series_coefficients_are_the_nearest_doubles():
     # _V_COEFFS is written as float literals, so importing the module
     # imports no fractions; they are the exact Taylor coefficients of
