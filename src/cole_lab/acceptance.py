@@ -260,11 +260,14 @@ def criterion_10():
     p = Params(n=3, mu=0.1, a=1.0)
     fam = main_example(p)
     ch = cole_hopf(gaussian_heat_function(p), p)
+    # the (log10 t, log10 (r / sqrt(4 mu t))) pairs in one draw; ** and
+    # sqrt stay per point, as numpy's power is an ulp off Python's ** on
+    # some points
     ts, rs = [], []
-    for _ in range(1000):
-        t = 10.0 ** rng.uniform(-6.0, 0.0)
+    for x, y in rng.uniform((-6.0, -1.5), (0.0, 1.5), size=(1000, 2)).tolist():
+        t = 10.0 ** x
         ts.append(t)
-        rs.append(math.sqrt(4.0 * p.mu * t) * 10.0 ** rng.uniform(-1.5, 1.5))
+        rs.append(math.sqrt(4.0 * p.mu * t) * 10.0 ** y)
     ts, rs = np.array(ts), np.array(rs)
     ue, uc = fam.u(ts, rs), ch.u(ts, rs)
     worst = float(np.max(np.abs(uc - ue) / np.maximum(np.abs(ue), 1e-300)))

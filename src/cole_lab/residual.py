@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Evaluation grid: nr+1 radii from r_min to r_max, at the given times.
+    """Evaluation grid: nr+1 radii from r_min to r_max, at the given times;
+    16 <= nr <= 8192, the solver's range.
 
     spacing "uniform" or "log" (log requires r_min > 0).  Singular families
     need r_min > 0; the conventional inner cutoff is 1e-3 sqrt(4 mu t).
@@ -50,7 +51,7 @@ class Grid1D:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        require((self.nr >= 16, "Grid1D.nr must be >= 16"),
+        require((16 <= self.nr <= 8192, "Grid1D.nr must be in [16, 8192]"),
                 (0.0 <= self.r_min < self.r_max, "need 0 <= r_min < r_max"),
                 (self.spacing in ("uniform", "log"), "spacing must be 'uniform' or 'log'"),
                 (self.spacing != "log" or self.r_min > 0.0, "log spacing requires r_min > 0"),

@@ -87,6 +87,30 @@ def test_figure_csv_equals_csv_writer_reference(which, tmp_path):
     assert body == buf.getvalue()
 
 
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps the size of its largest single write."""
+
+    largest = 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_figure_stdout_equals_out_and_streams_by_row(which, tmp_path):
+    # stdout, the path a pipe reads, carries the --out bytes, written one
+    # t row (200 points, about 14 KB) at a time rather than as one 2.7 MB text
+    out = tmp_path / "fig.csv"
+    assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
+    stdout = _RecordingStdout()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["figure", "--which", str(which)]) == 0
+    text = out.read_text()
+    assert stdout.getvalue() == text and len(text) > 2_000_000
+    assert 0 < stdout.largest < 20_000
+
+
 @pytest.mark.parametrize("which", [1, 2, 3])
 def test_figure_work_count(which, monkeypatch, capsys):
     # the 200 x 200 grid from at most four calls of u (a t column against
@@ -296,6 +320,32 @@ def test_residual_of_underflowed_terms_exits_3(capsys):
     assert rc == 3
     out = capsys.readouterr()
     assert out.out == "" and "numerical failure" in out.err and "underflow" in out.err
+
+
+def test_residual_grid_above_the_solver_range_exits_2(monkeypatch, capsys):
+    # nr is bounded as the solver's is, so a huge grid is refused before
+    # any radius is allocated or any evaluator called
+    calls = []
+    build = cli._build_family
+
+    def counted_build(args):
+        fam = build(args)
+        counted = {}
+        for name in ("u", "u_r", "u_rr", "u_t", "g", "g_r", "P", "W"):
+            def f(*a, _f=getattr(fam, name)):
+                calls.append(a)
+                return _f(*a)
+            counted[name] = f
+        return dataclasses.replace(fam, **counted)
+
+    monkeypatch.setattr(cli, "_build_family", counted_build)
+    argv = ["residual", "--family", "NonStationaryErf", "--t-grid", "1e-3:0.2:2"]
+    assert main(argv + ["--grid", "1e-3:0.3:8193"]) == 2
+    assert "config error: Grid1D.nr must be in [16, 8192]" in capsys.readouterr().err
+    assert calls == []
+    assert main(argv + ["--grid", "1e-3:0.3:8192"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",16386")
+    assert calls
 
 
 def test_amplitude_overflow_exits_3(capsys):
@@ -659,3 +709,19 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+
+def test_figure_to_a_closed_pipe_exits_0():
+    # the reader takes one line and closes the pipe, so the child meets
+    # EPIPE partway through the 2.7 MB stream
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cole_lab.__file__))
+    child = subprocess.Popen([sys.executable, "-m", "cole_lab.cli", "figure", "--which", "1"],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(b"# cole-lab")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 0
+    child.stderr.close()
+    assert "Traceback" not in err and err == ""

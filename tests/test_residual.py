@@ -16,7 +16,7 @@ from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
 from cole_lab.specfun import DomainError
 from cole_lab.solutions import (GRID_BLOCK_POINTS, HeatFunction, Params,
                                 cartesian_components, cole_hopf, fd_central,
-                                fd_derivative,
+                                fd_derivative, grid_blocks,
                                 main_example, nonstationary_erf, self_similar,
                                 stationary)
 
@@ -165,7 +165,7 @@ def test_grid_residual_work_count(source, calls):
     assert all(shape == (3, rep.n_points // 3) for shape in seen)
 
 
-@pytest.mark.parametrize("nr,k", [(199, 120), (19_999, 3)])
+@pytest.mark.parametrize("nr,k", [(199, 120), (8192, 3)])
 def test_grid_residual_evaluates_in_blocks_of_rows(nr, k):
     # a grid larger than one block is evaluated block by block, each block
     # of whole t rows within GRID_BLOCK_POINTS (at least one row), so memory
@@ -186,6 +186,15 @@ def test_grid_residual_evaluates_in_blocks_of_rows(nr, k):
     assert all(shape[1] == nr + 1 for shape in seen)
     assert (rep.max_abs_scaled, rep.l2_scaled, rep.worst_t, rep.worst_r,
             rep.n_points) == _per_slice_report(MAIN, grid, "radial", "analytic")
+
+
+def test_grid_blocks_keep_a_row_wider_than_a_block_whole():
+    # no Grid1D row (at most 8193 radii) outgrows a block, but a wider r row
+    # is still one block per t row, never split
+    r = np.linspace(0.0, 1.0, 2 * GRID_BLOCK_POINTS)
+    blocks = list(grid_blocks([1e-3, 1e-2, 1e-1], r))
+    assert [t.ravel().tolist() for t, _ in blocks] == [[1e-3], [1e-2], [1e-1]]
+    assert all(rb.shape == (1, r.size) for _, rb in blocks)
 
 
 def test_finite_difference_shrinks_stencil_at_left_edge():
@@ -265,6 +274,9 @@ def test_residual_pointwise_validation():
 def test_grid_validation():
     with pytest.raises(DomainError):
         Grid1D(0.0, 1.0, 8, (0.1,))              # nr too small
+    with pytest.raises(DomainError):
+        Grid1D(0.0, 1.0, 8193, (0.1,))           # nr above the solver's range
+    assert Grid1D(0.0, 1.0, 8192, (0.1,)).radii().size == 8193
     with pytest.raises(DomainError):
         Grid1D(-0.1, 1.0, 32, (0.1,))
     with pytest.raises(DomainError):
