@@ -206,7 +206,7 @@ def cmd_figure(args) -> int:
     ts = np.linspace(t_lo, t_hi, 200)
     # the family is undefined at t = 0; a column of t meets the r row in
     # one call per block of rows.  The values stay a float64 array until a
-    # row is formatted: as 40 000 Python floats they held 1.3 MB more
+    # row is formatted; as 40 000 Python floats they would take 1.3 MB more
     values = np.concatenate([fam.u(t_block, r_block) for t_block, r_block
                              in grid_blocks(np.where(ts > 0.0, ts, 1e-9), rs)])
     # (t, flag, values at rs) per t row
