@@ -12,6 +12,7 @@ fixed grids, no wall-clock content.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -46,23 +47,20 @@ class ConfigError(DomainError):
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_t_grid(spec: str) -> np.ndarray:
-    try:
-        lo, hi, k = spec.split(":")
-        lo, hi, k = float(lo), float(hi), int(k)
-    except ValueError as exc:
-        raise ConfigError(f"bad t-grid spec {spec!r}, want lo:hi:k") from exc
-    if not (lo > 0.0 and hi > 0.0 and k >= 2):
-        raise ConfigError("t-grid needs positive endpoints and k >= 2")
-    return np.geomspace(lo, hi, k)
-
-
-def _parse_r_grid(spec: str):
+def _parse_range(spec: str, message: str):
+    """(lo, hi, k) of a lo:hi:k spec as float, float, int; else ConfigError(message)."""
     try:
         lo, hi, k = spec.split(":")
         return float(lo), float(hi), int(k)
     except ValueError as exc:
-        raise ConfigError(f"bad grid spec {spec!r}, want rmin:rmax:nr") from exc
+        raise ConfigError(message) from exc
+
+
+def _parse_t_grid(spec: str) -> np.ndarray:
+    lo, hi, k = _parse_range(spec, f"bad t-grid spec {spec!r}, want lo:hi:k")
+    if not (lo > 0.0 and hi > 0.0 and k >= 2):
+        raise ConfigError("t-grid needs positive endpoints and k >= 2")
+    return np.geomspace(lo, hi, k)
 
 
 def _parse_p_list(spec: str):
@@ -141,6 +139,18 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _record(report, *top) -> dict:
+    """A report dataclass's fields by name, less those named in top, which
+    the JSON mirror's top level already carries: one record per table row."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name not in top}
+
+
+def _rows(records, header) -> list:
+    """Each record's fields in header order: the cells of the CSV table."""
+    return [[rec[name] for name in header] for rec in records]
 
 
 def _cells(rows):
@@ -244,12 +254,13 @@ def cmd_figure(args) -> int:
 
 
 def _sweeps(args, subcommand: str):
-    """(family, p list, metadata line, sweeps) of a norms or decay run;
-    sweeps yields (p, NormReport) per p, each sweep run when it is reached.
-    linf does not depend on p, so its one sweep serves every p."""
+    """(JSON top level, p list, metadata line, sweeps) of a norms or decay
+    run; sweeps yields (p, NormReport) per p, each sweep run when it is
+    reached.  linf does not depend on p, so its one sweep serves every p."""
     fam, ps, ts = _build_family(args), _parse_p_list(args.p), _parse_t_grid(args.t_grid)
     meta = _meta(args, subcommand, f"family={fam.label()} | kind={args.kind} | "
                                    f"p={args.p} | t-grid={args.t_grid}")
+    top = {"family": fam.label(), "kind": args.kind, "version": __version__}
 
     def sweeps():
         report = None
@@ -257,68 +268,53 @@ def _sweeps(args, subcommand: str):
             if report is None or args.kind != "linf":
                 report = N.norm_sweep(fam, N.NormSpec(args.kind, p=p), ts)
             yield p, report
-    return fam, ps, meta, sweeps()
+    return top, ps, meta, sweeps()
 
 
 def cmd_norms(args) -> int:
-    fam, ps, meta, sweeps = _sweeps(args, "norms")
-    reports = [rep for _, rep in sweeps]
+    top, ps, meta, sweeps = _sweeps(args, "norms")
+    reports = [{"p": p, **_record(rep, "family", "spec")} for p, rep in sweeps]
     header = ["t"] + [f"{c}[p={p:g}]" for p in ps for c in ("value", "error", "flags")]
-    rows = [[t] + [x for rep in reports
-                   for x in (rep.values[i], rep.quad_errors[i], rep.flags[i])]
-            for i, t in enumerate(reports[0].t_grid)]
-    json_obj = {"family": fam.label(), "kind": args.kind, "version": __version__,
-                "reports": [{"p": p, "t_grid": list(rep.t_grid),
-                             "values": list(rep.values),
-                             "quad_errors": list(rep.quad_errors),
-                             "flags": list(rep.flags)}
-                            for p, rep in zip(ps, reports)]}
-    _emit(args, meta, header, _cells(rows), json_obj)
+    # the wide table: one row per t, each report's point in p order
+    rows = [[t] + [x for rep in reports for x in
+                   (rep["values"][i], rep["quad_errors"][i], rep["flags"][i])]
+            for i, t in enumerate(reports[0]["t_grid"])]
+    _emit(args, meta, header, _cells(rows), {**top, "reports": reports})
     return 0
 
 
 def cmd_decay(args) -> int:
-    fam, ps, meta, sweeps = _sweeps(args, "decay")
+    top, ps, meta, sweeps = _sweeps(args, "decay")
     fits = []
     for p, report in sweeps:
         try:
-            fits.append(N.decay_fit(report))
+            fits.append({"p": p, **_record(N.decay_fit(report))})
         except N.DegenerateFitError as exc:
             print(f"cole-lab: decay fit failed for p={p:g}: {exc}", file=sys.stderr)
             return 1
-    rows = [[p, f.slope, f.intercept, f.max_log_residual, f.n_points]
-            for p, f in zip(ps, fits)]
-    json_obj = {"family": fam.label(), "kind": args.kind, "version": __version__,
-                "fits": [{"p": p, "slope": f.slope, "intercept": f.intercept,
-                          "max_log_residual": f.max_log_residual,
-                          "n_points": f.n_points, "t_grid": list(f.t_grid)}
-                         for p, f in zip(ps, fits)]}
-    _emit(args, meta, ["p", "slope", "intercept", "max_log_residual",
-                       "n_points"], _cells(rows), json_obj)
+    header = ["p", "slope", "intercept", "max_log_residual", "n_points"]
+    _emit(args, meta, header, _cells(_rows(fits, header)), {**top, "fits": fits})
     return 0
 
 
 def cmd_residual(args) -> int:
     fam = _build_family(args)
-    r_lo, r_hi, nr = _parse_r_grid(args.grid)
+    r_lo, r_hi, nr = _parse_range(args.grid, f"bad grid spec {args.grid!r}, "
+                                             "want rmin:rmax:nr")
     ts = _parse_t_grid(args.t_grid)
     grid = R.Grid1D(r_lo, r_hi, nr, tuple(float(t) for t in ts))
     form = args.form
     run = R.radial_residual if form == "radial" else R.divergence_form_residual
-    reps = [run(fam, grid, derivative_source=source)
-            for source in ("analytic", "finite-difference")]
-    rows = [[form, rep.derivative_source, rep.max_abs_scaled, rep.l2_scaled,
-             rep.worst_t, rep.worst_r, rep.n_points] for rep in reps]
+    reports = [_record(run(fam, grid, derivative_source=source), "family", "form")
+               for source in ("analytic", "finite-difference")]
     meta = _meta(args, "residual", f"family={fam.label()} | form={form} | "
                                    f"grid={args.grid} | t-grid={args.t_grid}")
-    json_obj = {"family": fam.label(), "form": form, "version": __version__,
-                "reports": [{"derivative_source": rep.derivative_source,
-                             "max_abs_scaled": rep.max_abs_scaled,
-                             "l2_scaled": rep.l2_scaled,
-                             "worst_t": rep.worst_t, "worst_r": rep.worst_r,
-                             "n_points": rep.n_points} for rep in reps]}
-    _emit(args, meta, ["form", "source", "max_abs_scaled", "l2_scaled",
-                       "worst_t", "worst_r", "n_points"], _cells(rows), json_obj)
+    # a row is the form and then its record's fields, in order
+    _emit(args, meta, ["form", "source", "max_abs_scaled", "l2_scaled", "worst_t",
+                       "worst_r", "n_points"],
+          _cells([[form, *rec.values()] for rec in reports]),
+          {"family": fam.label(), "form": form, "version": __version__,
+           "reports": reports})
     return 0
 
 
@@ -329,20 +325,16 @@ def cmd_solve(args) -> int:
                          scheme=args.scheme, r_min=args.r_min)
     run = P.march(cfg, fam)
     exact = np.asarray(fam.u(cfg.t1, run.radii))
-    err = float(np.max(np.abs(run.final - exact)))
-    rows = [[cfg.scheme, cfg.nr, run.n_steps, run.dt,
-             float(run.final.max()), float(run.final.min()), err]]
+    record = {"scheme": cfg.scheme, "nr": cfg.nr, "n_steps": run.n_steps,
+              "dt": run.dt, "final_max": float(run.final.max()),
+              "final_min": float(run.final.min()),
+              "max_error_vs_exact": float(np.max(np.abs(run.final - exact))),
+              "max_history": run.max_history, "min_history": run.min_history}
     meta = _meta(args, "solve", f"family={fam.label()} | scheme={cfg.scheme} | "
                                 f"nr={cfg.nr} | t=[{cfg.t0:g},{cfg.t1:g}]")
-    json_obj = {"family": fam.label(), "version": __version__,
-                "scheme": cfg.scheme, "nr": cfg.nr, "n_steps": run.n_steps,
-                "dt": run.dt, "final_max": float(run.final.max()),
-                "final_min": float(run.final.min()),
-                "max_error_vs_exact": err,
-                "max_history": list(run.max_history),
-                "min_history": list(run.min_history)}
-    _emit(args, meta, ["scheme", "nr", "n_steps", "dt", "final_max",
-                       "final_min", "max_error_vs_exact"], _cells(rows), json_obj)
+    header = list(record)[:-2]   # the histories are in the JSON mirror alone
+    _emit(args, meta, header, _cells(_rows([record], header)),
+          {"family": fam.label(), "version": __version__, **record})
     return 0
 
 
@@ -354,14 +346,14 @@ def cmd_verify_all(args) -> int:
             print(line)
     print("verify-all:", "PASS" if report.all_passed else "FAIL")
     if args.out:
-        rows = [[r.index, "PASS" if r.passed else "FAIL", r.title]
-                for r in report.results]
-        json_obj = {"version": __version__, "all_passed": report.all_passed,
-                    "criteria": [{"index": r.index, "title": r.title,
-                                  "passed": r.passed, "lines": list(r.lines)}
-                                 for r in report.results]}
+        criteria = [_record(r) for r in report.results]
+        header = ["index", "status", "title"]
+        rows = _rows(({"status": "PASS" if c["passed"] else "FAIL", **c}
+                      for c in criteria), header)
         meta = _meta(args, "verify-all", f"all_passed={report.all_passed}")
-        _emit(args, meta, ["index", "status", "title"], _cells(rows), json_obj)
+        _emit(args, meta, header, _cells(rows),
+              {"version": __version__, "all_passed": report.all_passed,
+               "criteria": criteria})
     return 0 if report.all_passed else 1
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .quadrature import Integrand, NonConvergenceError
-from .solutions import SingularityError, SolutionFamily, _check_t
+from .solutions import SingularityError, SolutionFamily, _check_t, _pow
 from .specfun import DomainError, erf
 
 __all__ = [
@@ -417,10 +417,7 @@ def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
         if c <= -1.0:
             raise DivergenceError(f"{name}: term exponent {c:g} not integrable at 0")
     n, mu, a = s.params.n, s.params.mu, s.params.a
-    try:
-        b = a * (4.0 * math.pi * mu) ** (0.5 * n)
-    except OverflowError:
-        b = math.inf
+    b = a * _pow(4.0 * math.pi * mu, 0.5 * n)
     if not 0.0 < b < math.inf:
         raise DomainError(f"{name}: b = a (4 pi mu)^(n/2) = {b!r} is not a "
                           "positive double")
@@ -435,7 +432,7 @@ def _bound_plan(name: str, s: SolutionFamily, p: float, t: float,
         for (k, c), res in zip(terms, results):
             j, j_err = _positive(res, "layer_power_integral")
             h = 0.5 * (c + 1.0)
-            power = _power(4.0 * mu, h) * _power(float(t), h - k * p)
+            power = _pow(4.0 * mu, h) * _pow(float(t), h - k * p)
             term, term_err = ((power * j, power * j_err) if _TINY <= power < math.inf
                               else _root(h * (log_4mu + log_t) - k * p * log_t, 1.0, j, j_err))
             value += term
@@ -664,13 +661,6 @@ _SWEEPS = {
 KINDS = tuple(_SWEEPS)
 
 
-def _power(x: float, y: float) -> float:
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
-
-
 def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
     """The points of an L^p sweep of |D^k u|_F over a self-similar family
     from one integral at t_ref = 1/(4 mu), where sqrt(4 mu t_ref) = 1.
@@ -685,27 +675,18 @@ def _scaled_points(s: SolutionFamily, p: float, k: int, ts) -> Optional[list]:
     t_ref = 1.0 / (4.0 * s.params.mu)
     if not 0.0 < t_ref < math.inf:
         return None
-    try:
-        v_ref, e_ref = _derivative_lp(s, p, t_ref, k)
-    except DivergenceError:
-        return [_flagged("divergent")] * len(ts)
-    except UnderflowError:
+    v_ref, e_ref, flag = ref = _point(_derivative_lp, s, p, t_ref, k)
+    if flag == "underflow":
         return None
-    except NonConvergenceError:
-        v_ref = None
-    # the per-t cores reject such a t once divergence is ruled out
-    for t in ts:
-        _check_t(t)
-    if v_ref is None:
-        return [_flagged("non-converged")] * len(ts)
+    if flag != "divergent":
+        # the per-t cores reject such a t once divergence is ruled out
+        for t in ts:
+            _check_t(t)
+    if flag in ("divergent", "non-converged"):
+        return [ref] * len(ts)
     e = 0.5 * (s.params.n - p) / p - 0.5 * k
-    points = []
-    for t in ts:
-        scale = _power(t / t_ref, e)
-        v = v_ref * scale
-        points.append(_valued(v, e_ref * scale) if v >= _TINY
-                      else _flagged("underflow"))
-    return points
+    scaled = [(v_ref * c, e_ref * c) for c in (_pow(t / t_ref, e) for t in ts)]
+    return [_valued(v, err) if v >= _TINY else _flagged("underflow") for v, err in scaled]
 
 
 def norm_sweep(s: SolutionFamily, spec: NormSpec,

@@ -9,19 +9,22 @@ self-check on the derivative evaluators.  Residuals are reported relative
 to the largest single term magnitude at each point, since the terms
 themselves reach 1e6 and beyond as t -> 0 and absolute tolerances would be
 meaningless there.  A grid on which every term underflows to 0 raises
-norms.UnderflowError instead of reporting an exact solve.
+norms.UnderflowError instead of reporting an exact solve, and a point whose
+scaled residual is not a finite double raises SingularityError instead of
+reporting NaN.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .norms import UnderflowError
-from .solutions import SolutionFamily, fd_central, fd_derivative, grid_blocks
+from .solutions import (SingularityError, SolutionFamily, fd_central, fd_derivative,
+                        grid_blocks)
 from .specfun import require
 
 __all__ = [
@@ -148,7 +151,10 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
     sum of squares are still taken slice by slice in t order, as a loop over
     slices would.  Where every term is 0 at every point and those zeros come
     from underflow, the residual carries no digits and UnderflowError is
-    raised; an exact zero solution still reports 0."""
+    raised; an exact zero solution still reports 0.  Otherwise a scaled
+    residual that is not a finite double (a term that overflows, or r^2
+    that underflows to 0) raises SingularityError naming its (t, r): its
+    NaN would go unseen past the running maximum."""
     r = g.radii()
     r = r[r > 0.0]  # both forms divide by r
     h_r = h_t = None
@@ -161,6 +167,7 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
     worst_t = worst_r = math.nan
     sq_sum = 0.0
     digits = False
+    bad = None   # the first point whose scaled residual is not a finite double
     for t, grid_r in grid_blocks(g.t_values, r):
         if h_r is not None:
             h_t = t * h_r / g.r_max
@@ -168,6 +175,9 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
                                                     derivative_source, h_r, h_t))
         digits = digits or bool(np.any(scale > 0.0))
         a = np.abs(R / np.maximum(scale, 1e-300))
+        if bad is None and not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            bad = f"t = {float(t[i, 0])!r}, r = {float(r[j])!r}"
         for t_i, a_i in zip(t[:, 0].tolist(), a):
             i = int(np.argmax(a_i))
             if a_i[i] > worst:
@@ -177,6 +187,9 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
         raise UnderflowError(
             f"{s.label()}: u, u_r, u_rr and u_t underflow to 0 at every grid "
             "point, so the residual carries no digits")
+    if bad is not None:
+        raise SingularityError(
+            f"{s.label()}: the {form} residual is not a finite double at {bad}")
     count = len(g.t_values) * len(r)
     return ResidualReport(
         family=s.label(), form=form, derivative_source=derivative_source,
@@ -223,25 +236,24 @@ class OriginLimitReport:
     passed: bool = field(default=True)
 
 
+# origin_limit_check's radii over sqrt(4 mu t_bar): 2^-k for k = 4..14
+_ORIGIN_RADII = np.ldexp(1.0, -np.arange(4, 15))
+
+
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     good = y > 0.0
     lx, ly = np.log(x[good]), np.log(y[good])
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def origin_limit_check(s: SolutionFamily, t_bar: float,
-                       radii: Optional[Sequence[float]] = None) -> OriginLimitReport:
+def origin_limit_check(s: SolutionFamily, t_bar: float) -> OriginLimitReport:
     """Quantify origin regularity of the main example: measured limits and
-    observed convergence orders over a dyadic radius sequence (default
-    r_k = 2^-k sqrt(4 mu t_bar), k = 4..14)."""
-    if s.kind != "MainExample" or s.params.a <= 0.0:
-        raise ValueError("origin_limit_check applies to MainExample with a > 0")
+    observed convergence orders over the radii _ORIGIN_RADII."""
+    require((s.kind == "MainExample" and s.params.a > 0.0,
+             "origin_limit_check applies to MainExample with a > 0"))
     n, mu, a = s.params.n, s.params.mu, s.params.a
     t_bar = float(t_bar)
-    if radii is None:
-        base = math.sqrt(4.0 * mu * t_bar)
-        radii = [base * 2.0 ** (-k) for k in range(4, 15)]
-    r = np.asarray(sorted(radii, reverse=True), dtype=float)
+    r = math.sqrt(4.0 * mu * t_bar) * _ORIGIN_RADII
 
     A = a * (4.0 * math.pi * mu * t_bar) ** (0.5 * n)
     target_a = 1.0 / (t_bar * (1.0 + A))

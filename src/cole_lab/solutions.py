@@ -225,6 +225,27 @@ def _family(kind, params, core, formulas, positive, **meta) -> SolutionFamily:
     return SolutionFamily(kind=kind, params=params, **evaluators, **meta)
 
 
+def _checked(kind, formulas, vanishes=None):
+    """formulas with each value checked: where one is not a finite double,
+    SingularityError, except at the points where vanishes(core) is True,
+    whose value stands for 0."""
+    def checked(name, formula):
+        def evaluate(t, r, *c):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                out = formula(t, r, *c)
+            if np.isfinite(out).all():
+                return out
+            if vanishes is not None:
+                out[~np.isfinite(out) & vanishes(c)] = 0.0
+            bad = ~np.isfinite(out)
+            if bad.any():
+                raise SingularityError(f"{kind} {name} overflows a double "
+                                       f"at r = {float(r[bad][0])!r}")
+            return out
+        return evaluate
+    return {q: checked(q, f) for q, f in formulas.items()}
+
+
 def _with_shape(formulas):
     """formulas plus g, g_r, P, W built from its u, u_r, u_rr over the same
     core; fine away from r = 0.
@@ -386,25 +407,11 @@ def self_similar(p: Params) -> SolutionFamily:
              (2.0 * c - 2.0) * (2.0 * c - 1.0) + 4.0 * (phi * c - xi)),
          "u_t": lambda t, r, xi, phi, c, beta_phi, u, amp: -amp * beta_phi / t})
 
-    def checked(name, formula):
-        # every quantity carries the factor u (u_t the factor u rho), so
-        # where u underflows to 0, as it does where xi is inf, a 0 * inf or
-        # 0 / 0 in the rest of its formula stands for 0
-        @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-        def evaluate(t, r, *c):
-            out = formula(t, r, *c)
-            bad = ~np.isfinite(out)
-            if bad.any():
-                out[bad & (c[4] == 0.0)] = 0.0
-                bad = ~np.isfinite(out)
-                if bad.any():
-                    raise SingularityError(f"SelfSimilar {name} overflows a "
-                                           f"double at r = {float(r[bad][0])!r}")
-            return out
-        return evaluate
-
+    # every quantity carries the factor u (u_t the factor u rho), so where u
+    # underflows to 0, as it does where xi is inf, a 0 * inf or 0 / 0 in the
+    # rest of its formula stands for 0
     return _family(
-        "SelfSimilar", p, core, {q: checked(q, f) for q, f in formulas.items()},
+        "SelfSimilar", p, core, _checked("SelfSimilar", formulas, lambda c: c[4] == 0.0),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         self_similar=True)
@@ -416,7 +423,8 @@ def self_similar(p: Params) -> SolutionFamily:
 # ---------------------------------------------------------------------------
 
 def stationary(p: Params) -> SolutionFamily:
-    """Time-independent solution, singular at r = 0 (and at log r = -C if n=2)."""
+    """Time-independent solution, singular at r = 0 (and at log r = -C if
+    n=2).  A value that overflows a double raises SingularityError."""
     n, mu, C = p.n, p.mu, p.C
 
     if n >= 3:
@@ -454,7 +462,7 @@ def stationary(p: Params) -> SolutionFamily:
 
     formulas["u_t"] = lambda t, r, *c: np.zeros_like(r)
     return _family(
-        "Stationary", p, core, _with_shape(formulas),
+        "Stationary", p, core, _checked("Stationary", _with_shape(formulas)),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("power", tail_beta))
 
@@ -525,32 +533,38 @@ def _erf_formula(name, mu, amplitude, k, weight, combination):
 
     def formula(t, r, z, series):
         out = np.empty_like(r)
-        amp = amplitude(mu, t)
         if series.any():
             # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
             # nonzero term has e = 2 m0 - k in {0, 1}, so no power of r divides
             rs, e = r[series], 2 * m0 - k
-            four_mu_t, scale = 4.0 * mu * t, _at(amp, series)
+            four_mu_t = 4.0 * mu * t
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
-                pw = _at(_pow(1.0 / four_mu_t, m0), series) * rs ** e
+                scale = _at(amplitude(mu, t), series)
+                power = _at(_pow(1.0 / four_mu_t, m0), series)
+                pw = power * rs ** e
                 four_mu_t = _at(four_mu_t, series)
-                if not np.isfinite(pw).all():
-                    # (4mu t)^-m0 overflows where the term may not: fold amp
-                    # in and divide by 4mu t, unless that has lost its digits
-                    over = ~np.isfinite(pw)
-                    four_mu_t, scale = (np.broadcast_to(x, rs.shape)
-                                        for x in (four_mu_t, scale))
-                    if (four_mu_t[over] < _TINY).any():
+                fold = ~(np.isfinite(pw) & (power >= _TINY) & np.isfinite(scale))
+                if fold.any():
+                    # (4mu t)^-m0 overflows or underflows, or amp overflows,
+                    # where the term may not: from mu r^e, divide by 4mu t
+                    # m0 times, unless that has lost its digits, then apply
+                    # the amplitude, which is linear in mu
+                    four_mu_t, t_s = (np.broadcast_to(x, rs.shape)
+                                      for x in (four_mu_t, _at(t, series)))
+                    if (four_mu_t[fold] < _TINY).any():
                         raise SingularityError("NonStationaryErf: 4 mu t is below "
                                                "the smallest normal double")
-                    pw[over] = scale[over] * rs[over] ** e
+                    term = mu * rs[fold] ** e
                     for _ in range(m0):
-                        pw[over] /= four_mu_t[over]
-                    scale = np.where(over, 1.0, scale)
+                        term /= four_mu_t[fold]
+                    pw[fold] = amplitude(term, t_s[fold])
+                    scale = np.where(fold, 1.0, scale)
                 acc = np.zeros_like(rs)
-                for wc in terms:
-                    acc = acc + wc * pw
-                    pw = pw * rs * rs / four_mu_t
+                for wc in terms:   # in place: the bits of pw * rs * rs / four_mu_t
+                    acc += wc * pw
+                    pw *= rs
+                    pw *= rs
+                    pw /= four_mu_t
                 acc = scale * acc
             if not np.isfinite(acc).all():
                 raise SingularityError(f"NonStationaryErf {name} overflows a double")
@@ -558,7 +572,7 @@ def _erf_formula(name, mu, amplitude, k, weight, combination):
         direct = ~series
         if direct.any():
             zd = np.minimum(z[direct], _Z_FLAT)
-            out[direct] = (_at(amp, direct) / r[direct] ** k
+            out[direct] = (_at(amplitude(mu, t), direct) / r[direct] ** k
                            * combination(zd, *_direct_v(zd)))
         return out
     return formula

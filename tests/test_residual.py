@@ -3,7 +3,9 @@ the two PDE groupings agree, finite-difference re-derivation converges at
 stencil order, and the origin limits hold."""
 
 import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                residual_pointwise)
 from cole_lab.specfun import DomainError
 from cole_lab.solutions import (GRID_BLOCK_POINTS, HeatFunction, Params,
-                                cartesian_components, cole_hopf, fd_central,
+                                SingularityError, cartesian_components, cole_hopf, fd_central,
                                 fd_derivative, grid_blocks,
                                 main_example, nonstationary_erf, self_similar,
                                 stationary)
@@ -309,8 +311,39 @@ def test_origin_limit_check_passes_for_main():
     assert rep.limit_a_target == approx(1.0 / (1e-3 * (1.0 + A)), rel=1e-12)
 
 
+def test_origin_limit_check_radii_are_dyadic():
+    # the radii are fixed, 2^-k sqrt(4 mu t_bar) for k = 4..14, largest
+    # first: no caller passed others, so the option is gone
+    assert list(inspect.signature(origin_limit_check).parameters) == ["s", "t_bar"]
+    base = math.sqrt(4.0 * 0.1 * 1e-3)
+    assert origin_limit_check(MAIN, 1e-3).radii == tuple(
+        base * 2.0 ** -k for k in range(4, 15))
+
+
 def test_origin_limit_check_rejects_other_families():
-    with pytest.raises(ValueError):
-        origin_limit_check(SS, 1e-3)
-    with pytest.raises(ValueError):
-        origin_limit_check(main_example(Params(3, 0.1, a=0.0)), 1e-3)
+    for fam in (SS, main_example(Params(3, 0.1, a=0.0))):
+        with pytest.raises(DomainError, match="applies to MainExample with a > 0"):
+            origin_limit_check(fam, 1e-3)
+
+
+_DEEP_MAIN = (main_example(Params(3, 1e-8, a=1.0)), Grid1D(1e-300, 1e-299, 16, (1e-2, 1e-8)))
+_DEEP_NST = (nonstationary_erf(0.1), Grid1D(1e-4, 0.1, 16, (1e-300, 1e-306)))
+
+
+@pytest.mark.parametrize("fam,grid,source,where", [
+    # r * r underflows to 0 in _terms, so u / r^2 is inf and R NaN
+    (*_DEEP_MAIN, "analytic", "t = 0.01, r = 1e-300"),
+    (*_DEEP_MAIN, "finite-difference", "t = 0.01, r = 1.56"),
+    # the erf family's u_t is NaN in its direct branch at t = 1e-306, where
+    # -mu / t / r overflows; the finite-difference pass does not call u_t
+    (*_DEEP_NST, "analytic", "t = 1e-306, r = 0.0001"),
+])
+def test_residual_that_is_not_a_finite_double_raises(fam, grid, source, where):
+    # these reported max_abs_scaled -1.0 (the running maximum's start, which
+    # no NaN passes) or a clean maximum beside a NaN l2_scaled.  The
+    # RuntimeWarnings on the way are counted by the CLI's argv fuzz
+    for run in (radial_residual, divergence_form_residual):
+        with pytest.raises(SingularityError, match=f"not a finite double at {where}"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run(fam, grid, derivative_source=source)

@@ -903,6 +903,53 @@ def test_erf_family_far_past_its_layer():
     assert all(math.isfinite(getattr(fam, q)(t, r)) for q in EVALUATORS)
 
 
+def _mp_erf_leading(q, mu, t, r):
+    """The leading Taylor term in r of u_t, u_rr, g_r or P of the erf family
+    in 300-digit mpmath: u = 2 mu (c1 r / (4 mu t) + c2 r^3 / (4 mu t)^2 +
+    ...), with v's exact coefficients c1 = 2/3 and c2 = -8/45.  The next
+    term is smaller by z^2 = r^2 / (4 mu t)."""
+    mp = mpmath.mp
+    with mp.workdps(300):
+        mu, t, r = mp.mpf(mu), mp.mpf(t), mp.mpf(r)
+        c1, c2, s = mp.mpf(2) / 3, mp.mpf(-8) / 45, 4 * mu * t
+        return {"u_t": -2 * mu * c1 * r / (4 * mu * t * t),
+                "u_rr": 2 * mu * 6 * c2 * r / s ** 2,
+                "g_r": 2 * mu * 2 * c2 * r / s ** 2,
+                "P": 2 * mu * 2 * c2 / s ** 2}[q]
+
+
+@pytest.mark.parametrize("q", ["u_t", "u_rr", "g_r", "P"])
+@pytest.mark.parametrize("t,r", [(1e-10, 1e-3), (1e-140, 1.0)])
+def test_erf_series_where_its_amplitude_overflows_or_its_power_underflows(q, t, r):
+    # mu = 1e300, series branch (z = 5e-149 and 5e-81).  At t = 1e-10 u_t's
+    # amplitude -mu/t overflows (SingularityError at the parent, where u_t
+    # is -r/(3 t^2) = -3.3e16) and (4 mu t)^-2 underflows to 0 (u_rr, g_r
+    # and P read 0.0 at the parent); at t = 1e-140 (4 mu t)^-2 = 6.25e-322
+    # is subnormal, and u_rr, g_r and P were 4.8e-4 off
+    fam = nonstationary_erf(1e300)
+    assert getattr(fam, q)(t, r) == approx(
+        float(_mp_erf_leading(q, 1e300, t, r)), rel=1e-15, abs=0.0)
+    array = getattr(fam, q)(np.array([[1e-3], [t]]), np.array([r, 0.0]))
+    assert array[1, 0] == getattr(fam, q)(t, r)
+
+
+def test_stationary_past_the_range_of_a_double_raises():
+    # u = 2e292 at r = 1e-300 is a double, but u_r ~ -K / r^2 and the rest
+    # are not: they were +-inf, with RuntimeWarnings on the way.  Underflow
+    # stays at the caller's setting, as for SelfSimilar: residual reads it
+    fam = stationary(Params(3, 1e-8, C=1.0))
+    with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fam.u(1.0, 1e-300) == approx(2e-8 / 1e-300, rel=1e-15)
+        assert fam.u_t(1.0, 1e-300) == 0.0
+        for q in ("u_r", "u_rr", "g", "g_r", "P", "W"):
+            with pytest.raises(SingularityError,
+                               match=f"Stationary {q} overflows a double at r = 1e-300"):
+                getattr(fam, q)(1.0, 1e-300)
+            with pytest.raises(SingularityError):
+                getattr(fam, q)(np.array([[1.0], [2.0]]), np.array([0.5, 1e-300]))
+
+
 def test_erf_series_coefficients_are_the_nearest_doubles():
     # _V_COEFFS is written as float literals, so importing the module
     # imports no fractions; they are the exact Taylor coefficients of
