@@ -252,8 +252,8 @@ def _abs_u(s: SolutionFamily, t: float, r):
 
 def _abs_du(s: SolutionFamily, t: float, r):
     # |Du|_F = sqrt(u_r^2 + (n-1)(u/r)^2)
-    return np.hypot(np.asarray(s.u_r(t, r)),
-                    math.sqrt(s.params.n - 1.0) * np.asarray(s.g(t, r)))
+    u_r, g = s.at(t, r, "u_r", "g")
+    return np.hypot(np.asarray(u_r), math.sqrt(s.params.n - 1.0) * np.asarray(g))
 
 
 def _abs_d2u(s: SolutionFamily, t: float, r):
@@ -263,7 +263,7 @@ def _abs_d2u(s: SolutionFamily, t: float, r):
     # from t ~ 1e-52 at mu = 0.1)
     r = np.asarray(r, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        W, P = np.asarray(s.W(t, r)), np.asarray(s.P(t, r))
+        W, P = map(np.asarray, s.at(t, r, "W", "P"))
     if not (np.isfinite(W).all() and np.isfinite(P).all()):
         raise SingularityError(
             f"{s.kind}: W or P overflows a double at t = {t!r}")

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .norms import UnderflowError
-from .solutions import (SingularityError, SolutionFamily, fd_central, fd_derivative,
+from .solutions import (FD_STACK, SingularityError, SolutionFamily, fd_partials,
                         grid_blocks)
 from .specfun import require
 
@@ -106,17 +106,17 @@ def _derivatives(s: SolutionFamily, t, r: np.ndarray,
                  derivative_source: str, h_r: Optional[float],
                  h_t) -> tuple:
     """(u, u_r, u_rr, u_t) at radii r for one time slice t, or for a column
-    of slices against r at the block's shape.  The finite-difference pass
-    makes nine calls of u: the centre, four radial offsets shared by u_r
-    and u_rr, and four time offsets."""
+    of slices against r at the block's shape, from one family call: the
+    analytic pass asks for the four quantities over one core, and the
+    finite-difference pass for u on one stack of the centre, the four
+    radial offsets shared by u_r and u_rr, and the four time offsets
+    (solutions.fd_partials)."""
     if derivative_source == "analytic":
-        return s.u(t, r), s.u_r(t, r), s.u_rr(t, r), s.u_t(t, r)
+        return s.at(t, r, "u", "u_r", "u_rr", "u_t")
     if derivative_source == "finite-difference":
         if h_r is None or h_t is None:
             raise ValueError("finite-difference residual needs h_r and h_t")
-        u = s.u(t, r)
-        return (u, *fd_central(lambda x: s.u(t, x), r, h_r, u),
-                fd_derivative(lambda tau: s.u(tau, r), t, h_t))
+        return fd_partials(s.u, t, r, h_r, h_t)
     raise ValueError(f"unknown derivative source {derivative_source!r}")
 
 
@@ -146,10 +146,11 @@ def _underflows(s: SolutionFamily, g: Grid1D) -> bool:
 
 def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
               derivative_source: str) -> ResidualReport:
-    """The report over the grid, from one call per quantity (or stencil
-    offset) per block of t rows (solutions.grid_blocks); the maximum and the
-    sum of squares are still taken slice by slice in t order, as a loop over
-    slices would.  Where every term is 0 at every point and those zeros come
+    """The report over the grid, from one family call per block of t rows
+    (solutions.grid_blocks; a finite-difference block keeps its stack of
+    FD_STACK points per grid point within GRID_BLOCK_POINTS); the maximum
+    and the sum of squares are still taken slice by slice in t order, as a
+    loop over slices would.  Where every term is 0 at every point and those zeros come
     from underflow, the residual carries no digits and UnderflowError is
     raised; an exact zero solution still reports 0.  Otherwise a scaled
     residual that is not a finite double (a term that overflows, or r^2
@@ -168,7 +169,7 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
     sq_sum = 0.0
     digits = False
     bad = None   # the first point whose scaled residual is not a finite double
-    for t, grid_r in grid_blocks(g.t_values, r):
+    for t, grid_r in grid_blocks(g.t_values, r, 1 if h_r is None else FD_STACK):
         if h_r is not None:
             h_t = t * h_r / g.r_max
         R, scale = _terms(s, r, form, *_derivatives(s, t, grid_r,
@@ -257,17 +258,20 @@ def origin_limit_check(s: SolutionFamily, t_bar: float) -> OriginLimitReport:
 
     A = a * (4.0 * math.pi * mu * t_bar) ** (0.5 * n)
     target_a = 1.0 / (t_bar * (1.0 + A))
-    target_c = A * (A - 1.0) / (4.0 * mu * mu * t_bar ** 3 * (1.0 + A) ** 3)
+    denominator_c = 4.0 * mu * mu * t_bar ** 3 * (1.0 + A) ** 3
+    if denominator_c == 0.0:
+        raise SingularityError(f"{s.label()}: the c-limit target's denominator "
+                               f"4 mu^2 t^3 (1 + A)^3 underflows to 0 at t = {t_bar!r}")
+    target_c = A * (A - 1.0) / denominator_c
 
-    g_vals = np.asarray(s.g(t_bar, r))
+    g_vals, gr_vals, w_vals = s.at(t_bar, r, "g", "g_r", "W")
     gap_a = np.abs(g_vals - target_a)
     order_a = _loglog_slope(r, gap_a)
     rel_a = float(gap_a[-1] / abs(target_a))
 
-    gr_vals = np.abs(np.asarray(s.g_r(t_bar, r)))
-    order_b = _loglog_slope(r, gr_vals)
+    order_b = _loglog_slope(r, np.abs(gr_vals))
 
-    w_small = float(np.asarray(s.W(t_bar, r))[-1])
+    w_small = float(w_vals[-1])
     gap_c = abs(w_small - target_c) / max(abs(target_c), 1e-300)
 
     passed = (abs(order_a - 2.0) <= 0.2 and abs(order_b - 1.0) <= 0.2

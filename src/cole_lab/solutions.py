@@ -12,7 +12,9 @@ t, coerce r (finite, and r > 0 for the families singular at the origin),
 run the family's core(t, r) once, and apply the requested quantity's
 formula to (t, r, *core).  A family declares only its core and one
 formula per quantity, so each evaluator does the work of its own formula
-and no more.
+and no more.  A caller that needs several quantities at the same points
+asks once, s.at(t, r, "u", "u_r", ...): one core, then each named formula,
+and each value has the bits of its own evaluator's call.
 The formulas are algebraically equivalent to the textbook displays but
 regrouped so that no intermediate overflows or cancels:
 
@@ -64,6 +66,7 @@ __all__ = [
     "cartesian_components",
     "fd_derivative",
     "fd_central",
+    "fd_partials",
     "grid_blocks",
 ]
 
@@ -106,6 +109,9 @@ class SolutionFamily:
     u, u_r, u_rr, u_t: (t, r) -> value, r may be an array.
     g, g_r, P, W: shape functions u/r, (u/r)_r, g_r/r, (g_r/r)_r / r used
     for the Cartesian assembly; finite at r = 0 only when origin_regular.
+    Each of these eight also takes further quantity names, (t, r, *names),
+    and then returns the tuple of its own value and theirs from one core;
+    at(t, r, *names) is that call through the first name's field.
     g0: t -> lim_{r->0} u/r = g(t, 0) (origin-regular families only, else
     None).
     small_r_exponent: u ~ r^alpha as r -> 0+.
@@ -132,6 +138,12 @@ class SolutionFamily:
     tail: Callable
     g0: Optional[Callable] = None
     self_similar: bool = False
+
+    def at(self, t, r, name: str, *names: str) -> tuple:
+        """The named quantities at (t, r), from one core: a tuple of values,
+        each with the bits of that quantity's own evaluator call."""
+        values = getattr(self, name)(t, r, *names)
+        return values if names else (values,)
 
     def label(self) -> str:
         p = self.params
@@ -197,20 +209,24 @@ def _asarray_r(r, positive: bool):
     return arr, scalar
 
 
-def _evaluator(core, formula, positive: bool):
-    """(t, r) -> formula(t, r, *core(t, r)); a float for scalar t and r,
-    else an array of their broadcast shape.  r is broadcast to that shape
-    (a view), so a formula of r alone has it too; an array t is not.
-    positive: reject r <= 0 (else only r < 0); a NaN or infinite r is
-    always rejected."""
-    def evaluate(t, r):
+def _evaluator(core, formulas, name, positive: bool):
+    """(t, r) -> formulas[name](t, r, *core(t, r)); a float for scalar t and
+    r, else an array of their broadcast shape.  (t, r, *more) -> the tuple
+    of that value and each further named formula's, all over one core.  r
+    is broadcast to that shape (a view), so a formula of r alone has it
+    too; an array t is not.  positive: reject r <= 0 (else only r < 0); a
+    NaN or infinite r is always rejected."""
+    def evaluate(t, r, *more):
         t = _check_t(t)
         r, scalar = _asarray_r(r, positive)
         if isinstance(t, np.ndarray):
             r = np.broadcast_to(r, np.broadcast_shapes(t.shape, r.shape))
             scalar = False
-        val = formula(t, r, *core(t, r))
-        return float(val[0]) if scalar else val
+        c = core(t, r)
+        vals = [formulas[q](t, r, *c) for q in (name, *more)]
+        if scalar:
+            vals = [float(v[0]) for v in vals]
+        return tuple(vals) if more else vals[0]
     return evaluate
 
 
@@ -218,27 +234,40 @@ def _family(kind, params, core, formulas, positive, **meta) -> SolutionFamily:
     """A SolutionFamily whose evaluators all come from one core and the
     formulas dict (quantity name -> formula); meta fills the other fields.
     An origin-regular family's g0 is its g at r = 0."""
-    evaluators = {q: _evaluator(core, f, positive) for q, f in formulas.items()}
+    evaluators = {q: _evaluator(core, formulas, q, positive) for q in formulas}
     if meta["origin_regular"]:
         g = evaluators["g"]
         evaluators["g0"] = lambda t: g(t, 0.0)
     return SolutionFamily(kind=kind, params=params, **evaluators, **meta)
 
 
-def _checked(kind, formulas, vanishes=None):
+def _vanishing(formulas, vanishes):
+    """formulas where a value that is not a finite double, at a point where
+    vanishes(core) is True, stands for 0: every quantity carries a factor
+    that underflowed to 0 there, so the rest of its formula met 0 * inf or
+    0 / 0.  Elsewhere each value (and each warning) is the formula's own."""
+    def vanish(formula):
+        def evaluate(t, r, *c):
+            zero = vanishes(c)
+            if not zero.any():
+                return formula(t, r, *c)
+            with np.errstate(invalid="ignore"):
+                out = formula(t, r, *c)
+            out[~np.isfinite(out) & zero] = 0.0
+            return out
+        return evaluate
+    return {q: vanish(f) for q, f in formulas.items()}
+
+
+def _checked(kind, formulas):
     """formulas with each value checked: where one is not a finite double,
-    SingularityError, except at the points where vanishes(core) is True,
-    whose value stands for 0."""
+    SingularityError."""
     def checked(name, formula):
         def evaluate(t, r, *c):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 out = formula(t, r, *c)
-            if np.isfinite(out).all():
-                return out
-            if vanishes is not None:
-                out[~np.isfinite(out) & vanishes(c)] = 0.0
-            bad = ~np.isfinite(out)
-            if bad.any():
+            if not np.isfinite(out).all():
+                bad = ~np.isfinite(out)
                 raise SingularityError(f"{kind} {name} overflows a double "
                                        f"at r = {float(r[bad][0])!r}")
             return out
@@ -320,20 +349,24 @@ def main_example(p: Params) -> SolutionFamily:
         sigma = np.exp(L - lse)
         return xi, iD, sigma
 
+    formulas = {
+        "u": lambda t, r, xi, iD, sigma: r / t * iD,
+        "u_r": lambda t, r, xi, iD, sigma: iD / t * (1.0 - 2.0 * xi * sigma),
+        "u_rr": lambda t, r, xi, iD, sigma: -sigma * iD * (
+            1.5 * r / (mu * (t * t))
+            + r ** 3 / (4.0 * mu * mu * (t * t) * t) * (iD - sigma)),
+        "u_t": lambda t, r, xi, iD, sigma:
+            -r / (t * t) * iD * (1.0 + (0.5 * n - xi) * sigma),
+        "g": lambda t, r, xi, iD, sigma: iD / t,
+        "g_r": lambda t, r, xi, iD, sigma: -r / (2.0 * mu * t * t) * sigma * iD,
+        "P": lambda t, r, xi, iD, sigma: -sigma * iD / (2.0 * mu * t * t),
+        "W": lambda t, r, xi, iD, sigma:
+            sigma * iD * (sigma - iD) / (4.0 * mu * mu) / t / t / t}
+
+    # every quantity carries the factor iD, so where iD underflows to 0 a
+    # 0 * inf in the rest of its formula stands for 0; an inf stays inf
     return _family(
-        "MainExample", p, core,
-        {"u": lambda t, r, xi, iD, sigma: r / t * iD,
-         "u_r": lambda t, r, xi, iD, sigma: iD / t * (1.0 - 2.0 * xi * sigma),
-         "u_rr": lambda t, r, xi, iD, sigma: -sigma * iD * (
-             1.5 * r / (mu * (t * t))
-             + r ** 3 / (4.0 * mu * mu * (t * t) * t) * (iD - sigma)),
-         "u_t": lambda t, r, xi, iD, sigma:
-             -r / (t * t) * iD * (1.0 + (0.5 * n - xi) * sigma),
-         "g": lambda t, r, xi, iD, sigma: iD / t,
-         "g_r": lambda t, r, xi, iD, sigma: -r / (2.0 * mu * t * t) * sigma * iD,
-         "P": lambda t, r, xi, iD, sigma: -sigma * iD / (2.0 * mu * t * t),
-         "W": lambda t, r, xi, iD, sigma:
-             sigma * iD * (sigma - iD) / (4.0 * mu * mu) / t / t / t},
+        "MainExample", p, core, _vanishing(formulas, lambda c: c[1] == 0.0),
         positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))))
 
@@ -411,7 +444,8 @@ def self_similar(p: Params) -> SolutionFamily:
     # underflows to 0, as it does where xi is inf, a 0 * inf or 0 / 0 in the
     # rest of its formula stands for 0
     return _family(
-        "SelfSimilar", p, core, _checked("SelfSimilar", formulas, lambda c: c[4] == 0.0),
+        "SelfSimilar", p, core,
+        _checked("SelfSimilar", _vanishing(formulas, lambda c: c[4] == 0.0)),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         self_similar=True)
@@ -526,12 +560,14 @@ def _direct_v(z):
 
 
 def _erf_formula(name, mu, amplitude, k, weight, combination):
-    """One table row as a formula over the core (z, series mask)."""
+    """One table row as a formula over the core (series mask, direct mask
+    and zv, the direct points' (z, v, v', v''), or None where there are
+    none)."""
     terms = [weight(m) * c for m, c in enumerate(_V_COEFFS, start=1)]
     m0 = 1 + next(i for i, wc in enumerate(terms) if wc != 0.0)
     terms = terms[m0 - 1:]
 
-    def formula(t, r, z, series):
+    def formula(t, r, series, direct, zv):
         out = np.empty_like(r)
         if series.any():
             # amp sum_{m >= m0} weight(m) c_m r^(2m-k) / (4mu t)^m; the first
@@ -569,11 +605,14 @@ def _erf_formula(name, mu, amplitude, k, weight, combination):
             if not np.isfinite(acc).all():
                 raise SingularityError(f"NonStationaryErf {name} overflows a double")
             out[series] = acc
-        direct = ~series
-        if direct.any():
-            zd = np.minimum(z[direct], _Z_FLAT)
-            out[direct] = (_at(amplitude(mu, t), direct) / r[direct] ** k
-                           * combination(zd, *_direct_v(zd)))
+        if zv is not None:
+            comb = combination(*zv)
+            with np.errstate(invalid="ignore"):
+                val = _at(amplitude(mu, t), direct) / r[direct] ** k * comb
+            # a combination exactly 0 (z v' past z = 40) times an amplitude
+            # that overflows is 0 * inf, and stands for 0
+            val[np.isnan(val) & (comb == 0.0)] = 0.0
+            out[direct] = val
         return out
     return formula
 
@@ -589,7 +628,8 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
     amplitude * sum weight(m) c_m r^(2m-k) / (4mu t)^m over the Taylor
     coefficients c_m of v through z^20, from the first nonzero term: no
     power of r divides, so r = 0 and subnormal r are ordinary points.  In
-    the direct branch w underflows past z ~ 27 and u becomes 2mu/r.
+    the direct branch w underflows past z ~ 27 and u becomes 2mu/r; the
+    core forms v, v', v'' there once per call, for every quantity asked.
     """
     params = Params(n=3, mu=mu, a=0.0, C=0.0)
 
@@ -598,7 +638,12 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
         if (four_mu_t < _SMALLEST).any():   # 0: every quantity would be NaN
             raise SingularityError("NonStationaryErf: 4 mu t underflows to 0")
         z = r / _sqrt(four_mu_t)
-        return z, z < _V_SWITCH
+        series = z < _V_SWITCH
+        direct = ~series
+        if not direct.any():
+            return series, direct, None
+        zd = np.minimum(z[direct], _Z_FLAT)
+        return series, direct, (zd, *_direct_v(zd))
 
     return _family(
         "NonStationaryErf", params, core,
@@ -628,6 +673,13 @@ class HeatFunction:
     theta_rt: Optional[Callable] = None
 
 
+# the 5-point central stencils' offsets, in units of h: x + k h is x - 2h,
+# x - h, x + h and x + 2h to the bit; fd_partials stacks FD_STACK points
+# per (t, r), the centre and four offsets each in r and in t
+_STENCIL = (-2, -1, 1, 2)
+FD_STACK = 1 + 2 * len(_STENCIL)
+
+
 def fd_derivative(f: Callable, x, h):
     """5-point central first derivative, O(h^4).
 
@@ -635,20 +687,37 @@ def fd_derivative(f: Callable, x, h):
     x + k h, so f is called once per stencil offset on the whole array, and
     each element gets the same arithmetic as a scalar call.
     """
-    return _central_first(f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h), h)
+    return _central_first(*(f(x + k * h) for k in _STENCIL), h)
 
 
 def _central_first(fm2, fm1, fp1, fp2, h):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
 
 
+def _central_second(f0, fm2, fm1, fp1, fp2, h):
+    return (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+
+
 def fd_central(f: Callable, x, h, f0):
     """(first, second) 5-point central derivatives, O(h^4), from one
     evaluation of f at x - 2h, x - h, x + h and x + 2h and the centre value
     f0 = f(x) the caller already has."""
-    fm2, fm1, fp1, fp2 = f(x - 2 * h), f(x - h), f(x + h), f(x + 2 * h)
-    return (_central_first(fm2, fm1, fp1, fp2, h),
-            (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h))
+    fx = [f(x + k * h) for k in _STENCIL]
+    return _central_first(*fx, h), _central_second(f0, *fx, h)
+
+
+def fd_partials(f: Callable, t, r, h_r, h_t) -> tuple:
+    """(f, f_r, f_rr, f_t) at (t, r), by the stencils of fd_central in r
+    and fd_derivative in t (step h_t, which broadcasts against t), from one
+    call f(T, R) on the centre and its eight offsets stacked along a new
+    first axis.  Each value has the bits of the per-offset calls, since f
+    evaluates element by element; t is stacked unbroadcast, as a float or
+    a column against r's rows."""
+    T = np.stack([np.asarray(t, dtype=float)] * 5 + [t + k * h_t for k in _STENCIL])
+    R = np.stack([r] + [r + k * h_r for k in _STENCIL] + [r] * 4)
+    f0, *fx = f(T.reshape(T.shape + (1,) * (R.ndim - T.ndim)), R)
+    return (f0, _central_first(*fx[:4], h_r), _central_second(f0, *fx[:4], h_r),
+            _central_first(*fx[4:], h_t))
 
 
 # grid points per evaluator call: a 200 x 200 figure in one call peaked the
@@ -657,13 +726,14 @@ def fd_central(f: Callable, x, h, f0):
 GRID_BLOCK_POINTS = 10_000
 
 
-def grid_blocks(t, r):
+def grid_blocks(t, r, stack: int = 1):
     """Consecutive blocks of the (t, r) grid as (t column, r at the block's
     shape as a broadcast view), in t order.  A block holds as many whole t
-    rows as fit in GRID_BLOCK_POINTS points, and at least one, so the
+    rows as fit in GRID_BLOCK_POINTS points when one call evaluates each
+    point stack times (fd_partials: FD_STACK), and at least one row, so the
     memory of an evaluation grows with the block, not with the grid."""
     t = np.asarray(t, dtype=float)[:, None]
-    rows = max(1, GRID_BLOCK_POINTS // max(len(r), 1))
+    rows = max(1, GRID_BLOCK_POINTS // max(stack * len(r), 1))
     for i in range(0, len(t), rows):
         t_block = t[i:i + rows]
         yield t_block, np.broadcast_to(r, (len(t_block), len(r)))
@@ -755,8 +825,8 @@ def gaussian_heat_function(p: Params) -> HeatFunction:
         "theta_rt": lambda t, r, G:
             r * G / (2.0 * mu * t * t) * (1.0 - r * r / (4.0 * mu * t) + 0.5 * n),
     }
-    return HeatFunction(**{q: _evaluator(kernel, f, positive=False)
-                           for q, f in formulas.items()})
+    return HeatFunction(**{q: _evaluator(kernel, formulas, q, positive=False)
+                           for q in formulas})
 
 
 # ---------------------------------------------------------------------------
@@ -788,9 +858,7 @@ def cartesian_components(s: SolutionFamily, t: float, x):
         jac = s.g0(t) * eye
         second = np.zeros((n, n, n))
         return value, jac, second
-    g = float(s.g(t, r))
-    P = float(s.P(t, r))
-    W = float(s.W(t, r))
+    g, P, W = s.at(t, r, "g", "P", "W")
     value = g * x
     jac = P * np.outer(x, x) + g * eye
     second = (W * np.einsum("i,j,k->ijk", x, x, x)

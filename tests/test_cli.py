@@ -402,13 +402,13 @@ def test_residual_of_underflowed_terms_exits_3(capsys):
     # r * r underflows in residual._terms: rows read -1.0,nan,nan,nan
     (["residual", "--family", "MainExample", "--mu", "1e-8", "--grid",
       "1e-300:1e-299:16", "--t-grid", "1e-2:1e-8:3"], "t = 0.01, r = 1e-300"),
-    # u_t is NaN at t = 1e-306: a clean-looking maximum beside a NaN l2_scaled
-    (["residual", "--family", "NonStationaryErf", "--mu", "0.1", "--grid",
-      "1e-4:0.1:16", "--t-grid", "1e-300:1e-306:2"], "t = 1e-306, r = 0.0001"),
+    # u u_r and mu u_rr pass the largest double, so R / scale is inf / inf
+    (["residual", "--family", "Stationary", "--C", "1", "--mu", "1e300", "--grid",
+      "0:1:16", "--t-grid", "1:10:2"], "t = 1.0, r = 0.0625"),
 ])
 def test_residual_that_is_not_a_finite_double_exits_3(argv, where, capsys):
-    # both printed their NaN rows with exit 0; a RuntimeWarning on the way
-    # is printed, not raised, as on the command line
+    # without the check both would print NaN rows with exit 0; a
+    # RuntimeWarning on the way is printed, not raised, as on the command line
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(argv) == 3

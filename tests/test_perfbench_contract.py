@@ -73,18 +73,9 @@ def test_criterion_9_stacks_its_marches():
     assert metrics["pdesolver.boundary_calls"] == 8
 
 
-def test_norm_sweep_work_counts(quad_work):
-    # one round of the benchmark's norm-sweep workload: a rescaled or
-    # reshaped integrand must not add refinement.  Each linf sweep is one
-    # lockstep search over its grid, through the name norms.linf_norm, and
-    # runs once per argv whatever its p list: 5 sweeps, not 9, where each
-    # point made three one-point calls of u and u_r (195) and 1955 array calls.
-    # The lp, grad_lp, hess_bound_lp and distance sweeps run their integrals
-    # in lockstep (integrate_many): quad_work counts them as the tracer
-    # counts integrate_semi_infinite, each member one integral with its own
-    # panels and each call of the batched integrand one call: 83 calls, 1241
-    # when each integral ran alone.  The tracer itself sees only the 6
-    # integrals that run alone (the self-similar sweeps' references).
+def _traced_round(workload):
+    """layer_metrics of one round of the named benchmark workload under the
+    tracer."""
     path = _TRACER.parent / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -96,12 +87,29 @@ def test_norm_sweep_work_counts(quad_work):
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            for op in workloads.NORM_SWEEP:
+            for op in workloads.WORKLOADS[workload]:
                 assert cli.main(list(op.argv)) == op.rc, op.argv
     finally:
         tracer.uninstall()
         del sys.modules[spec.name]
-    metrics = tracer_mod.layer_metrics(tracer.take())
+    return tracer_mod.layer_metrics(tracer.take())
+
+
+def test_norm_sweep_work_counts(quad_work):
+    # one round of the benchmark's norm-sweep workload: a rescaled or
+    # reshaped integrand must not add refinement.  Each linf sweep is one
+    # lockstep search over its grid, through the name norms.linf_norm, and
+    # runs once per argv whatever its p list: 5 sweeps, not 9, where each
+    # point made three one-point calls of u and u_r (195) and 1955 array calls.
+    # The lp, grad_lp, hess_bound_lp and distance sweeps run their integrals
+    # in lockstep (integrate_many): quad_work counts them as the tracer
+    # counts integrate_semi_infinite, each member one integral with its own
+    # panels and each call of the batched integrand one call: 83 calls, 1241
+    # when each integral ran alone.  The tracer itself sees only the 6
+    # integrals that run alone (the self-similar sweeps' references).  |Du|
+    # and |D^2 u| ask for (u_r, g) and (W, P) in one family call each: 109
+    # evaluator calls, 148 with one call per quantity.
+    metrics = _traced_round("norm-sweep")
     assert (quad_work.integrals, quad_work.panels) == (227, 2719)
     assert quad_work.calls <= 120
     assert metrics["quadrature.integrals"] == quad_work.alone == 6
@@ -109,4 +117,19 @@ def test_norm_sweep_work_counts(quad_work):
     assert metrics["norms.points"] == 429
     assert metrics["norms.linf_ms"] > 0
     assert metrics["solutions.scalar_calls"] == 0
-    assert metrics["solutions.vector_calls"] == 148
+    assert metrics["solutions.vector_calls"] == 109
+
+
+def test_pointwise_work_counts():
+    # one round of the benchmark's pointwise workload: 8 residual runs, each
+    # one family call for its analytic pass (u, u_r, u_rr, u_t over one
+    # core) and one for its finite-difference pass (u on the stack of nine
+    # stencil points), then 3 figures of 4 blocks each: 28 evaluator calls,
+    # 116 with one call per quantity and per stencil point.  specfun runs
+    # once per SelfSimilar call (scaled_tail) and once per erf call whose
+    # grid reaches the direct branch (erf): 16 calls, 60 before
+    metrics = _traced_round("pointwise")
+    assert metrics["solutions.vector_calls"] == 28
+    assert metrics["solutions.scalar_calls"] == 0
+    assert metrics["specfun.calls"] == 16
+    assert metrics["residual.points"] == 2576

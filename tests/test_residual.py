@@ -2,8 +2,10 @@
 the two PDE groupings agree, finite-difference re-derivation converges at
 stencil order, and the origin limits hold."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
 import warnings
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from cole_lab import cli, solutions
 from cole_lab.norms import UnderflowError
 from cole_lab.residual import (Grid1D, _scaled, divergence_form_residual,
                                origin_limit_check, radial_residual,
@@ -149,22 +152,26 @@ def test_grid_residual_equals_per_slice_loop(name, fam, r_range, t_range, form,
 
 
 @pytest.mark.parametrize("source,calls", [("analytic", 1),
-                                          ("finite-difference", 9)])
+                                          ("finite-difference", 1)])
 def test_grid_residual_work_count(source, calls):
-    # u on the whole grid per quantity or stencil offset: 9 calls of u for
-    # the finite-difference pass (the centre, four radial offsets shared by
-    # u_r and u_rr, four time offsets), not 14 per time slice
+    # one family call on the whole grid: the analytic pass asks u's field
+    # for u, u_r, u_rr and u_t over one core (it made one call per
+    # quantity), the finite-difference pass for u on the (9, t, r) stack of
+    # the centre, four radial offsets shared by u_r and u_rr and four time
+    # offsets (it made nine calls, one per stencil point)
     seen = []
 
-    def counted(t, r):
-        seen.append(np.shape(r))
-        return MAIN.u(t, r)
+    def counted(t, r, *names):
+        seen.append((np.shape(r), names))
+        return MAIN.u(t, r, *names)
 
     fam = dataclasses.replace(MAIN, u=counted)
     rep = radial_residual(fam, Grid1D(1e-4, 0.1, 64, (2e-5, 2e-4, 1e-3)),
                           derivative_source=source)
     assert len(seen) == calls
-    assert all(shape == (3, rep.n_points // 3) for shape in seen)
+    grid = (3, rep.n_points // 3)
+    assert seen[0] == ((grid, ("u_r", "u_rr", "u_t")) if source == "analytic"
+                       else ((9, *grid), ()))
 
 
 @pytest.mark.parametrize("nr,k", [(199, 120), (8192, 3)])
@@ -174,9 +181,9 @@ def test_grid_residual_evaluates_in_blocks_of_rows(nr, k):
     # grows with the block; the report keeps the bits of a per-slice loop
     seen = []
 
-    def counted(t, r):
+    def counted(t, r, *names):
         seen.append(np.shape(r))
-        return MAIN.u(t, r)
+        return MAIN.u(t, r, *names)
 
     fam = dataclasses.replace(MAIN, u=counted)
     grid = Grid1D(1e-4, 0.1, nr, tuple(np.geomspace(2e-5, 1e-3, k).tolist()))
@@ -188,6 +195,30 @@ def test_grid_residual_evaluates_in_blocks_of_rows(nr, k):
     assert all(shape[1] == nr + 1 for shape in seen)
     assert (rep.max_abs_scaled, rep.l2_scaled, rep.worst_t, rep.worst_r,
             rep.n_points) == _per_slice_report(MAIN, grid, "radial", "analytic")
+
+
+@pytest.mark.parametrize("nr,k", [(199, 12), (8192, 2)])
+def test_finite_difference_stack_stays_within_a_block(nr, k):
+    # the finite-difference pass stacks nine stencil points per grid point
+    # in one call, so a block holds GRID_BLOCK_POINTS // (9 (nr + 1)) whole
+    # t rows and the stack stays within GRID_BLOCK_POINTS points, unless
+    # nine copies of one t row are already more; the report keeps the bits
+    # of a per-slice loop
+    seen = []
+
+    def counted(t, r, *names):
+        seen.append(np.shape(r))
+        return MAIN.u(t, r, *names)
+
+    fam = dataclasses.replace(MAIN, u=counted)
+    grid = Grid1D(1e-4, 0.1, nr, tuple(np.geomspace(2e-5, 1e-3, k).tolist()))
+    rep = radial_residual(fam, grid, derivative_source="finite-difference")
+    width = rep.n_points // k
+    rows = max(1, GRID_BLOCK_POINTS // (9 * width))
+    assert seen == [(9, min(rows, k - i), width) for i in range(0, k, rows)]
+    assert all(math.prod(shape) <= max(GRID_BLOCK_POINTS, 9 * width) for shape in seen)
+    assert (rep.max_abs_scaled, rep.l2_scaled, rep.worst_t, rep.worst_r,
+            rep.n_points) == _per_slice_report(MAIN, grid, "radial", "finite-difference")
 
 
 def test_grid_blocks_keep_a_row_wider_than_a_block_whole():
@@ -327,6 +358,7 @@ def test_origin_limit_check_rejects_other_families():
 
 
 _DEEP_MAIN = (main_example(Params(3, 1e-8, a=1.0)), Grid1D(1e-300, 1e-299, 16, (1e-2, 1e-8)))
+_HUGE_MU_ST = (stationary(Params(3, 1e300, C=1.0)), Grid1D(0.0, 1.0, 16, (1.0,)))
 _DEEP_NST = (nonstationary_erf(0.1), Grid1D(1e-4, 0.1, 16, (1e-300, 1e-306)))
 
 
@@ -334,9 +366,9 @@ _DEEP_NST = (nonstationary_erf(0.1), Grid1D(1e-4, 0.1, 16, (1e-300, 1e-306)))
     # r * r underflows to 0 in _terms, so u / r^2 is inf and R NaN
     (*_DEEP_MAIN, "analytic", "t = 0.01, r = 1e-300"),
     (*_DEEP_MAIN, "finite-difference", "t = 0.01, r = 1.56"),
-    # the erf family's u_t is NaN in its direct branch at t = 1e-306, where
-    # -mu / t / r overflows; the finite-difference pass does not call u_t
-    (*_DEEP_NST, "analytic", "t = 1e-306, r = 0.0001"),
+    # u is 3e301 at r = 0.0625, so u u_r and mu u_rr pass the largest
+    # double and R / scale is inf / inf
+    (*_HUGE_MU_ST, "analytic", "t = 1.0, r = 0.0625"),
 ])
 def test_residual_that_is_not_a_finite_double_raises(fam, grid, source, where):
     # these reported max_abs_scaled -1.0 (the running maximum's start, which
@@ -347,3 +379,40 @@ def test_residual_that_is_not_a_finite_double_raises(fam, grid, source, where):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run(fam, grid, derivative_source=source)
+
+
+def test_erf_residual_past_its_flat_point_is_finite():
+    # the erf family's u_t read NaN at t = 1e-306, r = 1e-4, where -mu / t / r
+    # overflows and z v'(z) is 0 (past z = 40), so this grid raised "not a
+    # finite double"; u_t is 0 there and the residual is at rounding level
+    for run in (radial_residual, divergence_form_residual):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # -mu / t / r overflows
+            rep = run(*_DEEP_NST)
+        assert rep.max_abs_scaled <= 1e-15 and rep.n_points == 34
+
+
+def test_origin_limit_check_where_t_cubed_underflows_raises():
+    # at t_bar = 1e-300 the c-limit target's 4 mu^2 t^3 (1 + A)^3 underflows
+    # to 0: a bare ZeroDivisionError
+    with pytest.raises(SingularityError, match="underflows to 0 at t = 1e-300"):
+        origin_limit_check(main_example(Params(2, 1e-8, a=3.0)), 1e-300)
+
+
+def test_self_similar_residual_runs_the_scaled_tail_once_per_pass(monkeypatch):
+    # the residual subcommand's analytic pass asks for u, u_r, u_rr and u_t
+    # over one core, and its finite-difference pass for u on one stack of
+    # its nine stencil points: 2 calls of scaled_tail (and of its continued
+    # fraction), where one per quantity and per stencil point made 13
+    calls = []
+    tail = solutions.scaled_tail
+
+    def counted(n, rho):
+        calls.append(np.shape(rho))
+        return tail(n, rho)
+
+    monkeypatch.setattr(solutions, "scaled_tail", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["residual", "--family", "SelfSimilar", "--mu", "0.005",
+                         "--grid", "5e-5:7e-4:64", "--t-grid", "1e-5:5e-5:2"]) == 0
+    assert calls == [(2, 65), (9, 2, 65)]

@@ -2,6 +2,7 @@
 random well-scaled points, derivative cross-checks against finite
 differences, Cole-Hopf round trips, and the Cartesian assembly."""
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -822,6 +823,93 @@ def test_column_t_against_row_r_matches_scalar_calls(label, mu, evaluators):
             out = f(t, rr)
             want = np.array([[f(float(ti), float(ri)) for ri in r] for ti in t[:, 0]])
             assert np.array_equal(out, want), (q, int(np.sum(out != want)))
+
+
+# every family of the contract, plus SelfSimilar at a and n where its grid
+# reaches the log form of u (phi below the smallest normal, xi >~ 700) and
+# the point where u underflows to 0; each at z = r / sqrt(4 mu t) on both
+# sides of the erf series switch (0.35) and past its flat point (40)
+_AT_FAMILIES = CONTRACT + [("ss-n5-a3", self_similar(Params(5, 0.02, a=3.0)))]
+_AT_Z = np.array([0.01, 0.2, 0.3499, 0.3501, 1.0, 5.0, 27.0, 39.0, 41.0, 60.0])
+# each quantity alone, every pair in both orders (a formula that changed
+# the core or another's value would show against some pair) and all eight
+# in both orders
+_AT_SETS = ([(q,) for q in EVALUATORS] + list(itertools.permutations(EVALUATORS, 2))
+            + [EVALUATORS, EVALUATORS[::-1]])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name,fam", _AT_FAMILIES, ids=[f[0] for f in _AT_FAMILIES])
+def test_one_call_returns_the_bits_of_separate_calls(name, fam):
+    # s.at(t, r, *names) runs the core once and every named formula on it:
+    # each value has the bits of that quantity's own call (signed zeros
+    # included), for each set of quantities, at a float t, at an array t
+    # and at a column t against a row r
+    mu = fam.params.mu
+    ts = np.array([1e-6, 1e-3, 0.37])
+    z = np.broadcast_to(_AT_Z, (ts.size, _AT_Z.size))
+    grid_r = np.sqrt(4.0 * mu * ts)[:, None] * z
+    cases = [(0.37, grid_r[2]), (float(ts[0]), float(grid_r[0, 6])),
+             (np.repeat(ts, _AT_Z.size), grid_r.ravel()), (ts[:, None], _AT_Z * 0.01)]
+    for t, r in cases:
+        alone = {q: getattr(fam, q)(t, r) for q in EVALUATORS}
+        for names in _AT_SETS:
+            got = fam.at(t, r, *names)
+            assert len(got) == len(names)
+            for q, value in zip(names, got):
+                assert type(value) is type(alone[q]), (names, q)
+                assert _bits(value) == _bits(alone[q]), (names, q)
+        # the evaluator field itself takes the further names
+        assert [_bits(v) for v in fam.W(t, r, "u", "P")] == [
+            _bits(alone[q]) for q in ("W", "u", "P")]
+
+
+def test_one_call_covers_each_branch():
+    # the points of test_one_call_returns_the_bits_of_separate_calls reach
+    # the branches they are there for
+    ss = dict(_AT_FAMILIES)["ss-n5-a3"]
+    xi = _AT_Z ** 2
+    assert xi.max() > 700.0 and ss.u(0.37, np.sqrt(4 * 0.02 * 0.37) * 60.0) == 0.0
+    assert 0.0 < ss.u(0.37, np.sqrt(4 * 0.02 * 0.37) * 27.0) < 1e-300
+    assert (_AT_Z < 0.35).any() and (_AT_Z > 0.35).any() and (_AT_Z > 40.0).any()
+    assert dict(_AT_FAMILIES)["st2"].params.n == 2
+    assert dict(_AT_FAMILIES)["main-a0"].params.a == 0.0
+
+
+def test_main_example_is_zero_where_iD_underflows():
+    # at t = 1e-300, r = 1e-4, xi = 2.5e292 and iD = 1/(1 + e^L) underflows
+    # to 0, so every quantity, which carries the factor iD, underflows too
+    # (u and W read 0.0 at the parent); u_rr, u_t, g_r and P met 0 * inf
+    # (r / t^2 with t^2 = 0) and read nan
+    for q in EVALUATORS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # r / t^2 divides by 0
+            assert MAIN.at(1e-300, 1e-4, q)[0] == 0.0, q
+            got = getattr(MAIN, q)(np.array([[1e-300], [1e-3]]), np.array([1e-4, 0.02]))
+        assert got[0, 0] == 0.0 and got[1, 1] == getattr(MAIN, q)(1e-3, 0.02), q
+    # where iD is not 0 nothing changes: u_t = -(r / t^2) iD (...) passes
+    # the largest double at r = 1e-160 and stays -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert MAIN.u_t(1e-300, 1e-160) == -math.inf
+
+
+def test_erf_u_t_is_zero_past_its_flat_point_whatever_the_amplitude():
+    # at t = 1e-306, r = 1e-4 (z = 5e148, clamped to 40) u_t's combination
+    # z v'(z) is exactly 0 while -mu / t / r overflows to -inf: u_t read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # -mu / t / r overflows
+        assert NST.u_t(1e-306, 1e-4) == 0.0
+        got = NST.u_t(np.array([1e-306, 1e-306, 1e-300, 1e-3]),
+                      np.array([1e-4, 0.1, 1e-4, 0.02]))
+    # every other point keeps its bits, the sign of its zero included
+    assert got[0] == 0.0
+    assert _bits(got[1:]) == _bits([NST.u_t(1e-306, 0.1), NST.u_t(1e-300, 1e-4),
+                                    NST.u_t(1e-3, 0.02)])
+    assert math.copysign(1.0, got[2]) == -1.0 and got[3] < 0.0
 
 
 def test_array_t_domain_errors():
