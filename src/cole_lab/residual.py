@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .norms import UnderflowError
-from .solutions import (FD_STACK, SingularityError, SolutionFamily, fd_partials,
-                        grid_blocks)
+from .solutions import (FD_STACK, SingularityError, SolutionFamily, _pow,
+                        fd_partials, grid_blocks)
 from .specfun import require
 
 __all__ = [
@@ -172,10 +172,11 @@ def _run_grid(s: SolutionFamily, g: Grid1D, form: str,
     for t, grid_r in grid_blocks(g.t_values, r, 1 if h_r is None else FD_STACK):
         if h_r is not None:
             h_t = t * h_r / g.r_max
-        R, scale = _terms(s, r, form, *_derivatives(s, t, grid_r,
-                                                    derivative_source, h_r, h_t))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            R, scale = _terms(s, r, form, *_derivatives(
+                s, t, grid_r, derivative_source, h_r, h_t))
+            a = np.abs(R / np.maximum(scale, 1e-300))   # checked by bad below
         digits = digits or bool(np.any(scale > 0.0))
-        a = np.abs(R / np.maximum(scale, 1e-300))
         if bad is None and not np.isfinite(a).all():
             i, j = np.argwhere(~np.isfinite(a))[0]
             bad = f"t = {float(t[i, 0])!r}, r = {float(r[j])!r}"
@@ -256,12 +257,13 @@ def origin_limit_check(s: SolutionFamily, t_bar: float) -> OriginLimitReport:
     t_bar = float(t_bar)
     r = math.sqrt(4.0 * mu * t_bar) * _ORIGIN_RADII
 
-    A = a * (4.0 * math.pi * mu * t_bar) ** (0.5 * n)
-    target_a = 1.0 / (t_bar * (1.0 + A))
-    denominator_c = 4.0 * mu * mu * t_bar ** 3 * (1.0 + A) ** 3
-    if denominator_c == 0.0:
+    A = a * _pow(4.0 * math.pi * mu * t_bar, 0.5 * n)
+    denominator_c = 4.0 * mu * mu * _pow(t_bar, 3.0) * _pow(1.0 + A, 3.0)
+    if not 0.0 < denominator_c < math.inf:
+        how = "underflows to 0" if denominator_c == 0.0 else "overflows a double"
         raise SingularityError(f"{s.label()}: the c-limit target's denominator "
-                               f"4 mu^2 t^3 (1 + A)^3 underflows to 0 at t = {t_bar!r}")
+                               f"4 mu^2 t^3 (1 + A)^3 {how} at t = {t_bar!r}")
+    target_a = 1.0 / (t_bar * (1.0 + A))
     target_c = A * (A - 1.0) / denominator_c
 
     g_vals, gr_vals, w_vals = s.at(t_bar, r, "g", "g_r", "W")

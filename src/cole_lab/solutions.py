@@ -9,12 +9,13 @@ Every family supplies analytic u, u_r, u_rr, u_t plus the shape functions
 g = u/r, g_r, P = g_r/r and W = P_r/r needed to assemble Cartesian
 derivatives.  One builder, _family, makes all of them the same way: check
 t, coerce r (finite, and r > 0 for the families singular at the origin),
-run the family's core(t, r) once, and apply the requested quantity's
-formula to (t, r, *core).  A family declares only its core and one
-formula per quantity, so each evaluator does the work of its own formula
-and no more.  A caller that needs several quantities at the same points
-asks once, s.at(t, r, "u", "u_r", ...): one core, then each named formula,
-and each value has the bits of its own evaluator's call.
+run the family's core(t, r) once, apply the requested quantity's formula
+to (t, r, *core), and hold the value to one finite-value rule
+(_evaluator).  A family declares only its core, one formula per quantity
+and its vanishing factor, so each evaluator does the work of its own
+formula and no more.  A caller that needs several quantities at the same
+points asks once, s.at(t, r, "u", "u_r", ...): one core, then each named
+formula, and each value has the bits of its own evaluator's call.
 The formulas are algebraically equivalent to the textbook displays but
 regrouped so that no intermediate overflows or cancels:
 
@@ -209,70 +210,54 @@ def _asarray_r(r, positive: bool):
     return arr, scalar
 
 
-def _evaluator(core, formulas, name, positive: bool):
+def _evaluator(kind, core, formulas, name, positive: bool, vanishes):
     """(t, r) -> formulas[name](t, r, *core(t, r)); a float for scalar t and
     r, else an array of their broadcast shape.  (t, r, *more) -> the tuple
     of that value and each further named formula's, all over one core.  r
     is broadcast to that shape (a view), so a formula of r alone has it
     too; an array t is not.  positive: reject r <= 0 (else only r < 0); a
-    NaN or infinite r is always rejected."""
+    NaN or infinite r is always rejected.
+
+    The one finite-value rule: core and formulas run with floating-point
+    errors ignored; a value that is not a finite double is 0.0 where
+    vanishes(*core) (a factor of every quantity underflowed, so the rest
+    met 0 * inf or 0 / 0), else SingularityError names the quantity and r."""
     def evaluate(t, r, *more):
         t = _check_t(t)
         r, scalar = _asarray_r(r, positive)
         if isinstance(t, np.ndarray):
             r = np.broadcast_to(r, np.broadcast_shapes(t.shape, r.shape))
             scalar = False
-        c = core(t, r)
-        vals = [formulas[q](t, r, *c) for q in (name, *more)]
+        names = (name, *more)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c = core(t, r)
+            vals = [formulas[q](t, r, *c) for q in names]
+        for i, v in enumerate(vals):
+            if not np.isfinite(v).all():
+                bad = ~(np.isfinite(v) | vanishes(*c))
+                if bad.any():
+                    raise SingularityError(f"{kind} {names[i]} overflows a double "
+                                           f"at r = {float(r[bad][0])!r}")
+                vals[i] = np.where(np.isfinite(v), v, 0.0)
         if scalar:
             vals = [float(v[0]) for v in vals]
         return tuple(vals) if more else vals[0]
     return evaluate
 
 
-def _family(kind, params, core, formulas, positive, **meta) -> SolutionFamily:
+def _family(kind, params, core, formulas, positive,
+            vanishes=lambda *c: False, **meta) -> SolutionFamily:
     """A SolutionFamily whose evaluators all come from one core and the
-    formulas dict (quantity name -> formula); meta fills the other fields.
-    An origin-regular family's g0 is its g at r = 0."""
-    evaluators = {q: _evaluator(core, formulas, q, positive) for q in formulas}
+    formulas dict (quantity name -> formula), under the finite-value rule
+    of _evaluator with the family's vanishing factor, a predicate over the
+    core; meta fills the other fields.  An origin-regular family's g0 is
+    its g at r = 0."""
+    evaluators = {q: _evaluator(kind, core, formulas, q, positive, vanishes)
+                  for q in formulas}
     if meta["origin_regular"]:
         g = evaluators["g"]
         evaluators["g0"] = lambda t: g(t, 0.0)
     return SolutionFamily(kind=kind, params=params, **evaluators, **meta)
-
-
-def _vanishing(formulas, vanishes):
-    """formulas where a value that is not a finite double, at a point where
-    vanishes(core) is True, stands for 0: every quantity carries a factor
-    that underflowed to 0 there, so the rest of its formula met 0 * inf or
-    0 / 0.  Elsewhere each value (and each warning) is the formula's own."""
-    def vanish(formula):
-        def evaluate(t, r, *c):
-            zero = vanishes(c)
-            if not zero.any():
-                return formula(t, r, *c)
-            with np.errstate(invalid="ignore"):
-                out = formula(t, r, *c)
-            out[~np.isfinite(out) & zero] = 0.0
-            return out
-        return evaluate
-    return {q: vanish(f) for q, f in formulas.items()}
-
-
-def _checked(kind, formulas):
-    """formulas with each value checked: where one is not a finite double,
-    SingularityError."""
-    def checked(name, formula):
-        def evaluate(t, r, *c):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                out = formula(t, r, *c)
-            if not np.isfinite(out).all():
-                bad = ~np.isfinite(out)
-                raise SingularityError(f"{kind} {name} overflows a double "
-                                       f"at r = {float(r[bad][0])!r}")
-            return out
-        return evaluate
-    return {q: checked(q, f) for q, f in formulas.items()}
 
 
 def _with_shape(formulas):
@@ -364,10 +349,11 @@ def main_example(p: Params) -> SolutionFamily:
             sigma * iD * (sigma - iD) / (4.0 * mu * mu) / t / t / t}
 
     # every quantity carries the factor iD, so where iD underflows to 0 a
-    # 0 * inf in the rest of its formula stands for 0; an inf stays inf
+    # 0 * inf in the rest of its formula stands for 0
     return _family(
-        "MainExample", p, core, _vanishing(formulas, lambda c: c[1] == 0.0),
-        positive=False, origin_regular=True, small_r_exponent=1.0,
+        "MainExample", p, core, formulas, positive=False,
+        vanishes=lambda xi, iD, sigma: iD == 0.0,
+        origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))))
 
 
@@ -409,7 +395,6 @@ def self_similar(p: Params) -> SolutionFamily:
     n, mu, a = p.n, p.mu, p.a
     m, log_a = 0.5 * n - 1.0, math.log(a)
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def core(t, r):
         root_4mu_t = _sqrt(4.0 * mu * t)
         # a rho that rounds to 0 gives the rho -> 0 limits at the smallest
@@ -444,9 +429,9 @@ def self_similar(p: Params) -> SolutionFamily:
     # underflows to 0, as it does where xi is inf, a 0 * inf or 0 / 0 in the
     # rest of its formula stands for 0
     return _family(
-        "SelfSimilar", p, core,
-        _checked("SelfSimilar", _vanishing(formulas, lambda c: c[4] == 0.0)),
-        positive=True, origin_regular=False, small_r_exponent=-1.0,
+        "SelfSimilar", p, core, formulas, positive=True,
+        vanishes=lambda xi, phi, c, beta_phi, u, amp: u == 0.0,
+        origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))),
         self_similar=True)
 
@@ -458,7 +443,7 @@ def self_similar(p: Params) -> SolutionFamily:
 
 def stationary(p: Params) -> SolutionFamily:
     """Time-independent solution, singular at r = 0 (and at log r = -C if
-    n=2).  A value that overflows a double raises SingularityError."""
+    n=2)."""
     n, mu, C = p.n, p.mu, p.C
 
     if n >= 3:
@@ -496,7 +481,7 @@ def stationary(p: Params) -> SolutionFamily:
 
     formulas["u_t"] = lambda t, r, *c: np.zeros_like(r)
     return _family(
-        "Stationary", p, core, _checked("Stationary", _with_shape(formulas)),
+        "Stationary", p, core, _with_shape(formulas),
         positive=True, origin_regular=False, small_r_exponent=-1.0,
         tail=lambda t: ("power", tail_beta))
 
@@ -559,7 +544,7 @@ def _direct_v(z):
     return v, vp, vpp
 
 
-def _erf_formula(name, mu, amplitude, k, weight, combination):
+def _erf_formula(mu, amplitude, k, weight, combination):
     """One table row as a formula over the core (series mask, direct mask
     and zv, the direct points' (z, v, v', v''), or None where there are
     none)."""
@@ -574,41 +559,36 @@ def _erf_formula(name, mu, amplitude, k, weight, combination):
             # nonzero term has e = 2 m0 - k in {0, 1}, so no power of r divides
             rs, e = r[series], 2 * m0 - k
             four_mu_t = 4.0 * mu * t
-            with np.errstate(over="ignore", invalid="ignore"):   # checked below
-                scale = _at(amplitude(mu, t), series)
-                power = _at(_pow(1.0 / four_mu_t, m0), series)
-                pw = power * rs ** e
-                four_mu_t = _at(four_mu_t, series)
-                fold = ~(np.isfinite(pw) & (power >= _TINY) & np.isfinite(scale))
-                if fold.any():
-                    # (4mu t)^-m0 overflows or underflows, or amp overflows,
-                    # where the term may not: from mu r^e, divide by 4mu t
-                    # m0 times, unless that has lost its digits, then apply
-                    # the amplitude, which is linear in mu
-                    four_mu_t, t_s = (np.broadcast_to(x, rs.shape)
-                                      for x in (four_mu_t, _at(t, series)))
-                    if (four_mu_t[fold] < _TINY).any():
-                        raise SingularityError("NonStationaryErf: 4 mu t is below "
-                                               "the smallest normal double")
-                    term = mu * rs[fold] ** e
-                    for _ in range(m0):
-                        term /= four_mu_t[fold]
-                    pw[fold] = amplitude(term, t_s[fold])
-                    scale = np.where(fold, 1.0, scale)
-                acc = np.zeros_like(rs)
-                for wc in terms:   # in place: the bits of pw * rs * rs / four_mu_t
-                    acc += wc * pw
-                    pw *= rs
-                    pw *= rs
-                    pw /= four_mu_t
-                acc = scale * acc
-            if not np.isfinite(acc).all():
-                raise SingularityError(f"NonStationaryErf {name} overflows a double")
-            out[series] = acc
+            scale = _at(amplitude(mu, t), series)
+            power = _at(_pow(1.0 / four_mu_t, m0), series)
+            pw = power * rs ** e
+            four_mu_t = _at(four_mu_t, series)
+            fold = ~(np.isfinite(pw) & (power >= _TINY) & np.isfinite(scale))
+            if fold.any():
+                # (4mu t)^-m0 overflows or underflows, or amp overflows,
+                # where the term may not: from mu r^e, divide by 4mu t m0
+                # times, unless that has lost its digits, then apply the
+                # amplitude, which is linear in mu
+                four_mu_t, t_s = (np.broadcast_to(x, rs.shape)
+                                  for x in (four_mu_t, _at(t, series)))
+                if (four_mu_t[fold] < _TINY).any():
+                    raise SingularityError("NonStationaryErf: 4 mu t is below "
+                                           "the smallest normal double")
+                term = mu * rs[fold] ** e
+                for _ in range(m0):
+                    term /= four_mu_t[fold]
+                pw[fold] = amplitude(term, t_s[fold])
+                scale = np.where(fold, 1.0, scale)
+            acc = np.zeros_like(rs)
+            for wc in terms:   # in place: the bits of pw * rs * rs / four_mu_t
+                acc += wc * pw
+                pw *= rs
+                pw *= rs
+                pw /= four_mu_t
+            out[series] = scale * acc
         if zv is not None:
             comb = combination(*zv)
-            with np.errstate(invalid="ignore"):
-                val = _at(amplitude(mu, t), direct) / r[direct] ** k * comb
+            val = _at(amplitude(mu, t), direct) / r[direct] ** k * comb
             # a combination exactly 0 (z v' past z = 40) times an amplitude
             # that overflows is 0 * inf, and stands for 0
             val[np.isnan(val) & (comb == 0.0)] = 0.0
@@ -647,7 +627,7 @@ def nonstationary_erf(mu: float) -> SolutionFamily:
 
     return _family(
         "NonStationaryErf", params, core,
-        {q: _erf_formula(q, mu, *row) for q, row in _ERF_TABLE.items()},
+        {q: _erf_formula(mu, *row) for q, row in _ERF_TABLE.items()},
         positive=False, origin_regular=True, small_r_exponent=1.0,
         tail=lambda t: ("power", -1.0))
 
@@ -781,20 +761,11 @@ def cole_hopf(theta: HeatFunction, params: Params) -> SolutionFamily:
         return -2.0 * mu * (over("theta_rt", t, r, th) - q1 * qt)
 
     # u/r has no origin limit this code could evaluate for a generic heat
-    # function, so the shape functions treat r = 0 as a singularity
-    def off_origin(formula):
-        def evaluate(t, r, th):
-            if not r.all():
-                raise SingularityError(
-                    "ColeHopfOf shape functions are singular at r = 0; require r > 0")
-            return formula(t, r, th)
-        return evaluate
-
-    formulas = _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t})
-    for q in ("g", "g_r", "P", "W"):
-        formulas[q] = off_origin(formulas[q])
+    # function: at r = 0 the shape functions divide by 0, and the
+    # finite-value rule raises SingularityError
     return _family(
-        "ColeHopfOf", params, core, formulas,
+        "ColeHopfOf", params, core,
+        _with_shape({"u": u, "u_r": u_r, "u_rr": u_rr, "u_t": u_t}),
         positive=False, origin_regular=False, small_r_exponent=0.0,
         tail=lambda t: ("gaussian", math.sqrt(4.0 * mu * _check_t(t))))
 
@@ -825,7 +796,8 @@ def gaussian_heat_function(p: Params) -> HeatFunction:
         "theta_rt": lambda t, r, G:
             r * G / (2.0 * mu * t * t) * (1.0 - r * r / (4.0 * mu * t) + 0.5 * n),
     }
-    return HeatFunction(**{q: _evaluator(kernel, formulas, q, positive=False)
+    return HeatFunction(**{q: _evaluator("GaussianHeat", kernel, formulas, q,
+                                         False, lambda G: False)
                            for q in formulas})
 
 

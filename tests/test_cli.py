@@ -621,13 +621,9 @@ def test_config_fuzz_exits_cleanly(case):
 
 
 # the sweeps below that reach their exit code through a RuntimeWarning, an
-# open defect at mu = 1e300: r * r overflows in MainExample's core during
-# the linf search, u_r^2 in the erf family's gradient, and the distance
-# integrand in the erf family's distance sweeps
+# open defect at mu = 1e300: the erf family's distance integrand (amp w)^p
+# overflows
 _SWEEPS_THAT_WARN = {
-    ("MainExample", "linf", "1e300", "1:1e-2:3"),
-    ("NonStationaryErf", "grad_lp", "1e300", "1e-2:1e-8:13"),
-    ("NonStationaryErf", "grad_lp", "1e300", "1:1e-2:3"),
     ("NonStationaryErf", "distance", "1e300", "1e-2:1e-8:13"),
     ("NonStationaryErf", "distance", "1e300", "1e-100:1e-300:3"),
     ("NonStationaryErf", "distance", "1e300", "1:1e-2:3"),
@@ -684,15 +680,10 @@ def _fuzz_argv():
 
 
 # (subcommand, family) -> how many argv of the fuzz grid print a
-# RuntimeWarning on the way to their exit code, an open defect (overflow
-# and division by zero in residual._terms and in the family formulas at mu
-# = 1e300 or t = 1e-306); a new warning fails here
+# RuntimeWarning on the way to their exit code, an open defect (the erf
+# family's distance integrand (amp w)^p overflows at mu = 1e300 and at
+# t = 1e-306); a new warning fails here
 _FUZZ_ARGV_THAT_WARN = {
-    ("residual", "MainExample"): 28,
-    ("residual", "NonStationaryErf"): 22,
-    ("residual", "SelfSimilar"): 4,
-    ("residual", "Stationary"): 6,
-    ("decay", "MainExample"): 1,
     ("decay", "NonStationaryErf"): 3,
 }
 

@@ -399,6 +399,14 @@ def test_origin_limit_check_where_t_cubed_underflows_raises():
         origin_limit_check(main_example(Params(2, 1e-8, a=3.0)), 1e-300)
 
 
+def test_origin_limit_check_where_t_cubed_overflows_raises():
+    # at t_bar = 1e200 the Python float powers t^3 and (1 + A)^3 pass the
+    # largest double: a bare OverflowError
+    for n in (2, 12):
+        with pytest.raises(SingularityError, match="overflows a double at t = 1e"):
+            origin_limit_check(main_example(Params(n, 0.1)), 1e200)
+
+
 def test_self_similar_residual_runs_the_scaled_tail_once_per_pass(monkeypatch):
     # the residual subcommand's analytic pass asks for u, u_r, u_rr and u_t
     # over one core, and its finite-difference pass for u on one stack of

@@ -489,22 +489,40 @@ def _log10s(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
+# family -> (n, mu) -> the family, each at the dimensions it is defined in
+SWEPT = {
+    "MainExample": lambda n, mu: main_example(Params(n, mu)),
+    "SelfSimilar": lambda n, mu: self_similar(Params(max(n, 3), mu)),
+    "Stationary-n2": lambda n, mu: stationary(Params(2, mu, C=1.0)),
+    "Stationary": lambda n, mu: stationary(Params(max(n, 3), mu, C=1.0)),
+    "NonStationaryErf": lambda n, mu: nonstationary_erf(mu),
+    "ColeHopfOf": lambda n, mu: cole_hopf(gaussian_heat_function(Params(n, mu)),
+                                          Params(n, mu)),
+}
+
+
+# each drawn point is swept over every family, not one hypothesis run per
+# family: the draws cost more than the 48 evaluator calls of a point
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(n=st.integers(3, 12), mu=_log10s(-8.0, 1.0), t=_log10s(-300.0, 0.0),
-       r=st.one_of(st.just(5e-324), _log10s(-323.3, 3.0)))
-def test_self_similar_evaluators_finite_or_singular(n, mu, t, r):
-    """Over n = 3..12, mu = 1e-8..10, t = 1e-300..1 and r = 5e-324..1e3
-    every evaluator returns a finite double or raises SingularityError,
-    with no floating-point warning on the way."""
-    fam = self_similar(Params(n, mu))
+@given(n=st.integers(2, 12), mu=_log10s(-8.0, 1.0), t=_log10s(-300.0, 0.0),
+       r=st.one_of(st.just(0.0), st.just(5e-324), _log10s(-323.3, 3.0)))
+def test_evaluators_finite_or_typed_error(n, mu, t, r):
+    """Over n = 2..12 (where the family is defined), mu = 1e-8..10,
+    t = 1e-300..1 and r = 0, 5e-324..1e3 every evaluator of every family
+    returns a finite double or raises EvaluationError, with no
+    floating-point warning on the way."""
     with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        for q in EVALUATORS:
-            try:
-                val = getattr(fam, q)(t, r)
-            except SingularityError:
-                continue
-            assert type(val) is float and math.isfinite(val), (q, val)
+        for family, make in SWEPT.items():
+            fam = make(n, mu)
+            for q in EVALUATORS:
+                try:
+                    val = getattr(fam, q)(t, r)
+                except EvaluationError:
+                    continue
+                except (FloatingPointError, RuntimeWarning) as exc:
+                    raise AssertionError(f"{family} {q}: {exc}") from exc
+                assert type(val) is float and math.isfinite(val), (family, q, val)
 
 
 # ---------------------------------------------------------------------------
@@ -881,20 +899,17 @@ def test_one_call_covers_each_branch():
 
 def test_main_example_is_zero_where_iD_underflows():
     # at t = 1e-300, r = 1e-4, xi = 2.5e292 and iD = 1/(1 + e^L) underflows
-    # to 0, so every quantity, which carries the factor iD, underflows too
-    # (u and W read 0.0 at the parent); u_rr, u_t, g_r and P met 0 * inf
-    # (r / t^2 with t^2 = 0) and read nan
+    # to 0, so every quantity, which carries the factor iD, underflows too:
+    # u_rr, u_t, g_r and P meet 0 * inf (r / t^2 with t^2 = 0), which the
+    # finite-value rule reads as 0.0, with no RuntimeWarning
     for q in EVALUATORS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # r / t^2 divides by 0
-            assert MAIN.at(1e-300, 1e-4, q)[0] == 0.0, q
-            got = getattr(MAIN, q)(np.array([[1e-300], [1e-3]]), np.array([1e-4, 0.02]))
+        assert MAIN.at(1e-300, 1e-4, q)[0] == 0.0, q
+        got = getattr(MAIN, q)(np.array([[1e-300], [1e-3]]), np.array([1e-4, 0.02]))
         assert got[0, 0] == 0.0 and got[1, 1] == getattr(MAIN, q)(1e-3, 0.02), q
-    # where iD is not 0 nothing changes: u_t = -(r / t^2) iD (...) passes
-    # the largest double at r = 1e-160 and stays -inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert MAIN.u_t(1e-300, 1e-160) == -math.inf
+    # where iD is not 0, u_t = -(r / t^2) iD (...) passes the largest double
+    # at r = 1e-160: a typed error (it read -inf)
+    with pytest.raises(SingularityError, match="overflows a double"):
+        MAIN.u_t(1e-300, 1e-160)
 
 
 def test_erf_u_t_is_zero_past_its_flat_point_whatever_the_amplitude():
