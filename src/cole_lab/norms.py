@@ -2,10 +2,10 @@
 Sobolev quantities, L^infinity, and decay-exponent fits.
 
 Each kind of KINDS has one sweep (s, p, ts) -> points in _SWEEPS, which
-norm_sweep looks up: one L^p core serves u, Du and D^2 u, and one bound
-core the main example's bound integrals.  A kind that is not defined for a
-family (a distance off the erf family, a bound off the main example)
-raises DomainError.
+norm_sweep looks up: one L^p core serves u, Du, D^2 u and the erf
+family's distance from 2 mu / r, and one bound core the main example's
+bound integrals.  A kind that is not defined for a family (a distance off
+the erf family, a bound off the main example) raises DomainError.
 
 The lp, grad_lp, hess_bound_lp and distance sweeps integrate in lockstep:
 each plans the integrals of every grid point (three per point for the hess
@@ -160,24 +160,20 @@ class DecayFit:
 # endpoint analysis helpers
 # ---------------------------------------------------------------------------
 
-def _integrand_tail(s: SolutionFamily, t: float, p: float, derivative_order: int):
-    """Decay class of |D^k u|^p r^(n-1) given the family tail."""
-    kind, par = s.tail(t)
+def _integrand_tail(s: SolutionFamily, p: float, tail: tuple, order: int):
+    """Decay class of m^p r^(n-1) given the tail (kind, par) of a modulus m
+    of the given order (_MODULI): a power tail falls order powers faster."""
+    kind, par = tail
     n = s.params.n
     if kind == "gaussian":
         return ("gaussian", par / math.sqrt(p))
     if kind == "power":
-        beta = p * (par - derivative_order) + n - 1.0
+        beta = p * (par - order) + n - 1.0
         if beta >= -1.0:
             raise DivergenceError(
                 f"{s.kind}: tail power {beta:g} not integrable at infinity")
         return ("power", beta)
     raise ValueError(f"unknown tail class {kind!r}")
-
-
-def _check_origin(alpha: float, label: str):
-    if alpha <= -1.0:
-        raise DivergenceError(f"{label}: exponent {alpha:g} at r -> 0 not integrable")
 
 
 def _layer_splits(s: SolutionFamily, t: float) -> tuple:
@@ -214,8 +210,8 @@ def _positive(res, name: str):
 # members' order) to the point's (value, error).  _one runs a plan's
 # integrals one at a time, with float arguments; _each_t runs the plans of
 # a whole t-grid in one integrate_many, with (rows, 1) columns.  The L^p
-# and distance plans take omega = sphere_measure(n) first, so an n past 343
-# raises DomainError before any quadrature runs.
+# plan takes omega = sphere_measure(n) first, so an n past 343 raises
+# DomainError before any quadrature runs.
 
 def _one(s: SolutionFamily, p: float, integrand, plan: tuple):
     """(value, error) of plan's integrals, each through
@@ -223,13 +219,6 @@ def _one(s: SolutionFamily, p: float, integrand, plan: tuple):
     members, args, finish = plan
     return finish(quad._run([(functools.partial(integrand, s, p), list(zip(members, args)))],
                             True, _REL_TOL)[0])
-
-
-def _norm(omega: float, p: float, val: float, err: float):
-    """(omega val)^(1/p) for val = int_0^oo |.|^p r^(n-1) dr, with the
-    integral's error propagated to first order."""
-    norm = (omega * val) ** (1.0 / p)
-    return norm, norm * (err / val) / p
 
 
 def _root(log_scale: float, p: float, val: float, err: float):
@@ -269,37 +258,67 @@ def _abs_d2u(s: SolutionFamily, t: float, r):
     return r * m * np.sqrt(a * a + 6.0 * a * b + 3.0 * (s.params.n + 2.0) * b * b)
 
 
-# k -> (|D^k u|_F pointwise, its exponent at r -> 0 given u's, name); a
-# regular origin (u ~ r) gives |Du|_F ~ 1 and |D^2 u|_F ~ r
-_DERIVATIVES = (
-    (_abs_u, lambda e: e, ""),
-    (_abs_du, lambda e: e - 1.0 if e < 1.0 else 0.0, "grad "),
-    (_abs_d2u, lambda e: e - 2.0 if e < 1.0 else 1.0, "hess "),
+def _log_of(modulus):
+    return lambda s, t, r: np.log(modulus(s, t, r))
+
+
+def _log_erf_distance(s: SolutionFamily, t: float, r):
+    # log |u - 2 mu/r| = log(sqrt(mu/t) (2/sqrt(pi)) e^(-z^2) / erf z),
+    # z = r/sqrt(4 mu t): no 1/r terms subtracted, and a double where the
+    # difference is not (sqrt(mu/t) passes the largest double at mu = 1e300)
+    mu = s.params.mu
+    z = r / np.sqrt(4.0 * mu * t)
+    return (0.5 * (math.log(mu) - np.log(t)) + math.log(2.0 / math.sqrt(math.pi))
+            - z * z - np.log(erf(z)))
+
+
+def _erf_distance_tail(s: SolutionFamily, t: float) -> tuple:
+    if s.kind != "NonStationaryErf":
+        raise DomainError("distance norms are defined for the NonStationaryErf family (n=3)")
+    return ("gaussian", math.sqrt(4.0 * s.params.mu * t))
+
+
+def _u_tail(s: SolutionFamily, t: float) -> tuple:
+    return s.tail(t)
+
+
+# The L^p moduli m, k -> (log m (s, t, r), its exponent at r -> 0 given
+# u's, its tail (s, t) -> (kind, par), the order j with m ~ 4 mu / l^(j+1),
+# label).  k = 0, 1, 2 are |D^k u|_F, where a regular origin (u ~ r) gives
+# |Du|_F ~ 1 and |D^2 u|_F ~ r; k = 3 is the erf family's distance |u -
+# 2 mu/r| = sqrt(mu/t) w(z), w ~ 1/z at 0, DomainError off that family.
+_MODULI = (
+    (_log_of(_abs_u), lambda e: e, _u_tail, 0, ""),
+    (_log_of(_abs_du), lambda e: e - 1.0 if e < 1.0 else 0.0, _u_tail, 1, "grad "),
+    (_log_of(_abs_d2u), lambda e: e - 2.0 if e < 1.0 else 1.0, _u_tail, 2, "hess "),
+    (_log_erf_distance, lambda e: -1.0, _erf_distance_tail, 0, "distance "),
 )
 
 
 def _lp_plan(s: SolutionFamily, p: float, t: float, k: int) -> tuple:
-    """The plan (see _one) of the R^n L^p norm of |D^k u|_F, k = 0, 1, 2:
-    exp((log omega + c + log val)/p), val = int_0^oo e^-c |D^k u|_F^p
-    r^(n-1) dr (_lp_integrand); UnderflowError below the smallest normal
-    double.
+    """The plan (see _one) of the R^n L^p norm of the modulus m of _MODULI[k]:
+    exp((log omega + c + log val)/p), val = int_0^oo e^-c m^p r^(n-1) dr
+    (_lp_integrand); UnderflowError below the smallest normal double.
 
-    |D^k u|_F^p, r^(n-1) and their product each leave the double range
-    somewhere (near a singular origin, at deep t).  u ~ 4 mu / l, l the
-    outermost layer split, gives c = p log(4 mu) + (n-1-p(k+1)) log l, so
-    val is O(l) at every t; the exponentials cost |log f| ulps, 1e-13 at
+    m^p, r^(n-1) and their product each leave the double range somewhere
+    (near a singular origin, at deep t, at huge mu).  m ~ 4 mu / l^(j+1), l
+    the outermost layer split, gives c = p log(4 mu) + (n-1-p(j+1)) log l,
+    so val is O(l) at every t; the exponentials cost |log f| ulps, 1e-13 at
     worst."""
-    _, origin, label = _DERIVATIVES[k]
+    _, origin, tail_of, order, label = _MODULI[k]
     n = s.params.n
     omega = sphere_measure(n)
+    tail = tail_of(s, t)     # DomainError first where m is not defined
     alpha = p * origin(s.small_r_exponent) + n - 1.0
-    _check_origin(alpha, f"{s.kind} {label}L^{p:g}")
-    decay = _integrand_tail(s, t, p, derivative_order=k)
+    if alpha <= -1.0:
+        raise DivergenceError(
+            f"{s.kind} {label}L^{p:g}: exponent {alpha:g} at r -> 0 not integrable")
+    decay = _integrand_tail(s, p, tail, order)
     if not 4.0 * s.params.mu * t >= _TINY:   # r^2/(4 mu t) has lost its digits
         raise UnderflowError(f"{s.kind}: 4 mu t is below the smallest normal double")
     splits = _layer_splits(s, t)
     c = (p * math.log(4.0 * s.params.mu)
-         + (n - 1.0 - p * (k + 1.0)) * math.log(max(splits)))
+         + (n - 1.0 - p * (order + 1.0)) * math.log(max(splits)))
     name = f"{s.kind}.{label.strip()}L{p:g}"
 
     def finish(results):
@@ -312,19 +331,18 @@ def _lp_plan(s: SolutionFamily, p: float, t: float, k: int) -> tuple:
 
 
 def _lp_integrand(k: int):
-    """The integrand (s, p, t, c, r) of _lp_plan: exp(p log |D^k u|_F +
-    (n-1) log r - c) at (t, r)."""
-    modulus = _DERIVATIVES[k][0]
+    """The integrand (s, p, t, c, r) of _lp_plan: exp(p log m + (n-1) log r
+    - c) at (t, r), m the modulus of _MODULI[k]."""
+    log_modulus = _MODULI[k][0]
 
     def integrand(s, p, t, c, r):
-        with np.errstate(divide="ignore"):   # log 0 where u underflows
-            return np.exp(p * np.log(modulus(s, t, r))
-                          + (s.params.n - 1.0) * np.log(r) - c)
+        with np.errstate(divide="ignore"):   # log 0 where the modulus underflows
+            return np.exp(p * log_modulus(s, t, r) + (s.params.n - 1.0) * np.log(r) - c)
     return integrand
 
 
 def _derivative_lp(s: SolutionFamily, p: float, t: float, k: int):
-    """(value, error) of the R^n L^p norm of |D^k u|_F at t (_lp_plan)."""
+    """(value, error) of the R^n L^p norm of the modulus _MODULI[k] at t."""
     return _one(s, p, _lp_integrand(k), _lp_plan(s, p, t, k))
 
 
@@ -357,41 +375,13 @@ def hessian_frobenius_lp(s: SolutionFamily, p: float, t: float) -> float:
     return _derivative_lp(s, p, t, 2)[0]
 
 
-def _distance_plan(s: SolutionFamily, p: float, t: float) -> tuple:
-    """The plan (see _one) of ||u_nst - u_st||_p at t.  |u_nst - u_st| =
-    sqrt(mu/t) w(z), w = (2/sqrt(pi)) e^(-z^2)/erf(z), z = r/sqrt(4 mu t):
-    evaluated directly, no subtraction of 1/r terms."""
-    if s.kind != "NonStationaryErf":
-        raise DomainError(
-            "distance norms are defined for the NonStationaryErf family (n=3)")
-    mu = s.params.mu
-    root = math.sqrt(4.0 * mu * t)
-    amp = math.sqrt(mu / t)
-    n = 3
-    omega = sphere_measure(n)
-    alpha = -p + n - 1.0  # w ~ 1/z at 0
-    _check_origin(alpha, f"|u_nst - u_st| L^{p:g}")
-    name = f"erf_distance.L{p:g}"
-    member = Integrand(small_r_exponent=alpha, decay=("gaussian", root / math.sqrt(p)),
-                       splits=(root,), name=name)
-    return [member], [(root, amp)], lambda results: _norm(
-        omega, p, *_positive(results[0], name))
-
-
-def _distance_integrand(s: SolutionFamily, p: float, root, amp, r):
-    """|u_nst - u_st|^p r^2 at r."""
-    z = r / root
-    w = (2.0 / math.sqrt(math.pi)) * np.exp(-z * z) / erf(z)
-    return (amp * w) ** p * r ** 2.0
-
-
 def lp_distance(s: SolutionFamily, p: float, t: float) -> float:
     """Full R^n L^p norm at time t of u - 2 mu / r, the distance of the erf
     family from its stationary limit (n = 3, C = 0), which is where the
     L^p -> 0 statement lives.  It uses the closed-form difference
     sqrt(mu/t) w(r/sqrt(4mu t)), whose integrand fails power counting at
     p >= 3.  Raises DomainError for any other family."""
-    return _one(s, p, _distance_integrand, _distance_plan(s, p, t))[0]
+    return _derivative_lp(s, p, t, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +617,9 @@ def _each_t(plan, integrand):
 
 
 def _lp_sweep(k: int):
-    """The sweep of the L^p norm of |D^k u|_F: scaled from one integral
-    over a family that declares self_similar (_scaled_points), else the
-    integrals of every t in lockstep."""
+    """The sweep of the L^p norm of the modulus _MODULI[k]: scaled from one
+    integral over a family that declares self_similar (_scaled_points), else
+    the integrals of every t in lockstep."""
     each = _each_t(lambda s, p, t: _lp_plan(s, p, t, k), _lp_integrand(k))
 
     def sweep(s, p, ts):
@@ -652,7 +642,7 @@ _SWEEPS = {
     "grad_lp": _lp_sweep(1),
     "hess_bound_lp": _each_t(_hess_plan, _bound_integrand),
     "linf": _linf_sweep,
-    "distance": _each_t(_distance_plan, _distance_integrand),
+    "distance": _lp_sweep(3),
 }
 KINDS = tuple(_SWEEPS)
 

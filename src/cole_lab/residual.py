@@ -242,8 +242,13 @@ class OriginLimitReport:
 _ORIGIN_RADII = np.ldexp(1.0, -np.arange(4, 15))
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+def _loglog_slope(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    """Slope of log y against log x over the points where y > 0;
+    UnderflowError, naming what, where fewer than two are."""
     good = y > 0.0
+    if np.count_nonzero(good) < 2:
+        raise UnderflowError(f"{what} is 0 at {np.count_nonzero(~good)} of "
+                             f"{len(y)} radii, too few for a convergence order")
     lx, ly = np.log(x[good]), np.log(y[good])
     return float(np.polyfit(lx, ly, 1)[0])
 
@@ -268,10 +273,11 @@ def origin_limit_check(s: SolutionFamily, t_bar: float) -> OriginLimitReport:
 
     g_vals, gr_vals, w_vals = s.at(t_bar, r, "g", "g_r", "W")
     gap_a = np.abs(g_vals - target_a)
-    order_a = _loglog_slope(r, gap_a)
+    at = f"{s.label()} at t_bar = {t_bar!r}"
+    order_a = _loglog_slope(r, gap_a, f"{at}: the gap g - target")
     rel_a = float(gap_a[-1] / abs(target_a))
 
-    order_b = _loglog_slope(r, np.abs(gr_vals))
+    order_b = _loglog_slope(r, np.abs(gr_vals), f"{at}: (u/r)_r")
 
     w_small = float(w_vals[-1])
     gap_c = abs(w_small - target_c) / max(abs(target_c), 1e-300)

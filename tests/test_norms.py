@@ -20,8 +20,7 @@ from cole_lab.norms import (KINDS, BracketingError, DegenerateFitError,
                             hessian_frobenius_lp, hessian_frobenius_sq,
                             linf_norm, lp_distance, lp_norm, norm_sweep,
                             sphere_measure, _bound_integrand, _derivative_lp,
-                            _distance_integrand, _distance_plan, _hess_plan,
-                            _lp_integrand, _lp_plan)
+                            _hess_plan, _lp_integrand, _lp_plan)
 from cole_lab.quadrature import Integrand, integrate_semi_infinite, layer_power_integral
 from cole_lab.solutions import (Params, SingularityError, SolutionFamily,
                                 cartesian_components, main_example,
@@ -250,11 +249,39 @@ def test_erf_distance_divergent_at_p3():
 
 
 def test_erf_distance_exact_slope():
-    # sqrt(mu/t) w(r/sqrt(4mu t)) scales exactly: slope (3-p)/(2p)
+    """sqrt(mu/t) w(r/sqrt(4mu t)) scales exactly: ||u(t) - 2 mu/r||_p =
+    (mu/t)^(1/2) (4 mu t)^(3/(2p)) K_p, slope (3-p)/(2p), with K_p^p = 4 pi
+    int_0^oo w(z)^p z^2 dz in 30-digit mpmath.  From t = 1 down to 1e-300
+    and mu = 1e-8 up to 1e300 the law leaves the double range on both sides:
+    a point is ok within 1e-12 of it, its error column covering the gap, or
+    flagged unbounded past the largest double and underflow below the
+    smallest normal one.  At mu = 1e300 the distance integrand (amp w)^p
+    overflowed, and t = 1e-300 read inf,nan,unbounded."""
     spec = NormSpec("distance", p=1.0)
     fit = decay_fit(norm_sweep(NST, spec, np.geomspace(1e-2, 1e-6, 9)))
     assert fit.slope == approx(1.0, abs=1e-9)
     assert fit.max_log_residual < 1e-9
+    ts = np.geomspace(1.0, 1e-300, 31)
+    flags = set()
+    with mpmath.workdps(30):
+        def w(z):
+            return 2 / mpmath.sqrt(mpmath.pi) * mpmath.exp(-z * z) / mpmath.erf(z)
+        for p in (1, 2):
+            K = (4 * mpmath.pi * mpmath.quad(lambda z: w(z) ** p * z * z,
+                                             [0, 1, 3, 10, mpmath.inf])) ** (mpmath.mpf(1) / p)
+            for mu in (1e-8, 0.1, 1e300):
+                rep = norm_sweep(nonstationary_erf(mu), NormSpec("distance", p=p), ts)
+                for t, v, e, flag in zip(ts.tolist(), rep.values, rep.quad_errors, rep.flags):
+                    M, T = mpmath.mpf(mu), mpmath.mpf(t)
+                    law = mpmath.sqrt(M / T) * (4 * M * T) ** (mpmath.mpf(3) / (2 * p)) * K
+                    want = ("unbounded" if law > np.finfo(float).max else
+                            "underflow" if law < np.finfo(float).tiny else "ok")
+                    assert flag == want, (mu, p, t, v)
+                    if flag == "ok":
+                        gap = abs(v - law)
+                        assert gap <= 1e-12 * law and e >= gap, (mu, p, t, v)
+                    flags.add(flag)
+    assert flags == {"ok", "unbounded", "underflow"}
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +649,7 @@ _LOCKSTEP = {
     "lp": (MAIN, lambda s, p, t: _lp_plan(s, p, t, 0), _lp_integrand(0)),
     "grad_lp": (MAIN, lambda s, p, t: _lp_plan(s, p, t, 1), _lp_integrand(1)),
     "hess_bound_lp": (MAIN, _hess_plan, _bound_integrand),
-    "distance": (NST, _distance_plan, _distance_integrand),
+    "distance": (NST, lambda s, p, t: _lp_plan(s, p, t, 3), _lp_integrand(3)),
 }
 
 

@@ -407,6 +407,16 @@ def test_origin_limit_check_where_t_cubed_overflows_raises():
             origin_limit_check(main_example(Params(n, 0.1)), 1e200)
 
 
+def test_origin_limit_check_without_a_gap_to_fit_raises():
+    # at n = 12, A = a (4 pi mu t_bar)^6 ~ 4e-18 puts g's r^2 correction
+    # below an ulp of the target, so g - target is 0 at every radius and
+    # np.polyfit got empty arrays: a bare TypeError.  n = 8 still fits
+    with pytest.raises(UnderflowError, match=r"n=12.*t_bar = 0\.001: the gap g - target "
+                                             "is 0 at 11 of 11 radii"):
+        origin_limit_check(main_example(Params(12, 0.1)), 1e-3)
+    assert not origin_limit_check(main_example(Params(8, 0.1)), 1e-3).passed
+
+
 def test_self_similar_residual_runs_the_scaled_tail_once_per_pass(monkeypatch):
     # the residual subcommand's analytic pass asks for u, u_r, u_rr and u_t
     # over one core, and its finite-difference pass for u on one stack of
