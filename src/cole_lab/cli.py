@@ -58,8 +58,8 @@ def _parse_range(spec: str, message: str):
 
 def _parse_t_grid(spec: str) -> np.ndarray:
     lo, hi, k = _parse_range(spec, f"bad t-grid spec {spec!r}, want lo:hi:k")
-    if not (lo > 0.0 and hi > 0.0 and k >= 2):
-        raise ConfigError("t-grid needs positive endpoints and k >= 2")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and k >= 2):
+        raise ConfigError("t-grid needs positive finite endpoints and k >= 2")
     return np.geomspace(lo, hi, k)
 
 

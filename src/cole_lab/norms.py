@@ -43,6 +43,7 @@ itself is below the smallest normal double, not only its p-th power.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -207,18 +208,21 @@ def _positive(res, name: str):
 # (DivergenceError, UnderflowError) before any quadrature runs.  members are
 # the Integrands without f, args their arguments, which follow s and p in
 # the kind's integrand(s, p, *args, r), and finish maps their results (in
-# members' order) to the point's (value, error).  _one runs a plan's
-# integrals one at a time, with float arguments; _each_t runs the plans of
-# a whole t-grid in one integrate_many, with (rows, 1) columns.  The L^p
-# plan takes omega = sphere_measure(n) first, so an n past 343 raises
-# DomainError before any quadrature runs.
+# members' order) to the point's (value, error).  _each_t runs the plans of
+# a whole t-grid in one integrate_many, with (rows, 1) columns.  _one runs a
+# plan's integrals one at a time through integrate_semi_infinite, with
+# float arguments: it is the only path in the lab that integrates alone,
+# kept because perfbench's tracer counts only integrate_semi_infinite
+# spans.  The L^p plan takes omega = sphere_measure(n) first, so an n past
+# 343 raises DomainError before any quadrature runs.
 
 def _one(s: SolutionFamily, p: float, integrand, plan: tuple):
     """(value, error) of plan's integrals, each through
     integrate_semi_infinite."""
     members, args, finish = plan
-    return finish(quad._run([(functools.partial(integrand, s, p), list(zip(members, args)))],
-                            True, _REL_TOL)[0])
+    return finish([quad.integrate_semi_infinite(dataclasses.replace(
+                       m, f=functools.partial(integrand, s, p, *a)), rel_tol=_REL_TOL)
+                   for m, a in zip(members, args)])
 
 
 def _root(log_scale: float, p: float, val: float, err: float):
@@ -611,7 +615,7 @@ def _each_t(plan, integrand):
         plans = [_planned(plan, s, p, t) for t in ts]
         results = iter(quad._run([(functools.partial(integrand, s, p),
                                    [x for ms, args, _ in plans for x in zip(ms, args)])],
-                                 False, _REL_TOL)[0])
+                                 _REL_TOL)[0])
         return [_point(finish, [next(results) for _ in ms]) for ms, _, finish in plans]
     return sweep
 

@@ -123,7 +123,7 @@ class SolverConfig:
                 (0.0 < self.t0 < self.t1, "need t1 > t0 > 0"),
                 (self.t1 <= 5.0 * self.t0, "oracle horizon limited to t1 <= 5 t0"),
                 (16 <= self.nr <= 8192, "nr must be in [16, 8192]"),
-                (0.0 <= self.r_min < self.r_max, "need 0 <= r_min < r_max"),
+                (0.0 <= self.r_min < self.r_max < math.inf, "need 0 <= r_min < r_max < inf"),
                 (self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}"),
                 (0.0 < self.cfl <= 1.0, "cfl must be in (0, 1]"),
                 # explicit diffusion number 4 mu dt / h^2 = 4 cfl must stay <= 2
@@ -278,17 +278,14 @@ class _Stepper:
 
     step is (dt, n_steps) from cfg.step_size.  left and right hold the
     Dirichlet value of each block's ends at the end of every step: arrays
-    of shape (n_steps, k), indexed by the step number (None for one block
-    held at 0, when only the operator and the matrix are wanted).  A
-    cn-central stepper keeps the last step's advection for AB2, so it
-    advances one march, from step 0 on."""
+    of shape (n_steps, k), indexed by the step number.  A cn-central
+    stepper keeps the last step's advection for AB2, so it advances one
+    march, from step 0 on."""
 
     def __init__(self, cfg: SolverConfig, step: tuple, left, right):
         self.cfg = cfg
         self.dt, self.n_steps = step
         self.last_advection = None
-        if left is None:
-            left = right = np.zeros((self.n_steps, 1))
         k = left.shape[1]
         n_nodes = cfg.nr + 1
         r = cfg.radii()

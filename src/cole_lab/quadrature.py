@@ -25,14 +25,13 @@ Callers describe an integrand with its endpoint behavior (power exponent at
 0+, decay class at infinity, optional split hints near the layer); see
 `Integrand`.  `lemma1_I` and `lemma2_J` wrap the two parametric families
 used throughout, evaluating the denominator in log-domain so that b t^(n/2)
-ranging over hundreds of orders of magnitude costs no accuracy.  Given
-arrays, they integrate all elements (and routes) in one integrate_many.
+ranging over hundreds of orders of magnitude costs no accuracy.  They
+integrate all elements (and routes) in one integrate_many, a scalar call
+being the one-element run.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -392,16 +391,12 @@ def integrate_semi_infinite(f: Integrand, rel_tol: float,
     return res
 
 
-def _run(groups, alone: bool, rel_tol: float) -> list:
+def _run(groups, rel_tol: float) -> list:
     """Per group (f, planned) the results of its integrals, planned a list
-    of (member, args) with integrand f(*args, r).  alone: each through
-    integrate_semi_infinite, float args.  Else all in one integrate_many,
-    args as (rows, 1) columns and each f on its group's block of rows
-    (rows come in member order), a result per member."""
-    if alone:
-        return [[integrate_semi_infinite(dataclasses.replace(
-                     m, f=functools.partial(f, *args)), rel_tol=rel_tol)
-                 for m, args in planned] for f, planned in groups]
+    of (member, args) with integrand f(*args, r): all in one
+    integrate_many, args as (rows, 1) columns and each f on its group's
+    block of rows (rows come in member order), a QuadResult or
+    NonConvergenceError per member."""
     starts = list(itertools.accumulate((len(planned) for _, planned in groups), initial=0))
     blocks = [(f, start, np.array([args for _, args in planned], dtype=float).T[:, :, None])
               for (f, planned), start in zip(groups, starts) if planned]
@@ -418,13 +413,14 @@ def _run(groups, alone: bool, rel_tol: float) -> list:
 
 def _each(build, fs, finish, args: tuple, rel_tol: float):
     """finish(x, *results) per element x of args broadcast together, build(*x)
-    planning a (member, args) per route of integrand fs[i] (see _run): a
-    float for scalar args, else an array of the broadcast shape whose
-    integrals run in lockstep.  Raises the first NonConvergenceError."""
+    planning a (member, args) per route of integrand fs[i] (see _run), the
+    integrals of every element in one lockstep run: a float for scalar
+    args, else an array of the broadcast shape.  Raises the first
+    NonConvergenceError."""
     arrays = np.broadcast_arrays(*args)
     elements = list(zip(*(a.ravel().tolist() for a in arrays)))
     routes = zip(*(build(*x) for x in elements))
-    results = _run(list(zip(fs, routes)), arrays[0].shape == (), rel_tol)
+    results = _run(list(zip(fs, routes)), rel_tol)
     for res in itertools.chain(*results):
         if isinstance(res, NonConvergenceError):
             raise res
@@ -434,11 +430,10 @@ def _each(build, fs, finish, args: tuple, rel_tol: float):
 
 def _power_layer(k, x, l, z):
     """x^k / (1 + e^z)^l with the bracket in log-domain; k and l are
-    floats, or (rows, 1) columns of integrate_many's members."""
-    # a column takes k log x throughout: where k = 0 it is +-0, which moves
-    # no bit of the exponent
-    power = k * np.log(x) if isinstance(k, np.ndarray) or k != 0.0 else 0.0
-    return np.exp(power - l * np.logaddexp(0.0, z))
+    floats, or (rows, 1) columns of integrate_many's members.  Where k = 0,
+    k log x is +-0 (no y-substitution applies, so x > 0), which moves no
+    bit of the exponent."""
+    return np.exp(k * np.log(x) - l * np.logaddexp(0.0, z))
 
 
 def _lemma1(q, k, b, l, n, t):

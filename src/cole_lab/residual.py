@@ -55,7 +55,7 @@ class Grid1D:
 
     def __post_init__(self):
         require((16 <= self.nr <= 8192, "Grid1D.nr must be in [16, 8192]"),
-                (0.0 <= self.r_min < self.r_max, "need 0 <= r_min < r_max"),
+                (0.0 <= self.r_min < self.r_max < math.inf, "need 0 <= r_min < r_max < inf"),
                 (self.spacing in ("uniform", "log"), "spacing must be 'uniform' or 'log'"),
                 (self.spacing != "log" or self.r_min > 0.0, "log spacing requires r_min > 0"),
                 (self.t_values and all(t > 0.0 for t in self.t_values),

@@ -811,9 +811,9 @@ def cartesian_components(s: SolutionFamily, t: float, x):
     d_j u_i   = P x_i x_j + g delta_ij
     d_jk u_i  = W x_i x_j x_k + P (x_i d_jk + x_j d_ik + x_k d_ij)
 
-    with g = u/r, P = (u/r)_r / r, W = P_r / r.  At x = 0 (origin-regular
-    families only) the limits are value 0, Jacobian g0(t) I, second
-    partials 0.
+    with g = u/r, P = (u/r)_r / r, W = P_r / r.  At x = 0 these give the
+    limits value 0, Jacobian g0(t) I, second partials 0 for the
+    origin-regular families; the others raise SingularityError there.
     """
     t = _check_t(t)
     x = np.asarray(x, dtype=float)
@@ -822,14 +822,6 @@ def cartesian_components(s: SolutionFamily, t: float, x):
         raise ValueError(f"x must be a vector in R^{n}")
     r = float(np.linalg.norm(x))
     eye = np.eye(n)
-    if r == 0.0:
-        if not s.origin_regular:
-            raise SingularityError(
-                f"{s.kind} is singular at the origin; cannot evaluate at x = 0")
-        value = np.zeros(n)
-        jac = s.g0(t) * eye
-        second = np.zeros((n, n, n))
-        return value, jac, second
     g, P, W = s.at(t, r, "g", "P", "W")
     value = g * x
     jac = P * np.outer(x, x) + g * eye

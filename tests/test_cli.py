@@ -733,9 +733,13 @@ def test_undefined_norm_for_family_exits_2(argv, capsys):
     ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--a", "nan"],
     ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--mu", "1e-308"],
     ["norms", "--family", "MainExample", "--kind", "hess_bound_lp", "--mu", "1e300"],
+    ["norms", "--family", "MainExample", "--t-grid", "1e-2:inf:3"],
+    ["residual", "--family", "MainExample", "--grid", "0:inf:16"],
+    ["solve", "--family", "MainExample", "--r-max", "inf"],
 ])
 def test_nonfinite_constants_exit_2(argv, capsys):
-    # these printed NaN rows with exit 0 or ended in tracebacks
+    # these printed NaN rows with exit 0, ended in tracebacks, or warned
+    # from numpy before exiting 2
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err

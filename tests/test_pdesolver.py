@@ -256,7 +256,9 @@ def test_tridiagonal_solve_matches_dense(n):
         cfg = _cfg(n=n, nr=nr, cfl=cfl, scheme="cn-central", r_min=r_min)
         # the step a march of the main example takes on this grid, whose
         # diffusion number mu dt / h^2 reaches 4
-        st = _Stepper(cfg, cfg.step_size(_amp(cfg, MAIN)), None, None)
+        step = cfg.step_size(_amp(cfg, MAIN))
+        ends = np.zeros((step[1], 1))
+        st = _Stepper(cfg, step, ends, ends)
         half = 0.5 * st.dt
         dense = (np.diag(1.0 - half * st.di) + np.diag(-half * st.up[:-1], 1)
                  + np.diag(-half * st.lo[1:], -1))
@@ -318,7 +320,8 @@ def test_doubling_pass_count_at_nr512():
     # step of criterion 9's stacked march
     cfg = _c9_config(512)
     run = march(cfg, [MAIN, NST])
-    matrix = _Stepper(cfg, (run.dt, run.n_steps), None, None).matrix
+    ends = np.zeros((run.n_steps, 1))
+    matrix = _Stepper(cfg, (run.dt, run.n_steps), ends, ends).matrix
     assert len(matrix.forward) <= 6 and len(matrix.backward) <= 6
 
 

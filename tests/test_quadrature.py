@@ -198,7 +198,7 @@ def test_lemma1_array_is_its_scalar_calls(quad_work):
     got = lemma1_I(q, k, b, l, n, t)
     assert (quad_work.integrals, quad_work.alone) == (4, 0)
     want = [lemma1_I(*x) for x in LEMMA1_ELEMENTS]
-    assert quad_work.alone == 4 and all(isinstance(v, float) for v in want)
+    assert quad_work.alone == 0 and all(isinstance(v, float) for v in want)
     assert list(map(_hex, got)) == list(map(_hex, want))
     grid = lemma1_I(1.5, 0.5, b[:, None], 1.0, 3, np.array([1e-3, 1e-6]))
     assert grid.shape == (4, 2)

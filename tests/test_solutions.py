@@ -637,9 +637,12 @@ def test_cartesian_origin_limits():
         assert np.all(second == 0.0)
 
 
-def test_cartesian_origin_singular_families_refuse():
+@pytest.mark.parametrize("fam", [SS, ST3, dict(CONTRACT)["cole-hopf"]],
+                         ids=["SelfSimilar", "Stationary", "ColeHopfOf"])
+def test_cartesian_origin_singular_families_refuse(fam):
+    # the evaluators' own r = 0 rule refuses the origin
     with pytest.raises(SingularityError):
-        cartesian_components(SS, 0.37, np.zeros(3))
+        cartesian_components(fam, 0.37, np.zeros(3))
 
 
 def test_cartesian_off_axis_identities():
